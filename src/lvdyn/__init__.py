@@ -46,12 +46,11 @@ from .params import (
 )
 from .fitting import (
     FitMode,
-    FitReport,
     TimeSeries,
     build_ratio_rows,
-    fit_zero_intercept,
+    fit_details,
+    fitted_trajectories,
     free_run,
-    make_fit_report,
     mape,
     one_step_predictions,
 )

@@ -13,7 +13,7 @@ import os
 import sys
 from pathlib import Path
 
-from .errors import IoError, LvdynError, exit_code_for
+from .errors import IoError, LvdynError, ValidationError, exit_code_for
 from .fitting import FitMode
 from .pipeline import AnalysisConfig, run_pipeline
 
@@ -65,7 +65,7 @@ def _resolve_seed(value: int | None) -> int:
         try:
             return int(env)
         except ValueError:
-            raise LvdynError(f"LVDYN_SEED must be an integer, got {env!r}") from None
+            raise ValidationError(f"LVDYN_SEED must be an integer, got {env!r}") from None
     return DEFAULT_SEED
 
 

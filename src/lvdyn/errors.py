@@ -65,7 +65,7 @@ class NumericalError(LvdynError, ArithmeticError):
 
 
 class SingularDesign(NumericalError):
-    """Regression design matrix is rank deficient (collinear regressors)."""
+    """Regression is degenerate: collinear regressors or a constant response."""
 
 
 class IllConditioned(UserWarning):

@@ -36,14 +36,12 @@ __all__ = [
     "EquationFit",
     "FitDiagnostics",
     "FitMode",
-    "FitReport",
     "build_ratio_rows",
     "fit_details",
-    "fit_zero_intercept",
+    "fitted_trajectories",
     "one_step_predictions",
     "free_run",
     "mape",
-    "make_fit_report",
 ]
 
 #: Condition-number threshold above which the normal equations trigger an
@@ -103,7 +101,6 @@ class RatioSystem:
     there is no row for the final year.
     """
 
-    years: np.ndarray          # (n-1,) year of the current state
     regressors: np.ndarray     # (n-1, 2) columns: x(k), y(k)
     response_x: np.ndarray     # (n-1,) x(k)/x(k+1)
     response_y: np.ndarray     # (n-1,) y(k)/y(k+1)
@@ -114,7 +111,6 @@ def build_ratio_rows(ts: TimeSeries) -> RatioSystem:
     xs = np.asarray(ts.xs, dtype=float)
     ys = np.asarray(ts.ys, dtype=float)
     return RatioSystem(
-        years=np.asarray(ts.years[:-1], dtype=int),
         regressors=np.column_stack([xs[:-1], ys[:-1]]),
         response_x=xs[:-1] / xs[1:],
         response_y=ys[:-1] / ys[1:],
@@ -168,6 +164,10 @@ def _fit_equation(X: np.ndarray, resp: np.ndarray, self_col: int) -> EquationFit
     # Centered convention for the full three-term model.
     full_res = residuals - intercept
     ss_tot = float(np.sum((resp - resp.mean()) ** 2))
+    if ss_tot == 0:
+        raise SingularDesign(
+            "growth ratio is constant (exact geometric series); "
+            "the centered R^2 is undefined")
     r2_full = 1.0 - float(np.sum(full_res**2)) / ss_tot
     adj_full = 1.0 - (1.0 - r2_full) * (n - 1) / (n - 3)
 
@@ -207,11 +207,6 @@ def fit_details(ts: TimeSeries) -> FitDiagnostics:
         adj_r2_2=eq_y.adj_r2_origin,
     )
     return FitDiagnostics(eq_x=eq_x, eq_y=eq_y, coeffs=coeffs)
-
-
-def fit_zero_intercept(ts: TimeSeries) -> RegressionCoeffs:
-    """Estimate the ratio-regression coefficients for both species."""
-    return fit_details(ts).coeffs
 
 
 def _map_step(dp: DiscreteParams, x: float, y: float) -> tuple[float, float]:
@@ -272,53 +267,15 @@ class FitMode(Enum):
     FREE_RUNNING = "free_running"
 
 
-@dataclass(frozen=True)
-class FitReport:
-    """Coefficients plus fitted trajectories and their MAPE.
-
-    Trajectories have length n with the first entry pinned to the first
-    observation, so MAPE is taken over the predicted entries (indices 1..n-1)
-    to avoid a trivially exact first point.
-    """
-
-    coeffs: RegressionCoeffs
-    fitted_x: np.ndarray
-    fitted_y: np.ndarray
-    mape_x: float
-    mape_y: float
-    mode: FitMode
-
-
 def fitted_trajectories(
     dp: DiscreteParams, ts: TimeSeries, mode: FitMode
 ) -> tuple[np.ndarray, np.ndarray]:
+    """Fitted x and y trajectories of length n in the given mode.
+
+    Entry 0 is pinned to the first observation, so MAPE is taken over the
+    predicted entries 1..n-1 to avoid a trivially exact first point.
+    """
     if mode is FitMode.ONE_STEP_AHEAD:
         return one_step_predictions(dp, ts)
     traj = free_run(dp, (ts.xs[0], ts.ys[0]), ts.n - 1)
     return traj[:, 0].copy(), traj[:, 1].copy()
-
-
-def make_fit_report(
-    ts: TimeSeries,
-    mode: FitMode = FitMode.ONE_STEP_AHEAD,
-    dp: DiscreteParams | None = None,
-    coeffs: RegressionCoeffs | None = None,
-) -> FitReport:
-    """Build a FitReport, fitting the series unless dp/coeffs are injected."""
-    if coeffs is None:
-        coeffs = fit_zero_intercept(ts)
-    if dp is None:
-        from .params import regression_to_discrete
-
-        dp = regression_to_discrete(coeffs)
-    fx, fy = fitted_trajectories(dp, ts, mode)
-    obs_x = np.asarray(ts.xs)[1:]
-    obs_y = np.asarray(ts.ys)[1:]
-    return FitReport(
-        coeffs=coeffs,
-        fitted_x=fx,
-        fitted_y=fy,
-        mape_x=mape(obs_x, fx[1:]),
-        mape_y=mape(obs_y, fy[1:]),
-        mode=mode,
-    )

@@ -112,7 +112,7 @@ class AnalysisConfig:
                 f"sobol_n must be a power of two >= 64, got {self.sobol_n}")
         if not 0 < self.fraction < 1:
             raise ValidationError(f"fraction must be in (0, 1), got {self.fraction}")
-        if self.classify_tol < 0:
+        if not self.classify_tol >= 0:   # also rejects NaN
             raise ValidationError(f"classify_tol must be >= 0, got {self.classify_tol}")
         for fmt in self.formats:
             if fmt not in ("json", "csv"):
@@ -593,6 +593,15 @@ def _write_text(path: Path, text: str) -> None:
         raise IoError(f"cannot write {path}: {exc}") from exc
 
 
+def _write_csv(path: Path, header: str, rows) -> Path:
+    """Write a header line and rows; float cells get nine significant digits."""
+    lines = [header]
+    lines.extend(",".join([f"{_round9(v):.9g}" if isinstance(v, float) else str(v)
+                           for v in row]) for row in rows)
+    _write_text(path, "\n".join(lines) + "\n")
+    return path
+
+
 def write_report(report: Report, out_dir: str | Path) -> list[Path]:
     """Write report.json (and report.csv / sobol.csv / phase files)."""
     out = _ensure_dir(Path(out_dir))
@@ -607,21 +616,22 @@ def write_report(report: Report, out_dir: str | Path) -> list[Path]:
         _write_text(p, _report_csv_text(report))
         written.append(p)
     if report.sobol is not None:
-        p = out / "sobol.csv"
-        _write_text(p, _sobol_csv_text(report.sobol))
-        written.append(p)
+        sr = report.sobol
+        written.append(_write_csv(
+            out / "sobol.csv", "parameter,output,S_i,S_Ti",
+            ((pname, oname, sr.first_order[oi, pi], sr.total_order[oi, pi])
+             for oi, oname in enumerate(OUTPUT_NAMES)
+             for pi, pname in enumerate(PARAM_NAMES))))
     if report.phase is not None:
         trajectories = []
         if report.ode_trajectory is not None:
             trajectories.append(("ode", report.ode_trajectory))
         written.extend(export_phase_data(report.phase, trajectories, out / "phase"))
         if report.discrete_trajectory is not None:
-            p = out / "phase" / "trajectory_discrete.csv"
-            rows = ["step,x,y"] + [
-                f"{k},{_round9(x):.9g},{_round9(y):.9g}"
-                for k, (x, y) in enumerate(report.discrete_trajectory)]
-            _write_text(p, "\n".join(rows) + "\n")
-            written.append(p)
+            written.append(_write_csv(
+                out / "phase" / "trajectory_discrete.csv", "step,x,y",
+                ((k, x, y) for k, (x, y)
+                 in enumerate(report.discrete_trajectory.tolist()))))
     return written
 
 
@@ -642,15 +652,6 @@ def _report_csv_text(report: Report) -> str:
     for key, value in rows:
         value = value.replace('"', '""')
         lines.append(f'{key},"{value}"')
-    return "\n".join(lines) + "\n"
-
-
-def _sobol_csv_text(sr: SobolResult) -> str:
-    lines = ["parameter,output,S_i,S_Ti"]
-    for oi, oname in enumerate(OUTPUT_NAMES):
-        for pi, pname in enumerate(PARAM_NAMES):
-            lines.append(f"{pname},{oname},{_round9(sr.first_order[oi, pi]):.9g},"
-                         f"{_round9(sr.total_order[oi, pi]):.9g}")
     return "\n".join(lines) + "\n"
 
 
@@ -676,53 +677,37 @@ def export_phase_data(
 ) -> list[Path]:
     """Write plot-ready CSVs for nullclines, sign grid, field and trajectories."""
     out = _ensure_dir(Path(out_dir))
-    written: list[Path] = []
 
-    lines = ["kind,A,B,C,x,y"]
-    for kind, (ca, cb, cc) in (("x", pg.nullcline_x), ("y", pg.nullcline_y)):
-        for x in pg.xs:
-            if cc == 0:
-                continue
-            y = -(ca + cb * x) / cc
-            if pg.bbox.y_min <= y <= pg.bbox.y_max:
-                lines.append(f"{kind},{ca:.9g},{cb:.9g},{cc:.9g},"
-                             f"{_round9(x):.9g},{_round9(y):.9g}")
-        for y in pg.ys:
-            if cb == 0:
-                continue
-            x = -(ca + cc * y) / cb
-            if pg.bbox.x_min <= x <= pg.bbox.x_max:
-                lines.append(f"{kind},{ca:.9g},{cb:.9g},{cc:.9g},"
-                             f"{_round9(x):.9g},{_round9(y):.9g}")
-    p = out / "nullclines.csv"
-    _write_text(p, "\n".join(lines) + "\n")
-    written.append(p)
+    xs, ys = pg.xs.tolist(), pg.ys.tolist()
 
-    lines = ["x,y,sign_dx,sign_dy"]
-    for i, x in enumerate(pg.xs):
-        for j, y in enumerate(pg.ys):
-            lines.append(f"{_round9(x):.9g},{_round9(y):.9g},"
-                         f"{pg.sign_dx[i, j]},{pg.sign_dy[i, j]}")
-    p = out / "signgrid.csv"
-    _write_text(p, "\n".join(lines) + "\n")
-    written.append(p)
+    def nullcline_rows():
+        for kind, (ca, cb, cc) in (("x", pg.nullcline_x), ("y", pg.nullcline_y)):
+            if cc != 0:
+                for x in xs:
+                    y = -(ca + cb * x) / cc
+                    if pg.bbox.y_min <= y <= pg.bbox.y_max:
+                        yield kind, ca, cb, cc, x, y
+            if cb != 0:
+                for y in ys:
+                    x = -(ca + cc * y) / cb
+                    if pg.bbox.x_min <= x <= pg.bbox.x_max:
+                        yield kind, ca, cb, cc, x, y
 
-    lines = ["x,y,dxdt,dydt"]
-    for i, x in enumerate(pg.xs):
-        for j, y in enumerate(pg.ys):
-            lines.append(f"{_round9(x):.9g},{_round9(y):.9g},"
-                         f"{_round9(pg.dx[i, j]):.9g},{_round9(pg.dy[i, j]):.9g}")
-    p = out / "vectorfield.csv"
-    _write_text(p, "\n".join(lines) + "\n")
-    written.append(p)
-
+    # Grid points in [i, j] order, which is the order ravel() reads the fields.
+    grid = [(x, y) for x in xs for y in ys]
+    signs = zip(pg.sign_dx.ravel().tolist(), pg.sign_dy.ravel().tolist())
+    field = zip(pg.dx.ravel().tolist(), pg.dy.ravel().tolist())
+    written = [
+        _write_csv(out / "nullclines.csv", "kind,A,B,C,x,y", nullcline_rows()),
+        _write_csv(out / "signgrid.csv", "x,y,sign_dx,sign_dy",
+                   ((x, y, sx, sy) for (x, y), (sx, sy) in zip(grid, signs))),
+        _write_csv(out / "vectorfield.csv", "x,y,dxdt,dydt",
+                   ((x, y, fx, fy) for (x, y), (fx, fy) in zip(grid, field))),
+    ]
     for name, traj in trajectories:
-        lines = ["t,x,y"]
-        for t, (x, y) in zip(traj.t, traj.states):
-            lines.append(f"{_round9(t):.9g},{_round9(x):.9g},{_round9(y):.9g}")
-        p = out / f"trajectory_{name}.csv"
-        _write_text(p, "\n".join(lines) + "\n")
-        written.append(p)
+        written.append(_write_csv(
+            out / f"trajectory_{name}.csv", "t,x,y",
+            ((t, x, y) for t, (x, y) in zip(traj.t.tolist(), traj.states.tolist()))))
 
     p = out / "README.md"
     _write_text(p, _PHASE_README)

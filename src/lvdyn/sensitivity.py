@@ -79,21 +79,22 @@ def bounds_from_baseline(cp: ContinuousParams, fraction: float) -> ParamBounds:
 
 @dataclass(frozen=True)
 class SaltelliDesign:
-    """Saltelli sample of N*(2D+2) rows for D=6 parameters.
+    """Saltelli sample of N*(D+2) rows for D=6 parameters.
 
-    Rows are grouped per base index j in blocks of 2D+2: the A-row, the D
-    rows where column i is swapped in from B, the D rows where column i is
-    swapped into B from A, and the B-row.  The layout is deterministic for a
-    given (bounds, n_base, seed).
+    Rows are grouped per base index j in blocks of D+2: the A-row, the D
+    rows where column i is swapped in from B, and the B-row.  These are the
+    only rows the first-order (Saltelli 2010) and total-order (Jansen 1999)
+    estimators read.  The layout is deterministic for a given
+    (bounds, n_base, seed).
     """
 
-    matrix: np.ndarray   # (n_base*(2D+2), D)
+    matrix: np.ndarray   # (n_base*(D+2), D)
     n_base: int
     seed: int
 
     @property
     def block_size(self) -> int:
-        return 2 * N_PARAMS + 2
+        return N_PARAMS + 2
 
     def rows_a(self) -> np.ndarray:
         return self.matrix[0::self.block_size]
@@ -104,10 +105,6 @@ class SaltelliDesign:
     def rows_ab(self, i: int) -> np.ndarray:
         """Rows equal to A except column i comes from B."""
         return self.matrix[1 + i::self.block_size]
-
-    def rows_ba(self, i: int) -> np.ndarray:
-        """Rows equal to B except column i comes from A."""
-        return self.matrix[1 + N_PARAMS + i::self.block_size]
 
 
 def saltelli_sample(bounds: ParamBounds, n_base: int, seed: int) -> SaltelliDesign:
@@ -125,7 +122,7 @@ def saltelli_sample(bounds: ParamBounds, n_base: int, seed: int) -> SaltelliDesi
     a = bounds.lower + unit[:, :N_PARAMS] * width
     b = bounds.lower + unit[:, N_PARAMS:] * width
 
-    block = 2 * N_PARAMS + 2
+    block = N_PARAMS + 2
     matrix = np.empty((n_base * block, N_PARAMS))
     matrix[0::block] = a
     matrix[block - 1::block] = b
@@ -133,9 +130,6 @@ def saltelli_sample(bounds: ParamBounds, n_base: int, seed: int) -> SaltelliDesi
         ab = a.copy()
         ab[:, i] = b[:, i]
         matrix[1 + i::block] = ab
-        ba = b.copy()
-        ba[:, i] = a[:, i]
-        matrix[1 + N_PARAMS + i::block] = ba
     return SaltelliDesign(matrix=matrix, n_base=n_base, seed=seed)
 
 
@@ -166,8 +160,9 @@ class SobolResult:
 
     Index arrays are (2, 6): rows follow OUTPUT_NAMES, columns PARAM_NAMES.
     Raw estimator values are kept unclipped; ``clipped()`` gives a [0, 1]
-    view for display.  Counts record per-row sample accounting over the full
-    design; ``retained_triples`` is the number of base indices that survived
+    view for display.  ``accepted_count`` and ``rejected_count`` count the
+    valid and invalid rows of the whole N*(D+2)-row design;
+    ``retained_triples`` is the number of base indices that survived
     whole-triple rejection.
     """
 
@@ -193,18 +188,16 @@ def sobol_indices(
     First-order indices use the cross-matrix covariance estimator
     V_i ~ mean(f(B) * (f(A_B^i) - f(A))); total-order indices use the
     squared-difference estimator V_~i-complement ~ mean((f(A) - f(A_B^i))^2)/2.
-    A base index is dropped whole when its A-row, B-row or any A_B^i row is
-    invalid; at least half the base sample must survive.
+    A base index is dropped whole when its A-row, B-row or any A_B^i row,
+    that is any row of its block, is invalid; at least half the base sample
+    must survive.
     """
     block = design.block_size
     n = design.n_base
     if outputs.shape != (n * block, 2) or valid.shape != (n * block,):
         raise ValidationError("outputs/valid do not match the design shape")
 
-    valid_blocks = valid.reshape(n, block)
-    # Triple = A-row (offset 0), B-row (last offset) and the D A_B rows.
-    triple_cols = [0] + list(range(1, N_PARAMS + 1)) + [block - 1]
-    keep = np.all(valid_blocks[:, triple_cols], axis=1)
+    keep = np.all(valid.reshape(n, block), axis=1)
     retained = int(np.count_nonzero(keep))
     if retained < MIN_RETAINED_FRACTION * n:
         raise TooManyRejections(

@@ -18,16 +18,16 @@ from lvdyn import (
     ValidationError,
     ZeroObserved,
     build_ratio_rows,
-    fit_zero_intercept,
+    fit_details,
+    fitted_trajectories,
     free_run,
     load_series,
-    make_fit_report,
     mape,
     one_step_predictions,
     fixture_path,
+    regression_to_discrete,
 )
 from lvdyn.errors import IllConditioned
-from lvdyn.fitting import fit_details
 
 from conftest import PUBLISHED
 
@@ -89,7 +89,6 @@ def test_ratio_rows_from_fixture(physical_series):
     assert rows.response_x[0] == pytest.approx(15.40 / 31.80, abs=1e-12)
     assert tuple(rows.regressors[0]) == (15.40, 37202.10)
     assert rows.response_y[-1] == pytest.approx(49596.60 / 50970.80, abs=1e-12)
-    assert rows.years[-1] == 2022  # no row for the final year
 
 
 def test_ratio_rows_constant_series():
@@ -106,7 +105,7 @@ def test_ratio_rows_constant_series():
     ("ai_physical", "physical_series"), ("ai_labor", "labor_series")])
 def test_fit_reproduces_published_coefficients(key, fixture_name, request):
     ts = request.getfixturevalue(fixture_name)
-    rc = fit_zero_intercept(ts)
+    rc = fit_details(ts).coeffs
     pub = PUBLISHED[key]["regression"]
     for name in ("self_slope1", "cross_slope1", "self_slope2", "cross_slope2"):
         assert getattr(rc, name) == pytest.approx(pub[name], rel=0.05), name
@@ -129,7 +128,7 @@ def test_exact_recovery_on_intercept_free_map_data():
         xs.append(x / (s1 * x + c1 * y))
         ys.append(y / (c2 * x + s2 * y))
     ts = series(xs, ys)
-    rc = fit_zero_intercept(ts)
+    rc = fit_details(ts).coeffs
     assert rc.self_slope1 == pytest.approx(s1, rel=1e-8)
     assert rc.cross_slope1 == pytest.approx(c1, rel=1e-8)
     assert rc.self_slope2 == pytest.approx(s2, rel=1e-8)
@@ -144,7 +143,7 @@ def test_approximate_recovery_on_full_map_data():
     dp = DiscreteParams(**PUBLISHED["ai_physical"]["discrete"])
     traj = free_run(dp, (15.4, 37202.1), 7)
     ts = series(traj[:, 0], traj[:, 1])
-    rc = fit_zero_intercept(ts)
+    rc = fit_details(ts).coeffs
     assert rc.self_slope1 == pytest.approx(-dp.self1 / dp.alpha1, rel=0.05)
     assert rc.cross_slope1 == pytest.approx(-dp.cross1 / dp.alpha1, rel=0.05)
     assert rc.self_slope2 == pytest.approx(-dp.self2 / dp.alpha2, rel=0.05)
@@ -160,14 +159,20 @@ def test_mean_residual_diagnostic_centers_residuals(physical_series):
 
 def test_singular_design_on_identical_rows():
     with pytest.raises(SingularDesign):
-        fit_zero_intercept(series([5, 5, 5, 5, 5], [9, 9, 9, 9, 9]))
+        fit_details(series([5, 5, 5, 5, 5], [9, 9, 9, 9, 9])).coeffs
+
+
+def test_singular_design_on_exact_geometric_series():
+    # Constant growth ratios leave the centered total sum of squares at zero.
+    with pytest.raises(SingularDesign, match="geometric series"):
+        fit_details(series([1, 2, 4, 8, 16], [10, 30, 90, 270, 810]))
 
 
 def test_ill_conditioned_warning():
     xs = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
     ys = [x * 2.0 * (1 + 1e-10 * i) for i, x in enumerate(xs)]
     with pytest.warns(IllConditioned):
-        fit_zero_intercept(series(xs, ys))
+        fit_details(series(xs, ys)).coeffs
 
 
 # ---------------------------------------------------------------------------
@@ -267,15 +272,16 @@ def test_mape_errors():
         mape([1.0, 0.0], [1.0, 1.0])
 
 
-def test_fit_report_modes(physical_series):
-    one = make_fit_report(physical_series, FitMode.ONE_STEP_AHEAD)
-    free = make_fit_report(physical_series, FitMode.FREE_RUNNING)
-    assert one.mode is FitMode.ONE_STEP_AHEAD
-    assert free.mode is FitMode.FREE_RUNNING
-    for rep in (one, free):
-        assert rep.fitted_x[0] == physical_series.xs[0]
-        assert rep.fitted_y[0] == physical_series.ys[0]
-        assert len(rep.fitted_x) == physical_series.n
-        assert rep.mape_x >= 0 and rep.mape_y >= 0
+def test_fitted_trajectory_modes(physical_series):
+    dp = regression_to_discrete(fit_details(physical_series).coeffs)
+    one = fitted_trajectories(dp, physical_series, FitMode.ONE_STEP_AHEAD)
+    free = fitted_trajectories(dp, physical_series, FitMode.FREE_RUNNING)
+    obs_x = np.asarray(physical_series.xs)
+    obs_y = np.asarray(physical_series.ys)
+    for fx, fy in (one, free):
+        assert fx[0] == physical_series.xs[0]
+        assert fy[0] == physical_series.ys[0]
+        assert len(fx) == physical_series.n
+        assert mape(obs_x[1:], fx[1:]) >= 0 and mape(obs_y[1:], fy[1:]) >= 0
     # First predicted step is mode independent.
-    assert one.fitted_x[1] == pytest.approx(free.fitted_x[1], rel=1e-15)
+    assert one[0][1] == pytest.approx(free[0][1], rel=1e-15)

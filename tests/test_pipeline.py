@@ -20,7 +20,9 @@ from lvdyn import (
     write_report,
 )
 from lvdyn.cli import main
+from lvdyn.params import PARAM_NAMES
 from lvdyn.pipeline import report_json_text
+from lvdyn.sensitivity import OUTPUT_NAMES
 
 from conftest import config_for
 
@@ -102,6 +104,12 @@ def test_config_validated_before_any_work(tmp_path):
                      input_path=tmp_path / "does_not_exist.csv")
     with pytest.raises(ValidationError, match="power of two"):
         run_pipeline(cfg)
+
+
+def test_config_rejects_nan_classify_tol():
+    with pytest.raises(ValidationError, match="classify_tol"):
+        config_for("ai_physical", classify_tol=float("nan")).validate()
+    assert main(["fit", "--input", str(PHYS_FIXTURE), "--classify-tol", "nan"]) == 2
 
 
 def test_injected_run_reproduces_published_state(injected_reports):
@@ -186,7 +194,7 @@ def test_sobol_block_accounting(injected_reports):
     d = injected_reports["ai_physical"].to_dict()
     blk = d["sobol"]
     assert blk["n_base"] == 1024
-    assert blk["accepted_count"] + blk["rejected_count"] == 1024 * 14
+    assert blk["accepted_count"] + blk["rejected_count"] == 1024 * 8
     assert blk["rejected_count"] == 0
     assert 0.94 <= blk["outputs"]["x_star"]["sum_first_order"] <= 1.04
 
@@ -212,6 +220,61 @@ def test_write_report_files(tmp_path):
     assert (phase / "trajectory_ode.csv").is_file()
     assert (phase / "trajectory_discrete.csv").is_file()
     assert (phase / "README.md").is_file()
+
+
+def test_csv_files_match_report_arrays(tmp_path, injected_reports):
+    rep = injected_reports["ai_physical"]
+    write_report(rep, tmp_path)
+    pg, ode, disc, sr = (rep.phase, rep.ode_trajectory, rep.discrete_trajectory,
+                         rep.sobol)
+
+    def table(path, header):
+        lines = path.read_text().splitlines()
+        assert lines[0] == header
+        return [line.split(",") for line in lines[1:]]
+
+    def r9(values):
+        return [float(f"{v:.9g}") for v in values]
+
+    phase = tmp_path / "phase"
+    expected = []
+    for kind, (a, b, c) in (("x", pg.nullcline_x), ("y", pg.nullcline_y)):
+        ys = -(a + b * pg.xs) / c
+        on_x = (ys >= pg.bbox.y_min) & (ys <= pg.bbox.y_max)
+        xs = -(a + c * pg.ys) / b
+        on_y = (xs >= pg.bbox.x_min) & (xs <= pg.bbox.x_max)
+        points = list(zip(pg.xs[on_x], ys[on_x])) + list(zip(xs[on_y], pg.ys[on_y]))
+        expected += [[kind] + r9((a, b, c, x, y)) for x, y in points]
+    rows = table(phase / "nullclines.csv", "kind,A,B,C,x,y")
+    assert len(rows) == len(expected) > 0
+    assert [[r[0]] + [float(v) for v in r[1:]] for r in rows] == expected
+
+    grid = [(x, y) for x in pg.xs for y in pg.ys]
+    rows = table(phase / "signgrid.csv", "x,y,sign_dx,sign_dy")
+    assert len(rows) == len(pg.xs) * len(pg.ys)
+    assert [[float(r[0]), float(r[1])] for r in rows] == [r9(p) for p in grid]
+    assert [int(r[2]) for r in rows] == pg.sign_dx.ravel().tolist()
+    assert [int(r[3]) for r in rows] == pg.sign_dy.ravel().tolist()
+
+    rows = table(phase / "vectorfield.csv", "x,y,dxdt,dydt")
+    assert [[float(v) for v in r] for r in rows] == [
+        r9(p + (dx, dy)) for p, dx, dy in zip(grid, pg.dx.ravel(), pg.dy.ravel())]
+
+    rows = table(phase / "trajectory_ode.csv", "t,x,y")
+    assert len(rows) == len(ode.t)
+    assert [[float(v) for v in r] for r in rows] == [
+        r9((t, x, y)) for t, (x, y) in zip(ode.t, ode.states)]
+
+    rows = table(phase / "trajectory_discrete.csv", "step,x,y")
+    assert len(rows) == len(disc)
+    assert [int(r[0]) for r in rows] == list(range(len(disc)))
+    assert [[float(r[1]), float(r[2])] for r in rows] == [r9(s) for s in disc]
+
+    rows = table(tmp_path / "sobol.csv", "parameter,output,S_i,S_Ti")
+    assert [r[:2] for r in rows] == [[p, o] for o in OUTPUT_NAMES for p in PARAM_NAMES]
+    assert [[float(r[2]), float(r[3])] for r in rows] == [
+        r9((sr.first_order[oi, pi], sr.total_order[oi, pi]))
+        for oi in range(len(OUTPUT_NAMES)) for pi in range(len(PARAM_NAMES))]
 
 
 def test_nullcline_lines_pass_through_equilibrium(injected_reports):
@@ -325,6 +388,21 @@ def test_cli_seed_env_fallback(tmp_path, monkeypatch):
     assert code == 0
     d = json.loads((out / "report.json").read_text())
     assert d["sobol"]["seed"] == 777
+
+
+def test_cli_bad_seed_env_exit_code(monkeypatch, capsys):
+    monkeypatch.setenv("LVDYN_SEED", "abc")
+    code = main(["fit", "--input", str(PHYS_FIXTURE)])
+    assert code == 2
+    assert "LVDYN_SEED" in capsys.readouterr().err
+
+
+def test_cli_geometric_series_exit_code(tmp_path, capsys):
+    p = write_csv(tmp_path, ["year,ai_capital,physical_capital", "2016,1,10",
+                             "2017,2,30", "2018,4,90", "2019,8,270", "2020,16,810"])
+    code = main(["fit", "--input", str(p)])
+    assert code == 3
+    assert "geometric series" in capsys.readouterr().err
 
 
 def test_cli_csv_format(tmp_path):

@@ -84,8 +84,8 @@ def test_param_bounds_validation():
 
 def test_design_row_counts():
     bounds = unit_bounds()
-    assert saltelli_sample(bounds, 64, 1).matrix.shape == (896, 6)
-    assert saltelli_sample(bounds, 1024, 1).matrix.shape == (14336, 6)
+    assert saltelli_sample(bounds, 64, 1).matrix.shape == (512, 6)
+    assert saltelli_sample(bounds, 1024, 1).matrix.shape == (8192, 6)
 
 
 def test_design_within_bounds():
@@ -101,12 +101,9 @@ def test_design_block_structure():
     a, b = design.rows_a(), design.rows_b()
     for i in range(6):
         ab = design.rows_ab(i)
-        ba = design.rows_ba(i)
         other = [j for j in range(6) if j != i]
         assert np.array_equal(ab[:, other], a[:, other])
         assert np.array_equal(ab[:, i], b[:, i])
-        assert np.array_equal(ba[:, other], b[:, other])
-        assert np.array_equal(ba[:, i], a[:, i])
 
 
 def test_design_deterministic_in_seed():
@@ -278,12 +275,6 @@ def test_partial_rejection_drops_whole_triples():
     assert res.retained_triples == 98
     assert res.rejected_count == 30
     assert res.first_order[0].sum() == pytest.approx(1.0, abs=0.05)
-
-    # Invalidating only swapped-into-B rows must not drop any triple.
-    valid2 = np.ones(len(vals), dtype=bool)
-    valid2[1 + 6::block] = False  # the first B_A-row of every block
-    res2 = sobol_indices(design, outputs, valid2)
-    assert res2.retained_triples == 128
 
 
 def test_indices_reject_mismatched_shapes():

@@ -29,6 +29,7 @@ __all__ = [
     "PhaseGeometry",
     "Trajectory",
     "vector_field",
+    "interior_equilibria",
     "interior_equilibrium",
     "equilibrium_set",
     "jacobian_at",
@@ -57,19 +58,33 @@ def vector_field(cp: ContinuousParams, x: float, y: float) -> tuple[float, float
     return f1, f2
 
 
-def interior_equilibrium(cp: ContinuousParams) -> tuple[float, float] | None:
-    """Closed-form intersection of the two interior nullclines.
+def interior_equilibria(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form intersection of the two interior nullclines, row by row.
 
-    Returns None when the nullclines are (numerically) parallel, judged
-    against the magnitude of the coefficient products involved.
+    ``theta`` is an (n, 6) array of coefficients in PARAM_NAMES order.
+    Returns (points, ok): points is (n, 2) with columns (x*, y*), and ok is
+    False, with NaN in points, where the nullclines are (numerically)
+    parallel, judged against the magnitude of the coefficient products
+    involved.
     """
-    den = cp.b12 * cp.b21 - cp.b11 * cp.b22
-    scale = max(abs(cp.b12 * cp.b21), abs(cp.b11 * cp.b22), 1e-300)
-    if abs(den) < INTERIOR_DENOM_EPS * scale:
-        return None
-    x = (cp.a1 * cp.b22 - cp.b12 * cp.a2) / den
-    y = (cp.b11 * cp.a2 - cp.a1 * cp.b21) / den
-    return (x, y)
+    a1, b11, b12, a2, b21, b22 = np.asarray(theta, dtype=float).T
+    den = b12 * b21 - b11 * b22
+    scale = np.maximum(np.maximum(np.abs(b12 * b21), np.abs(b11 * b22)), 1e-300)
+    ok = np.abs(den) >= INTERIOR_DENOM_EPS * scale
+    points = np.full((len(den), 2), np.nan)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        points[ok, 0] = (a1[ok] * b22[ok] - b12[ok] * a2[ok]) / den[ok]
+        points[ok, 1] = (b11[ok] * a2[ok] - a1[ok] * b21[ok]) / den[ok]
+    return points, ok
+
+
+def interior_equilibrium(cp: ContinuousParams) -> tuple[float, float] | None:
+    """Interior equilibrium of one parameter set by :func:`interior_equilibria`.
+
+    Returns None when the nullclines are (numerically) parallel.
+    """
+    points, ok = interior_equilibria([cp.as_tuple()])
+    return tuple(points[0].tolist()) if ok[0] else None
 
 
 @dataclass(frozen=True)

@@ -60,8 +60,8 @@ class TimeSeries:
     """Paired annual observations of two interacting factors.
 
     Years must be consecutive integers, observations strictly positive, and
-    at least four points are required so each two-slope regression keeps a
-    residual degree of freedom on the n-1 ratio rows.
+    at least four points are required, enough to analyse injected
+    parameters.  Fitting the ratio regression needs five.
     """
 
     label_x: str
@@ -149,9 +149,12 @@ class EquationFit:
 
 
 def _fit_equation(X: np.ndarray, resp: np.ndarray, self_col: int) -> EquationFit:
+    n = len(resp)
+    if n < 4:   # the centered adjusted R^2 below divides by n - 3
+        raise InsufficientData(
+            f"fitting needs at least 5 annual observations (4 ratio rows), got {n + 1}")
     slopes = _solve_through_origin(X, resp)
     residuals = resp - X @ slopes
-    n = len(resp)
     p = 2
 
     intercept = float(np.mean(np.abs(residuals)) / 2.0)

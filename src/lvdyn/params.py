@@ -43,7 +43,6 @@ __all__ = [
     "discrete_to_continuous",
     "continuous_to_discrete",
     "classify_interaction",
-    "logistic_sign_violations",
 ]
 
 
@@ -149,12 +148,8 @@ class InteractionType:
     prey: str | None = None
 
 
-def _check_alpha(alpha: float, label: str) -> None:
-    if alpha <= 0 or alpha == 1:
-        raise DomainError(f"{label} must be > 0 and != 1, got {alpha}")
-
-
-def _check_intercept(value: float, label: str) -> None:
+def _check_positive_not_one(value: float, label: str) -> None:
+    """Growth multipliers and their reciprocal intercepts must be > 0 and != 1."""
     if value <= 0 or value == 1:
         raise DomainError(f"{label} must be > 0 and != 1, got {value}")
 
@@ -166,8 +161,8 @@ def regression_to_discrete(rc: RegressionCoeffs) -> DiscreteParams:
     alpha_i, preserving roles.  Raises DomainError when an intercept is
     non-positive or exactly 1 (the inversion is undefined there).
     """
-    _check_intercept(rc.intercept1, "intercept1")
-    _check_intercept(rc.intercept2, "intercept2")
+    _check_positive_not_one(rc.intercept1, "intercept1")
+    _check_positive_not_one(rc.intercept2, "intercept2")
     alpha1 = 1.0 / rc.intercept1
     alpha2 = 1.0 / rc.intercept2
     return DiscreteParams(
@@ -182,8 +177,8 @@ def regression_to_discrete(rc: RegressionCoeffs) -> DiscreteParams:
 
 def discrete_to_regression(dp: DiscreteParams) -> RegressionCoeffs:
     """Exact inverse of :func:`regression_to_discrete` (no fit diagnostics)."""
-    _check_alpha(dp.alpha1, "alpha1")
-    _check_alpha(dp.alpha2, "alpha2")
+    _check_positive_not_one(dp.alpha1, "alpha1")
+    _check_positive_not_one(dp.alpha2, "alpha2")
     return RegressionCoeffs(
         intercept1=1.0 / dp.alpha1,
         self_slope1=-dp.self1 / dp.alpha1,
@@ -201,8 +196,8 @@ def discrete_to_continuous(dp: DiscreteParams) -> ContinuousParams:
     ln(alpha_i)/(alpha_i - 1), which is positive for every valid alpha, so
     signs are preserved role by role.
     """
-    _check_alpha(dp.alpha1, "alpha1")
-    _check_alpha(dp.alpha2, "alpha2")
+    _check_positive_not_one(dp.alpha1, "alpha1")
+    _check_positive_not_one(dp.alpha2, "alpha2")
     a1 = math.log(dp.alpha1)
     a2 = math.log(dp.alpha2)
     s1 = a1 / (dp.alpha1 - 1.0)
@@ -271,22 +266,3 @@ def classify_interaction(cp: ContinuousParams, tol: float = 0.0) -> InteractionT
     if s12 > 0 or s21 > 0:
         return InteractionType(InteractionKind.AMENSALISM)
     return InteractionType(InteractionKind.COMMENSALISM)
-
-
-def logistic_sign_violations(cp: ContinuousParams) -> list[str]:
-    """Names of parameters violating the logistic sign pattern.
-
-    Fitted two-factor systems are expected to grow (a_i > 0) and
-    self-saturate (b_ii < 0).  Returns an empty list when the pattern holds;
-    callers decide whether violations are fatal.
-    """
-    bad = []
-    if cp.a1 <= 0:
-        bad.append("a1")
-    if cp.a2 <= 0:
-        bad.append("a2")
-    if cp.b11 >= 0:
-        bad.append("b11")
-    if cp.b22 >= 0:
-        bad.append("b22")
-    return bad

@@ -3,9 +3,10 @@
 ``run_pipeline`` chains loading, fitting (or baseline injection),
 interaction classification, equilibrium and stability analysis, phase
 geometry, MAPE evaluation and Sobol sensitivity into a single Report.
-Reports serialize to JSON deterministically: fixed field order, no
-timestamps, floats rounded half-even to nine significant digits, so two
-runs with identical inputs are byte-identical.
+Report objects keep full precision.  ``Report.to_dict`` and every written
+file round floats half-even to nine significant digits, with a fixed field
+order and no timestamps, so two runs with identical inputs are
+byte-identical.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import csv
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, astuple, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -208,7 +209,7 @@ class Report:
     warnings: list[str] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return _report_dict(self)
+        return _rounded(_report_dict(self))
 
 
 def _round9(v: float) -> float:
@@ -218,31 +219,41 @@ def _round9(v: float) -> float:
     return float(f"{v:.9g}")
 
 
-def _num(v) -> float | None:
-    return None if v is None else _round9(float(v))
+def _rounded(obj):
+    """Copy a report value with every float rounded by ``_round9``.
+
+    Dicts keep their key order, lists and tuples become lists, and ints,
+    bools, strings and None pass through unchanged.
+    """
+    if isinstance(obj, float):
+        return _round9(obj)
+    if isinstance(obj, dict):
+        return {k: _rounded(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_rounded(v) for v in obj]
+    return obj
 
 
-def _point(p) -> list[float] | None:
-    return None if p is None else [_round9(float(p[0])), _round9(float(p[1]))]
-
-
-def _params_dict(names, values) -> dict:
-    return {name: _num(v) for name, v in zip(names, values)}
+#: Output order of the regression block, which interleaves the adjusted R^2
+#: of each equation after its coefficients.
+_REGRESSION_FIELDS = ("intercept1", "self_slope1", "cross_slope1", "adj_r2_1",
+                      "intercept2", "self_slope2", "cross_slope2", "adj_r2_2")
 
 
 def _report_dict(r: Report) -> dict:
+    """The report as plain Python values at full precision, in output order."""
     cfg = r.config
     out: dict = {
         "config": {
             "input": str(cfg.input_path),
             "columns": {"year": cfg.year_col, "x": cfg.x_col, "y": cfg.y_col},
             "mode": cfg.mode.value,
-            "classify_tol": _num(cfg.classify_tol),
+            "classify_tol": float(cfg.classify_tol),
             "sobol_n": cfg.sobol_n,
-            "fraction": _num(cfg.fraction),
+            "fraction": float(cfg.fraction),
             "seed": cfg.seed,
             "params_from_paper": cfg.params_from_paper,
-            "formats": list(cfg.formats),
+            "formats": cfg.formats,
         },
     }
     if r.series is not None:
@@ -251,36 +262,22 @@ def _report_dict(r: Report) -> dict:
             "label_x": ts.label_x,
             "label_y": ts.label_y,
             "unit": ts.unit,
-            "years": list(ts.years),
-            "x": [_round9(v) for v in ts.xs],
-            "y": [_round9(v) for v in ts.ys],
+            "years": ts.years,
+            "x": ts.xs,
+            "y": ts.ys,
         }
     if r.continuous is not None:
-        rc, dp, cp = r.regression, r.discrete, r.continuous
         out["parameters"] = {
             "source": r.params_source,
-            "regression": {
-                "intercept1": _num(rc.intercept1),
-                "self_slope1": _num(rc.self_slope1),
-                "cross_slope1": _num(rc.cross_slope1),
-                "adj_r2_1": _num(rc.adj_r2_1),
-                "intercept2": _num(rc.intercept2),
-                "self_slope2": _num(rc.self_slope2),
-                "cross_slope2": _num(rc.cross_slope2),
-                "adj_r2_2": _num(rc.adj_r2_2),
-            },
-            "discrete": _params_dict(
-                ("alpha1", "self1", "cross1", "alpha2", "self2", "cross2"),
-                (dp.alpha1, dp.self1, dp.cross1, dp.alpha2, dp.self2, dp.cross2)),
-            "continuous": _params_dict(PARAM_NAMES, cp.as_tuple()),
+            "regression": {k: getattr(r.regression, k) for k in _REGRESSION_FIELDS},
+            "discrete": asdict(r.discrete),
+            "continuous": asdict(r.continuous),
         }
     if r.fit_diag is not None:
         d = r.fit_diag
         out["fit_diagnostics"] = {
-            "adj_r2_origin": [_num(d.eq_x.adj_r2_origin), _num(d.eq_y.adj_r2_origin)],
-            "adj_r2_full": [_num(d.eq_x.adj_r2_full), _num(d.eq_y.adj_r2_full)],
-            "mean_residual": [_num(d.eq_x.mean_residual), _num(d.eq_y.mean_residual)],
-        }
+            k: [getattr(d.eq_x, k), getattr(d.eq_y, k)]
+            for k in ("adj_r2_origin", "adj_r2_full", "mean_residual")}
     if r.interaction is not None:
         ia = r.interaction
         prey_label = None
@@ -289,34 +286,26 @@ def _report_dict(r: Report) -> dict:
         out["interaction"] = {"kind": ia.kind.value, "prey": ia.prey,
                               "prey_label": prey_label}
     if r.equilibria is not None:
-        eq = r.equilibria
-        out["equilibria"] = {
-            "origin": _point(eq.origin),
-            "axial_x": _point(eq.axial_x),
-            "axial_y": _point(eq.axial_y),
-            "interior": _point(eq.interior),
-        }
+        out["equilibria"] = asdict(r.equilibria)
     if r.stability is not None:
         st = r.stability
         out["stability"] = {
-            "jacobian": [[_round9(float(v)) for v in row] for row in st.jacobian],
-            "eigenvalues": [{"re": _round9(z.real), "im": _round9(z.imag)}
-                            for z in st.eigenvalues],
+            "jacobian": st.jacobian.tolist(),
+            "eigenvalues": [{"re": z.real, "im": z.imag} for z in st.eigenvalues],
             "classification": st.classification.value,
         }
     if r.mape_one_step is not None or r.mape_free_running is not None:
         out["mape"] = {
             "mode": r.config.mode.value,
-            "one_step_ahead": _point(r.mape_one_step),
-            "free_running": _point(r.mape_free_running),
+            "one_step_ahead": r.mape_one_step,
+            "free_running": r.mape_free_running,
         }
     if r.phase is not None:
         pg = r.phase
         out["phase"] = {
-            "nullcline_x": [_round9(v) for v in pg.nullcline_x],
-            "nullcline_y": [_round9(v) for v in pg.nullcline_y],
-            "bbox": [_round9(pg.bbox.x_min), _round9(pg.bbox.x_max),
-                     _round9(pg.bbox.y_min), _round9(pg.bbox.y_max)],
+            "nullcline_x": pg.nullcline_x,
+            "nullcline_y": pg.nullcline_y,
+            "bbox": astuple(pg.bbox),
             "grid_n": len(pg.xs),
             "region_signs": r.region_signs,
         }
@@ -324,29 +313,26 @@ def _report_dict(r: Report) -> dict:
         out["convergence"] = r.convergence
     if r.sobol is not None:
         sr = r.sobol
-        outputs = {}
-        for oi, oname in enumerate(OUTPUT_NAMES):
-            outputs[oname] = {
-                "total_variance": _num(sr.total_variance[oi]),
-                "first_order": _params_dict(PARAM_NAMES, sr.first_order[oi]),
-                "total_order": _params_dict(PARAM_NAMES, sr.total_order[oi]),
-                "sum_first_order": _num(sr.first_order[oi].sum()),
-            }
         out["sobol"] = {
             "n_base": sr.n_base,
             "seed": sr.seed,
-            "fraction": _num(r.config.fraction),
+            "fraction": float(r.config.fraction),
             "accepted_count": sr.accepted_count,
             "rejected_count": sr.rejected_count,
             "retained_triples": sr.retained_triples,
-            "outputs": outputs,
+            "outputs": {oname: {
+                "total_variance": float(sr.total_variance[oi]),
+                "first_order": dict(zip(PARAM_NAMES, sr.first_order[oi].tolist())),
+                "total_order": dict(zip(PARAM_NAMES, sr.total_order[oi].tolist())),
+                "sum_first_order": float(sr.first_order[oi].sum()),
+            } for oi, oname in enumerate(OUTPUT_NAMES)},
         }
     if r.reference is not None:
         ref = r.reference
         out["reference"] = {
             "baseline": ref.key,
-            "continuous": _params_dict(PARAM_NAMES, ref.params.as_tuple()),
-            "ci95": {k: [_round9(lo), _round9(hi)] for k, (lo, hi) in ref.ci.items()},
+            "continuous": asdict(ref.params),
+            "ci95": ref.ci,
         }
     out["provenance"] = {
         "package": "lvdyn",
@@ -355,7 +341,7 @@ def _report_dict(r: Report) -> dict:
         "seed": r.config.seed,
     }
     if r.warnings:
-        out["warnings"] = list(r.warnings)
+        out["warnings"] = r.warnings
     if r.incomplete:
         out["incomplete"] = True
         out["failed_stage"] = r.failed_stage
@@ -389,7 +375,7 @@ def _region_signs(cp: ContinuousParams, interior: tuple[float, float]) -> dict |
             continue
         f1, f2 = vector_field(cp, px, py)
         regions[f"region_{label}"] = {
-            "point": [_round9(px), _round9(py)],
+            "point": [px, py],
             "sign_dx": int(np.sign(f1)),
             "sign_dy": int(np.sign(f2)),
         }
@@ -417,8 +403,8 @@ def _resolve_baseline(cfg: AnalysisConfig, ts: TimeSeries) -> SubsystemBaseline:
     return ref
 
 
-#: Stage names accepted by run_pipeline's ``stages`` filter; loading and
-#: parameter resolution always run.
+#: Stage names accepted by run_pipeline's ``stages`` filter, in the order
+#: they run; loading and parameter resolution always run first.
 PIPELINE_STAGES = ("classify", "equilibrium", "stability", "phase", "mape",
                    "trajectories", "sobol")
 
@@ -495,22 +481,13 @@ def run_pipeline(cfg: AnalysisConfig, stages: set[str] | None = None) -> Report:
     def stage_classify():
         report.interaction = classify_interaction(report.continuous, cfg.classify_tol)
 
-    if "classify" in stages:
-        run_stage("classify", stage_classify)
-
     def stage_equilibria():
         report.equilibria = equilibrium_set(report.continuous)
-
-    if "equilibrium" in stages:
-        run_stage("equilibrium", stage_equilibria)
 
     def stage_stability():
         interior = report.equilibria.interior
         if interior is not None:
             report.stability = stability_at(report.continuous, interior)
-
-    if "stability" in stages:
-        run_stage("stability", stage_stability)
 
     def stage_phase():
         interior = report.equilibria.interior
@@ -518,9 +495,6 @@ def run_pipeline(cfg: AnalysisConfig, stages: set[str] | None = None) -> Report:
         report.phase = phase_geometry(report.continuous, bbox, cfg.grid_n)
         if interior is not None:
             report.region_signs = _region_signs(report.continuous, interior)
-
-    if "phase" in stages:
-        run_stage("phase", stage_phase)
 
     def stage_mape():
         for mode, attr in ((FitMode.ONE_STEP_AHEAD, "mape_one_step"),
@@ -531,9 +505,6 @@ def run_pipeline(cfg: AnalysisConfig, stages: set[str] | None = None) -> Report:
                 mape(np.asarray(ts.ys)[1:], fy[1:]),
             ))
 
-    if "mape" in stages:
-        run_stage("mape", stage_mape)
-
     def stage_trajectories():
         x0 = (ts.xs[0], ts.ys[0])
         report.ode_trajectory = integrate_ode(
@@ -542,29 +513,26 @@ def run_pipeline(cfg: AnalysisConfig, stages: set[str] | None = None) -> Report:
             report.discrete, x0, cfg.free_run_steps)
         interior = report.equilibria.interior
         if interior is not None:
+            star = np.array(interior)
             ode_end = report.ode_trajectory.states[-1]
             disc_end = report.discrete_trajectory[-1]
             report.convergence = {
-                "interior": _point(interior),
-                "ode_terminal": _point(ode_end),
-                "discrete_terminal": _point(disc_end),
-                "ode_rel_error": _point(
-                    (abs(ode_end[0] - interior[0]) / abs(interior[0]),
-                     abs(ode_end[1] - interior[1]) / abs(interior[1]))),
-                "discrete_rel_error": _point(
-                    (abs(disc_end[0] - interior[0]) / abs(interior[0]),
-                     abs(disc_end[1] - interior[1]) / abs(interior[1]))),
+                "interior": interior,
+                "ode_terminal": ode_end.tolist(),
+                "discrete_terminal": disc_end.tolist(),
+                "ode_rel_error": (np.abs(ode_end - star) / np.abs(star)).tolist(),
+                "discrete_rel_error": (np.abs(disc_end - star) / np.abs(star)).tolist(),
             }
-
-    if "trajectories" in stages:
-        run_stage("trajectories", stage_trajectories)
 
     def stage_sobol():
         report.sobol = analyze_sensitivity(
             report.continuous, cfg.fraction, cfg.sobol_n, cfg.seed)
 
-    if "sobol" in stages:
-        run_stage("sobol", stage_sobol)
+    for name, fn in zip(PIPELINE_STAGES, (
+            stage_classify, stage_equilibria, stage_stability, stage_phase,
+            stage_mape, stage_trajectories, stage_sobol), strict=True):
+        if name in stages:
+            run_stage(name, fn)
 
     if cfg.out_dir is not None:
         run_stage("write", lambda: write_report(report, cfg.out_dir))
@@ -596,7 +564,7 @@ def _write_text(path: Path, text: str) -> None:
 def _write_csv(path: Path, header: str, rows) -> Path:
     """Write a header line and rows; float cells get nine significant digits."""
     lines = [header]
-    lines.extend(",".join([f"{_round9(v):.9g}" if isinstance(v, float) else str(v)
+    lines.extend(",".join([f"{v:.9g}" if isinstance(v, float) else str(v)
                            for v in row]) for row in rows)
     _write_text(path, "\n".join(lines) + "\n")
     return path

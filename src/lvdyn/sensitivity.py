@@ -18,7 +18,7 @@ from scipy.stats import qmc
 
 from .errors import InvalidN, TooManyRejections, ValidationError, ZeroBaseline
 from .params import PARAM_NAMES, ContinuousParams
-from .dynamics import INTERIOR_DENOM_EPS
+from .dynamics import interior_equilibria
 
 __all__ = [
     "ParamBounds",
@@ -140,15 +140,7 @@ def evaluate_equilibria(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     when the nullclines are parallel, the result is non-finite, or either
     component is negative.  Invalid rows carry NaN outputs.
     """
-    theta = np.asarray(samples, dtype=float)
-    a1, b11, b12, a2, b21, b22 = (theta[:, i] for i in range(N_PARAMS))
-    den = b12 * b21 - b11 * b22
-    scale = np.maximum(np.maximum(np.abs(b12 * b21), np.abs(b11 * b22)), 1e-300)
-    ok = np.abs(den) >= INTERIOR_DENOM_EPS * scale
-    out = np.full((len(theta), 2), np.nan)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out[ok, 0] = (a1[ok] * b22[ok] - b12[ok] * a2[ok]) / den[ok]
-        out[ok, 1] = (b11[ok] * a2[ok] - a1[ok] * b21[ok]) / den[ok]
+    out, ok = interior_equilibria(samples)
     valid = ok & np.all(np.isfinite(out), axis=1) & np.all(out >= 0, axis=1)
     out[~valid] = np.nan
     return out, valid
@@ -159,11 +151,10 @@ class SobolResult:
     """First- and total-order indices for both equilibrium outputs.
 
     Index arrays are (2, 6): rows follow OUTPUT_NAMES, columns PARAM_NAMES.
-    Raw estimator values are kept unclipped; ``clipped()`` gives a [0, 1]
-    view for display.  ``accepted_count`` and ``rejected_count`` count the
-    valid and invalid rows of the whole N*(D+2)-row design;
-    ``retained_triples`` is the number of base indices that survived
-    whole-triple rejection.
+    Raw estimator values are kept unclipped.  ``accepted_count`` and
+    ``rejected_count`` count the valid and invalid rows of the whole
+    N*(D+2)-row design; ``retained_triples`` is the number of base indices
+    that survived whole-triple rejection.
     """
 
     first_order: np.ndarray
@@ -174,10 +165,6 @@ class SobolResult:
     retained_triples: int
     n_base: int
     seed: int
-
-    def clipped(self) -> tuple[np.ndarray, np.ndarray]:
-        return (np.clip(self.first_order, 0.0, 1.0),
-                np.clip(self.total_order, 0.0, 1.0))
 
 
 def sobol_indices(

@@ -168,6 +168,14 @@ def test_singular_design_on_exact_geometric_series():
         fit_details(series([1, 2, 4, 8, 16], [10, 30, 90, 270, 810]))
 
 
+def test_fit_needs_five_points():
+    # Four points make a valid series but leave the centered adjusted R^2
+    # of the three-term model with no residual degree of freedom.
+    ts = series([1, 3, 4, 9], [10, 20, 50, 70])
+    with pytest.raises(InsufficientData, match="5 annual observations"):
+        fit_details(ts)
+
+
 def test_ill_conditioned_warning():
     xs = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
     ys = [x * 2.0 * (1 + 1e-10 * i) for i, x in enumerate(xs)]

@@ -20,7 +20,6 @@ from lvdyn import (
     discrete_to_regression,
     regression_to_discrete,
 )
-from lvdyn.params import logistic_sign_violations
 
 from conftest import PUBLISHED, roundtrip_mismatches
 
@@ -220,10 +219,3 @@ def test_classification_tolerance_zeroes_small_coefficients():
 def test_classification_rejects_negative_tolerance():
     with pytest.raises(ValidationError):
         classify_interaction(_cp(1.0, 1.0), tol=-1e-9)
-
-
-def test_logistic_sign_violations():
-    good = cp_from(PUBLISHED["ai_physical"]["continuous"])
-    assert logistic_sign_violations(good) == []
-    bad = ContinuousParams(a1=-1.0, b11=0.5, b12=0.0, a2=1.0, b21=0.0, b22=-1.0)
-    assert logistic_sign_violations(bad) == ["a1", "b11"]

@@ -12,6 +12,7 @@ from lvdyn import (
     NonPositiveValue,
     ParseError,
     PipelineStageError,
+    Report,
     ValidationError,
     export_phase_data,
     fixture_path,
@@ -310,6 +311,46 @@ def test_reports_are_byte_identical_across_runs(tmp_path):
     assert texts[0] == texts[1]
 
 
+_INT_KEYS = {"years", "sobol_n", "seed", "grid_n", "n_base", "accepted_count",
+             "rejected_count", "retained_triples", "sign_dx", "sign_dy"}
+
+
+def _walk(obj, key=None):
+    """Yield (key, leaf) for every leaf of a nested report dict."""
+    if isinstance(obj, dict):
+        for k, v in obj.items():
+            yield from _walk(v, k)
+    elif isinstance(obj, list):
+        for v in obj:
+            yield from _walk(v, key)
+    else:
+        yield key, obj
+
+
+@pytest.mark.parametrize("reports", ["fitted_reports", "injected_reports"])
+def test_to_dict_rounds_every_float_once(reports, request):
+    for report in request.getfixturevalue(reports).values():
+        leaves = list(_walk(report.to_dict()))
+        seen_ints = set()
+        for key, v in leaves:
+            assert not isinstance(v, tuple)
+            if key in _INT_KEYS:
+                assert type(v) is int, key
+                seen_ints.add(key)
+            elif isinstance(v, float):
+                assert type(v) is float, key
+                assert v == float(f"{v:.9g}"), key
+        assert seen_ints == _INT_KEYS
+    # Report objects themselves keep full precision.
+    conv = request.getfixturevalue(reports)["ai_physical"].convergence
+    assert any(v != float(f"{v:.9g}") for v in conv["ode_rel_error"])
+
+
+def test_to_dict_prints_int_classify_tol_as_float():
+    d = Report(config=config_for("ai_physical", classify_tol=0)).to_dict()
+    assert json.dumps(d["config"]["classify_tol"]) == "0.0"
+
+
 def test_report_json_round_trips(injected_reports):
     text = report_json_text(injected_reports["ai_physical"])
     parsed = json.loads(text)
@@ -403,6 +444,16 @@ def test_cli_geometric_series_exit_code(tmp_path, capsys):
     code = main(["fit", "--input", str(p)])
     assert code == 3
     assert "geometric series" in capsys.readouterr().err
+
+
+def test_cli_four_point_fit_exit_code(tmp_path, capsys):
+    p = write_csv(tmp_path, ["year,ai_capital,physical_capital", "2016,1,10",
+                             "2017,3,20", "2018,4,50", "2019,9,70"])
+    code = main(["fit", "--input", str(p)])
+    assert code == 2
+    assert "stage 'fit'" in capsys.readouterr().err
+    # Injected parameters need no fit, so the same file still analyses.
+    assert main(["analyze", "--input", str(p), "--params-from-paper"]) == 0
 
 
 def test_cli_csv_format(tmp_path):

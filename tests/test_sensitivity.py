@@ -15,6 +15,7 @@ from lvdyn import (
     analyze_sensitivity,
     bounds_from_baseline,
     evaluate_equilibria,
+    interior_equilibrium,
     saltelli_sample,
     sobol_indices,
 )
@@ -131,6 +132,26 @@ def test_evaluate_baseline_row():
     assert out[0, 0] == pytest.approx(198.18, abs=0.5)
     assert out[0, 1] == pytest.approx(51506.42, abs=0.5)
 
+    # Seeded rows that scale each baseline coefficient by -0.5 to 2.5 (some
+    # leave the first quadrant), plus one row with exactly parallel
+    # nullclines: the batch must equal the scalar closed form bit for bit.
+    rng = np.random.default_rng(5)
+    base = np.array([cp_for(k).as_tuple() for k in ("ai_physical", "ai_labor")])
+    theta = np.vstack([
+        base[rng.integers(0, 2, 200)] * rng.uniform(-0.5, 2.5, (200, 6)),
+        [1.0, 2.0, -2.0, 1.0, 3.0, -3.0],
+    ])
+    out, valid = evaluate_equilibria(theta)
+    assert 0 < valid.sum() < len(theta) - 1
+    for row, point, ok in zip(theta, out, valid):
+        scalar = interior_equilibrium(ContinuousParams(*row))
+        if ok:
+            assert tuple(point) == scalar
+        else:
+            assert np.all(np.isnan(point))
+    assert interior_equilibrium(ContinuousParams(*theta[-1])) is None
+    assert not valid[-1]
+
 
 def test_evaluate_singular_denominator_row():
     # b12*b21 == b11*b22 exactly.
@@ -242,13 +263,6 @@ def test_result_determinism():
     assert np.array_equal(one.first_order, two.first_order)
     assert np.array_equal(one.total_order, two.total_order)
     assert np.array_equal(one.total_variance, two.total_variance)
-
-
-def test_clipped_view():
-    res = analyze_sensitivity(cp_for("ai_physical"), 0.1, 128, seed=2)
-    s1c, stc = res.clipped()
-    assert np.all(s1c >= 0) and np.all(s1c <= 1)
-    assert np.all(stc >= 0) and np.all(stc <= 1)
 
 
 def test_too_many_rejections():

@@ -20,20 +20,12 @@ __all__ = ["SubsystemBaseline", "BASELINES", "baseline_for_labels"]
 @dataclass(frozen=True)
 class SubsystemBaseline:
     key: str
-    label_x: str
-    label_y: str
-    unit: str
-    fixture: str                      # bundled CSV file name
     params: ContinuousParams
     ci: dict[str, tuple[float, float]]   # 95% intervals keyed by parameter name
 
 
 AI_PHYSICAL = SubsystemBaseline(
     key="ai_physical",
-    label_x="ai_capital",
-    label_y="physical_capital",
-    unit="billion yuan",
-    fixture="cn_ai_physical.csv",
     params=ContinuousParams(
         a1=3.852613, b11=-0.006965, b12=-0.000048,
         a2=4.934909, b21=0.007846, b22=-0.000126,
@@ -50,10 +42,6 @@ AI_PHYSICAL = SubsystemBaseline(
 
 AI_LABOR = SubsystemBaseline(
     key="ai_labor",
-    label_x="ai_capital",
-    label_y="labor",
-    unit="billion yuan",
-    fixture="cn_ai_labor.csv",
     params=ContinuousParams(
         a1=3.741844, b11=-0.000943, b12=-0.000081,
         a2=4.480796, b21=0.020083, b22=-0.000187,

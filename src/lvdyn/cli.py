@@ -13,11 +13,9 @@ import os
 import sys
 from pathlib import Path
 
-from .errors import IoError, LvdynError, ValidationError, exit_code_for
+from .errors import IoError, LvdynError, ParseError, ValidationError, exit_code_for
 from .fitting import FitMode
 from .pipeline import AnalysisConfig, run_pipeline
-
-DEFAULT_SEED = 1024
 
 _MODES = {"one-step": FitMode.ONE_STEP_AHEAD, "free-running": FitMode.FREE_RUNNING}
 
@@ -31,62 +29,53 @@ _COMMAND_STAGES = {
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--input", required=True, help="headered CSV input file")
-    p.add_argument("--year-col", default="year")
-    p.add_argument("--x-col", default="ai_capital")
-    p.add_argument("--y-col", default="physical_capital")
-    p.add_argument("--unit", default="billion yuan")
-    p.add_argument("--mode", choices=sorted(_MODES), default="one-step",
+    """Flags of the pipeline subcommands.
+
+    Each dest is an AnalysisConfig field.  The subparsers default to
+    argparse.SUPPRESS, so a flag not given sets nothing and the config's own
+    default applies.
+    """
+    p.add_argument("--input", dest="input_path", metavar="INPUT", required=True,
+                   help="headered CSV input file")
+    p.add_argument("--year-col")
+    p.add_argument("--x-col")
+    p.add_argument("--y-col")
+    p.add_argument("--unit")
+    p.add_argument("--mode", choices=sorted(_MODES),
                    help="fitted-trajectory mode reported as primary")
-    p.add_argument("--classify-tol", type=float, default=0.0,
+    p.add_argument("--classify-tol", type=float,
                    help="treat cross-coefficients within this of zero as zero")
-    p.add_argument("--sobol-n", type=int, default=1024,
+    p.add_argument("--sobol-n", type=int,
                    help="base sample size (power of two >= 64)")
-    p.add_argument("--fraction", type=float, default=0.1,
+    p.add_argument("--fraction", type=float,
                    help="relative half-width of the sensitivity box")
-    p.add_argument("--seed", type=int, default=None,
-                   help=f"sampling seed (default: $LVDYN_SEED or {DEFAULT_SEED})")
+    p.add_argument("--seed", type=int,
+                   help=f"sampling seed (default: $LVDYN_SEED or {AnalysisConfig.seed})")
     p.add_argument("--params-from-paper", action="store_true",
                    help="skip fitting and inject the published baseline estimates")
-    p.add_argument("--baseline", choices=["ai_physical", "ai_labor"], default=None,
+    p.add_argument("--baseline", dest="baseline_key", choices=["ai_physical", "ai_labor"],
                    help="which published baseline to inject (default: by y label)")
-    p.add_argument("--out", default=None, help="output directory")
-    p.add_argument("--format", choices=["json", "csv"], action="append",
-                   dest="formats", default=None,
+    p.add_argument("--out", dest="out_dir", metavar="OUT", help="output directory")
+    p.add_argument("--format", choices=["json", "csv"], action="append", dest="formats",
                    help="report format; repeat for both (default: json)")
-    p.add_argument("--grid-n", type=int, default=41)
-
-
-def _resolve_seed(value: int | None) -> int:
-    if value is not None:
-        return value
-    env = os.environ.get("LVDYN_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ValidationError(f"LVDYN_SEED must be an integer, got {env!r}") from None
-    return DEFAULT_SEED
+    p.add_argument("--grid-n", type=int)
 
 
 def _config(args: argparse.Namespace) -> AnalysisConfig:
-    return AnalysisConfig(
-        input_path=args.input,
-        year_col=args.year_col,
-        x_col=args.x_col,
-        y_col=args.y_col,
-        unit=args.unit,
-        mode=_MODES[args.mode],
-        classify_tol=args.classify_tol,
-        sobol_n=args.sobol_n,
-        fraction=args.fraction,
-        seed=_resolve_seed(args.seed),
-        params_from_paper=args.params_from_paper,
-        baseline_key=args.baseline,
-        out_dir=args.out,
-        formats=tuple(args.formats or ("json",)),
-        grid_n=args.grid_n,
-    )
+    """AnalysisConfig from the flags given; a seed not given comes from
+    $LVDYN_SEED if it is set."""
+    given = {k: v for k, v in vars(args).items() if k not in ("command", "fn")}
+    if "mode" in given:
+        given["mode"] = _MODES[given["mode"]]
+    if "formats" in given:
+        given["formats"] = tuple(given["formats"])
+    env = os.environ.get("LVDYN_SEED")
+    if "seed" not in given and env is not None:
+        try:
+            given["seed"] = int(env)
+        except ValueError:
+            raise ValidationError(f"LVDYN_SEED must be an integer, got {env!r}") from None
+    return AnalysisConfig(**given)
 
 
 def _print_params(d: dict) -> None:
@@ -140,10 +129,11 @@ def _print_summary(d: dict) -> None:
 
 
 def _cmd_pipeline(args: argparse.Namespace) -> int:
-    report = run_pipeline(_config(args), stages=_COMMAND_STAGES[args.command])
+    cfg = _config(args)
+    report = run_pipeline(cfg, stages=_COMMAND_STAGES[args.command])
     _print_summary(report.to_dict())
-    if args.out:
-        print(f"outputs written to {args.out}")
+    if cfg.out_dir:
+        print(f"outputs written to {cfg.out_dir}")
     return 0
 
 
@@ -153,9 +143,15 @@ def _cmd_report(args: argparse.Namespace) -> int:
         raise IoError(f"report file not found: {path}")
     try:
         d = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise IoError(f"cannot parse {path}: {exc}") from exc
-    _print_summary(d)
+    except ValueError as exc:   # not UTF-8, or not JSON
+        raise ParseError(f"cannot parse {path}: {exc}") from exc
+    if not (isinstance(d, dict) and isinstance(d.get("provenance"), dict)
+            and d["provenance"].get("package") == "lvdyn"):
+        raise ParseError(f"{path} is not an lvdyn report")
+    try:
+        _print_summary(d)
+    except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"{path}: malformed lvdyn report: {exc!r}") from exc
     return 0
 
 
@@ -173,7 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
         "sobol": "equilibrium sensitivity indices only",
     }
     for name in ("fit", "analyze", "phase", "sobol"):
-        p = sub.add_parser(name, help=helps[name])
+        p = sub.add_parser(name, help=helps[name], argument_default=argparse.SUPPRESS)
         _add_common(p)
         p.set_defaults(fn=_cmd_pipeline)
 

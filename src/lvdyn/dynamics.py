@@ -51,8 +51,9 @@ RK4_ERROR_TOL = 1e-3
 NEGATIVE_STATE_TOL = -1e-9
 
 
-def vector_field(cp: ContinuousParams, x: float, y: float) -> tuple[float, float]:
-    """Evaluate (dx/dt, dy/dt) at a point."""
+def vector_field(cp: ContinuousParams, x: float | np.ndarray,
+                 y: float | np.ndarray) -> tuple:
+    """Evaluate (dx/dt, dy/dt) at a point, or elementwise on arrays x and y."""
     f1 = cp.a1 * x + cp.b11 * x * x + cp.b12 * x * y
     f2 = cp.a2 * y + cp.b21 * y * x + cp.b22 * y * y
     return f1, f2
@@ -184,13 +185,12 @@ class StabilityReport:
     classification: Stability
 
 
-def stability_at(cp: ContinuousParams, point: tuple[float, float],
-                 tol: float = 1e-9) -> StabilityReport:
+def stability_at(cp: ContinuousParams, point: tuple[float, float]) -> StabilityReport:
     """Linearize at a point and classify it."""
     jac = jacobian_at(cp, point)
     eigs = eigenvalues(jac)
     return StabilityReport(jacobian=jac, eigenvalues=eigs,
-                           classification=classify_stability(eigs, tol))
+                           classification=classify_stability(eigs))
 
 
 @dataclass(frozen=True)
@@ -235,9 +235,7 @@ def phase_geometry(cp: ContinuousParams, bbox: BBox, grid_n: int) -> PhaseGeomet
         raise ValidationError(f"grid_n must be >= 2, got {grid_n}")
     xs = np.linspace(bbox.x_min, bbox.x_max, grid_n)
     ys = np.linspace(bbox.y_min, bbox.y_max, grid_n)
-    xg, yg = np.meshgrid(xs, ys, indexing="ij")
-    dx = cp.a1 * xg + cp.b11 * xg**2 + cp.b12 * xg * yg
-    dy = cp.a2 * yg + cp.b21 * yg * xg + cp.b22 * yg**2
+    dx, dy = vector_field(cp, *np.meshgrid(xs, ys, indexing="ij"))
     return PhaseGeometry(
         nullcline_x=(cp.a1, cp.b11, cp.b12),
         nullcline_y=(cp.a2, cp.b21, cp.b22),

@@ -117,6 +117,6 @@ def exit_code_for(err: BaseException) -> int:
         return 2
     if isinstance(err, NumericalError):
         return 3
-    if isinstance(err, (IoError, OSError)):
+    if isinstance(err, OSError):   # IoError is an OSError
         return 4
     return 3

@@ -120,8 +120,8 @@ def build_ratio_rows(ts: TimeSeries) -> RatioSystem:
 def _solve_through_origin(X: np.ndarray, resp: np.ndarray) -> np.ndarray:
     """Two-slope least squares without intercept via the normal equations.
 
-    Raises SingularDesign on a rank-deficient design and warns when the
-    normal matrix is ill conditioned.
+    Raises SingularDesign on a rank-deficient design or a singular normal
+    matrix, and warns when the normal matrix is ill conditioned.
     """
     gram = X.T @ X
     svals = np.linalg.svd(X, compute_uv=False)
@@ -132,7 +132,10 @@ def _solve_through_origin(X: np.ndarray, resp: np.ndarray) -> np.ndarray:
         warnings.warn(
             f"normal equations condition number {cond:.3e} exceeds "
             f"{COND_WARN_THRESHOLD:.0e}", IllConditioned, stacklevel=3)
-    return np.linalg.solve(gram, X.T @ resp)
+    try:
+        return np.linalg.solve(gram, X.T @ resp)
+    except np.linalg.LinAlgError as exc:   # e.g. the Gram matrix underflowed
+        raise SingularDesign(f"normal equations are singular: {exc}") from exc
 
 
 @dataclass(frozen=True)

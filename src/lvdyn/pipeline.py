@@ -90,8 +90,6 @@ class AnalysisConfig:
     year_col: str = "year"
     x_col: str = "ai_capital"
     y_col: str = "physical_capital"
-    label_x: str | None = None          # defaults to the column name
-    label_y: str | None = None
     unit: str = "billion yuan"
     mode: FitMode = FitMode.ONE_STEP_AHEAD
     classify_tol: float = 0.0
@@ -103,9 +101,6 @@ class AnalysisConfig:
     out_dir: str | Path | None = None
     formats: tuple[str, ...] = ("json",)
     grid_n: int = 41
-    ode_t_end: float = 10.0
-    ode_dt: float = 0.001
-    free_run_steps: int = 20
 
     def validate(self) -> None:
         if self.sobol_n < 64 or self.sobol_n & (self.sobol_n - 1) != 0:
@@ -123,29 +118,29 @@ class AnalysisConfig:
                 f"unknown baseline {self.baseline_key!r}; choose from {sorted(BASELINES)}")
         if self.grid_n < 2:
             raise ValidationError(f"grid_n must be >= 2, got {self.grid_n}")
-        if self.ode_dt <= 0 or self.ode_t_end < 0 or self.free_run_steps < 0:
-            raise ValidationError("ode_t_end/ode_dt/free_run_steps out of range")
 
 
 def load_series(path: str | Path, mapping: dict[str, str] | None = None,
-                label_x: str | None = None, label_y: str | None = None,
-                unit: str = "billion yuan") -> TimeSeries:
+                unit: str = AnalysisConfig.unit) -> TimeSeries:
     """Read a headered CSV into a validated TimeSeries.
 
-    ``mapping`` names the year/x/y columns (defaults: year, ai_capital,
-    physical_capital).  Columns are matched by name, so column order in the
-    file is irrelevant.  Parse failures carry the row and column location.
+    ``mapping`` names the year/x/y columns (defaults: AnalysisConfig's), and
+    the series labels are those column names.
+    Columns are matched by name, so column order in the file is irrelevant.
+    Parse failures carry the row and column location.
     """
     mapping = mapping or {}
-    year_col = mapping.get("year", "year")
-    x_col = mapping.get("x", "ai_capital")
-    y_col = mapping.get("y", "physical_capital")
+    year_col = mapping.get("year", AnalysisConfig.year_col)
+    x_col = mapping.get("x", AnalysisConfig.x_col)
+    y_col = mapping.get("y", AnalysisConfig.y_col)
 
     path = Path(path)
     if not path.is_file():
         raise IoError(f"input file not found: {path}")
     try:
         text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text: {exc}") from exc
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
 
@@ -170,8 +165,8 @@ def load_series(path: str | Path, mapping: dict[str, str] | None = None,
                     f"cannot parse {raw!r}") from exc
 
     return TimeSeries(
-        label_x=label_x or x_col,
-        label_y=label_y or y_col,
+        label_x=x_col,
+        label_y=y_col,
         unit=unit,
         years=tuple(years),
         xs=tuple(xs),
@@ -382,14 +377,12 @@ def _region_signs(cp: ContinuousParams, interior: tuple[float, float]) -> dict |
     return regions or None
 
 
-def _default_bbox(interior: tuple[float, float] | None, ts: TimeSeries | None) -> BBox:
+def _default_bbox(interior: tuple[float, float] | None, ts: TimeSeries) -> BBox:
     if interior is not None and interior[0] > 0 and interior[1] > 0:
         return BBox(interior[0] / 50.0, 2.2 * interior[0],
                     interior[1] / 50.0, 1.6 * interior[1])
-    if ts is not None:
-        return BBox(min(ts.xs) * 0.5, max(ts.xs) * 1.5,
-                    min(ts.ys) * 0.5, max(ts.ys) * 1.5)
-    raise ValidationError("no interior equilibrium and no series to size the bbox")
+    return BBox(min(ts.xs) * 0.5, max(ts.xs) * 1.5,
+                min(ts.ys) * 0.5, max(ts.ys) * 1.5)
 
 
 def _resolve_baseline(cfg: AnalysisConfig, ts: TimeSeries) -> SubsystemBaseline:
@@ -402,6 +395,12 @@ def _resolve_baseline(cfg: AnalysisConfig, ts: TimeSeries) -> SubsystemBaseline:
             f"pass an explicit baseline key from {sorted(BASELINES)}")
     return ref
 
+
+#: Length of the trajectories stage: the ODE runs to t = ODE_T_END in RK4 steps
+#: of ODE_DT, and the discrete map runs FREE_RUN_STEPS steps.
+ODE_T_END = 10.0
+ODE_DT = 0.001
+FREE_RUN_STEPS = 20
 
 #: Stage names accepted by run_pipeline's ``stages`` filter, in the order
 #: they run; loading and parameter resolution always run first.
@@ -448,9 +447,7 @@ def run_pipeline(cfg: AnalysisConfig, stages: set[str] | None = None) -> Report:
     def stage_load():
         path = Path(cfg.input_path)
         ts = load_series(
-            path,
-            {"year": cfg.year_col, "x": cfg.x_col, "y": cfg.y_col},
-            label_x=cfg.label_x, label_y=cfg.label_y, unit=cfg.unit)
+            path, {"year": cfg.year_col, "x": cfg.x_col, "y": cfg.y_col}, unit=cfg.unit)
         report.series = ts
         report.input_sha256 = hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -507,10 +504,8 @@ def run_pipeline(cfg: AnalysisConfig, stages: set[str] | None = None) -> Report:
 
     def stage_trajectories():
         x0 = (ts.xs[0], ts.ys[0])
-        report.ode_trajectory = integrate_ode(
-            report.continuous, x0, cfg.ode_t_end, cfg.ode_dt)
-        report.discrete_trajectory = free_run(
-            report.discrete, x0, cfg.free_run_steps)
+        report.ode_trajectory = integrate_ode(report.continuous, x0, ODE_T_END, ODE_DT)
+        report.discrete_trajectory = free_run(report.discrete, x0, FREE_RUN_STEPS)
         interior = report.equilibria.interior
         if interior is not None:
             star = np.array(interior)

@@ -32,7 +32,9 @@ __all__ = [
     "OUTPUT_NAMES",
 ]
 
-N_PARAMS = 6
+N_PARAMS = len(PARAM_NAMES)
+#: Rows per base index in the Saltelli design: A, the N_PARAMS A_B^i rows, B.
+BLOCK = N_PARAMS + 2
 OUTPUT_NAMES = ("x_star", "y_star")
 
 #: Minimum fraction of base-sample triples that must survive rejection.
@@ -81,30 +83,17 @@ def bounds_from_baseline(cp: ContinuousParams, fraction: float) -> ParamBounds:
 class SaltelliDesign:
     """Saltelli sample of N*(D+2) rows for D=6 parameters.
 
-    Rows are grouped per base index j in blocks of D+2: the A-row, the D
-    rows where column i is swapped in from B, and the B-row.  These are the
-    only rows the first-order (Saltelli 2010) and total-order (Jansen 1999)
-    estimators read.  The layout is deterministic for a given
-    (bounds, n_base, seed).
+    Rows are grouped per base index j in blocks of BLOCK = D+2: the A-row,
+    the D rows where column i is swapped in from B, and the B-row, so
+    ``matrix.reshape(n_base, BLOCK, D)[:, k]`` is block row k of every base
+    index.  These are the only rows the first-order (Saltelli 2010) and
+    total-order (Jansen 1999) estimators read.  The layout is deterministic
+    for a given (bounds, n_base, seed).
     """
 
-    matrix: np.ndarray   # (n_base*(D+2), D)
+    matrix: np.ndarray   # (n_base*BLOCK, D)
     n_base: int
     seed: int
-
-    @property
-    def block_size(self) -> int:
-        return N_PARAMS + 2
-
-    def rows_a(self) -> np.ndarray:
-        return self.matrix[0::self.block_size]
-
-    def rows_b(self) -> np.ndarray:
-        return self.matrix[self.block_size - 1::self.block_size]
-
-    def rows_ab(self, i: int) -> np.ndarray:
-        """Rows equal to A except column i comes from B."""
-        return self.matrix[1 + i::self.block_size]
 
 
 def saltelli_sample(bounds: ParamBounds, n_base: int, seed: int) -> SaltelliDesign:
@@ -122,15 +111,11 @@ def saltelli_sample(bounds: ParamBounds, n_base: int, seed: int) -> SaltelliDesi
     a = bounds.lower + unit[:, :N_PARAMS] * width
     b = bounds.lower + unit[:, N_PARAMS:] * width
 
-    block = N_PARAMS + 2
-    matrix = np.empty((n_base * block, N_PARAMS))
-    matrix[0::block] = a
-    matrix[block - 1::block] = b
+    blocks = np.repeat(a[:, None, :], BLOCK, axis=1)    # (n_base, BLOCK, D)
+    blocks[:, -1] = b
     for i in range(N_PARAMS):
-        ab = a.copy()
-        ab[:, i] = b[:, i]
-        matrix[1 + i::block] = ab
-    return SaltelliDesign(matrix=matrix, n_base=n_base, seed=seed)
+        blocks[:, 1 + i, i] = b[:, i]
+    return SaltelliDesign(matrix=blocks.reshape(-1, N_PARAMS), n_base=n_base, seed=seed)
 
 
 def evaluate_equilibria(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -179,22 +164,21 @@ def sobol_indices(
     that is any row of its block, is invalid; at least half the base sample
     must survive.
     """
-    block = design.block_size
     n = design.n_base
-    if outputs.shape != (n * block, 2) or valid.shape != (n * block,):
+    if outputs.shape != (n * BLOCK, 2) or valid.shape != (n * BLOCK,):
         raise ValidationError("outputs/valid do not match the design shape")
 
-    keep = np.all(valid.reshape(n, block), axis=1)
+    keep = np.all(valid.reshape(n, BLOCK), axis=1)
     retained = int(np.count_nonzero(keep))
     if retained < MIN_RETAINED_FRACTION * n:
         raise TooManyRejections(
             f"only {retained} of {n} sample triples valid; need at least "
             f"{MIN_RETAINED_FRACTION:.0%}")
 
-    out_blocks = outputs.reshape(n, block, 2)[keep]
+    out_blocks = outputs.reshape(n, BLOCK, 2)[keep]
     f_a = out_blocks[:, 0, :]                    # (retained, 2)
-    f_b = out_blocks[:, block - 1, :]
-    f_ab = out_blocks[:, 1:N_PARAMS + 1, :]      # (retained, D, 2)
+    f_b = out_blocks[:, -1, :]
+    f_ab = out_blocks[:, 1:-1, :]                # (retained, D, 2)
 
     pooled = np.concatenate([f_a, f_b], axis=0)
     variance = pooled.var(axis=0)                # (2,)

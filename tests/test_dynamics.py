@@ -247,6 +247,18 @@ def test_phase_geometry_grid_shapes():
     assert set(np.unique(pg.sign_dx)).issubset({-1, 0, 1})
 
 
+@pytest.mark.parametrize("key", ["ai_physical", "ai_labor"])
+def test_phase_geometry_grid_is_the_vector_field(key):
+    # One field formula: the sampled grid is vector_field on the meshgrid,
+    # bit for bit, over the box the pipeline draws around the interior.
+    cp = cp_for(key)
+    x, y = interior_equilibrium(cp)
+    pg = phase_geometry(cp, BBox(x / 50.0, 2.2 * x, y / 50.0, 1.6 * y), 41)
+    dx, dy = vector_field(cp, *np.meshgrid(pg.xs, pg.ys, indexing="ij"))
+    assert np.array_equal(pg.dx, dx)
+    assert np.array_equal(pg.dy, dy)
+
+
 def test_phase_geometry_invalid_inputs():
     cp = cp_for("ai_physical")
     with pytest.raises(InvalidBBox):

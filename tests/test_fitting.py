@@ -168,6 +168,15 @@ def test_singular_design_on_exact_geometric_series():
         fit_details(series([1, 2, 4, 8, 16], [10, 30, 90, 270, 810]))
 
 
+def test_singular_design_on_underflowing_gram_matrix():
+    # Values near 1e-300 pass the SVD rank check, but their Gram matrix
+    # underflows to zero, so the normal equations themselves are singular.
+    ts = series([1e-300, 2e-300, 3e-300, 5e-300, 8e-300],
+                [2e-300, 3e-300, 5e-300, 7e-300, 1.1e-299])
+    with pytest.raises(SingularDesign, match="normal equations are singular"):
+        fit_details(ts)
+
+
 def test_fit_needs_five_points():
     # Four points make a valid series but leave the centered adjusted R^2
     # of the three-term model with no residual degree of freedom.

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from lvdyn import (
+    AnalysisConfig,
     IoError,
     NonPositiveValue,
     ParseError,
@@ -91,6 +92,15 @@ def test_load_reports_cell_location(tmp_path):
         load_series(p)
 
 
+def test_load_rejects_non_utf8(tmp_path, capsys):
+    p = tmp_path / "latin1.csv"
+    p.write_bytes(b"year,ai_capital,physical_capital\n2016,1,\xff\n")
+    with pytest.raises(ParseError, match="not UTF-8"):
+        load_series(p)
+    assert main(["fit", "--input", str(p)]) == 2
+    assert "not UTF-8" in capsys.readouterr().err
+
+
 def test_load_missing_file(tmp_path):
     with pytest.raises(IoError):
         load_series(tmp_path / "nope.csv")
@@ -164,9 +174,11 @@ def test_fitted_run_close_to_published_equilibrium(fitted_reports):
 def test_pipeline_stage_error_and_partial_report(tmp_path):
     # No published baseline matches this label, so injection fails after the
     # load stage; the partial report must be written with the marker set.
+    labor = fixture_path("cn_ai_labor.csv").read_text(encoding="utf-8")
+    p = write_csv(tmp_path, labor.replace("labor", "factor_two").splitlines())
     out = tmp_path / "out"
-    cfg = config_for("ai_labor", params_from_paper=True, label_y="factor_two",
-                     out_dir=out)
+    cfg = AnalysisConfig(input_path=p, y_col="factor_two", params_from_paper=True,
+                         out_dir=out)
     with pytest.raises(PipelineStageError) as err:
         run_pipeline(cfg)
     assert err.value.stage == "inject-params"
@@ -419,6 +431,21 @@ def test_cli_report_subcommand(tmp_path, capsys):
     code = main(["report", "--report", str(out / "report.json")])
     assert code == 0
     assert "interior equilibrium" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("content", [
+    b"[1, 2]",
+    b'{"classification": 5, "equilibria": [1]}',
+    b"\xff\xfe{}",
+    b'{"a": 1}',
+    b"not json",
+    b'{"provenance": {"package": "lvdyn"}, "equilibria": [1]}',
+], ids=["list", "wrong-fields", "non-utf8", "foreign-dict", "not-json", "malformed"])
+def test_cli_report_rejects_non_report(tmp_path, capsys, content):
+    p = tmp_path / "report.json"
+    p.write_bytes(content)
+    assert main(["report", "--report", str(p)]) == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_cli_seed_env_fallback(tmp_path, monkeypatch):

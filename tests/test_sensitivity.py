@@ -20,6 +20,7 @@ from lvdyn import (
     sobol_indices,
 )
 from lvdyn.params import PARAM_NAMES
+from lvdyn.sensitivity import BLOCK
 
 from conftest import PUBLISHED
 
@@ -99,9 +100,10 @@ def test_design_within_bounds():
 
 def test_design_block_structure():
     design = saltelli_sample(unit_bounds(), 64, 3)
-    a, b = design.rows_a(), design.rows_b()
+    blocks = design.matrix.reshape(64, BLOCK, 6)
+    a, b = blocks[:, 0], blocks[:, -1]
     for i in range(6):
-        ab = design.rows_ab(i)
+        ab = blocks[:, 1 + i]
         other = [j for j in range(6) if j != i]
         assert np.array_equal(ab[:, other], a[:, other])
         assert np.array_equal(ab[:, i], b[:, i])
@@ -280,12 +282,11 @@ def test_partial_rejection_drops_whole_triples():
     design = saltelli_sample(unit_bounds(), 128, 9)
     vals = design.matrix.sum(axis=1)
     outputs = np.column_stack([vals, vals])
-    valid = np.ones(len(vals), dtype=bool)
-    block = design.block_size
+    valid = np.ones((128, BLOCK), dtype=bool)
 
     # Invalidate the A-row of the first 30 base blocks: those triples drop.
-    valid[0:30 * block:block] = False
-    res = sobol_indices(design, outputs, valid)
+    valid[:30, 0] = False
+    res = sobol_indices(design, outputs, valid.ravel())
     assert res.retained_triples == 98
     assert res.rejected_count == 30
     assert res.first_order[0].sum() == pytest.approx(1.0, abs=0.05)

@@ -13,6 +13,7 @@ import os
 import sys
 from pathlib import Path
 
+from .baselines import BASELINES
 from .errors import IoError, LvdynError, ParseError, ValidationError, exit_code_for
 from .fitting import FitMode
 from .pipeline import AnalysisConfig, run_pipeline
@@ -53,7 +54,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    help=f"sampling seed (default: $LVDYN_SEED or {AnalysisConfig.seed})")
     p.add_argument("--params-from-paper", action="store_true",
                    help="skip fitting and inject the published baseline estimates")
-    p.add_argument("--baseline", dest="baseline_key", choices=["ai_physical", "ai_labor"],
+    p.add_argument("--baseline", dest="baseline_key", choices=list(BASELINES),
                    help="which published baseline to inject (default: by y label)")
     p.add_argument("--out", dest="out_dir", metavar="OUT", help="output directory")
     p.add_argument("--format", choices=["json", "csv"], action="append", dest="formats",

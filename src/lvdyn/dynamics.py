@@ -257,15 +257,16 @@ class Trajectory:
     states: np.ndarray  # (m+1, 2)
 
 
-def _rk4_step(cp: ContinuousParams, state: np.ndarray, h: float) -> np.ndarray:
-    def f(s):
-        return np.array(vector_field(cp, s[0], s[1]))
-
-    k1 = f(state)
-    k2 = f(state + 0.5 * h * k1)
-    k3 = f(state + 0.5 * h * k2)
-    k4 = f(state + h * k3)
-    return state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def _rk4_step(cp: ContinuousParams, x: float, y: float, h: float) -> tuple[float, float]:
+    """One classical RK4 step of size h from (x, y), on Python floats."""
+    c = 0.5 * h
+    k1x, k1y = vector_field(cp, x, y)
+    k2x, k2y = vector_field(cp, x + c * k1x, y + c * k1y)
+    k3x, k3y = vector_field(cp, x + c * k2x, y + c * k2y)
+    k4x, k4y = vector_field(cp, x + h * k3x, y + h * k3y)
+    w = h / 6.0
+    return (x + w * (k1x + 2.0 * k2x + 2.0 * k3x + k4x),
+            y + w * (k1y + 2.0 * k2y + 2.0 * k3y + k4y))
 
 
 def integrate_ode(
@@ -291,18 +292,19 @@ def integrate_ode(
 
     n_steps = int(round(t_end / dt))
     t = np.linspace(0.0, n_steps * dt, n_steps + 1)
-    states = np.empty((n_steps + 1, 2))
-    states[0] = x0
-    s = np.array(x0, dtype=float)
+    x, y = float(x0[0]), float(x0[1])
+    path = [(x, y)]
+    half_dt = dt / 2.0
     for k in range(n_steps):
-        full = _rk4_step(cp, s, dt)
-        half = _rk4_step(cp, _rk4_step(cp, s, dt / 2.0), dt / 2.0)
-        err = np.max(np.abs(full - half)) / max(float(np.max(np.abs(half))), 1.0)
+        fx, fy = _rk4_step(cp, x, y, dt)
+        hx, hy = _rk4_step(cp, *_rk4_step(cp, x, y, half_dt), half_dt)
+        err = max(abs(fx - hx), abs(fy - hy)) / max(abs(hx), abs(hy), 1.0)
         if err > error_tol:
             raise StepTooLarge(
                 f"step-doubling estimate {err:.3e} exceeds {error_tol:g} at t={t[k]:g}")
-        s = full
-        if np.min(s) < NEGATIVE_STATE_TOL:
-            raise NegativeState(f"state left the first quadrant at t={t[k + 1]:g}: {s}")
-        states[k + 1] = s
-    return Trajectory(t=t, states=states)
+        x, y = fx, fy
+        if min(x, y) < NEGATIVE_STATE_TOL:
+            raise NegativeState(
+                f"state left the first quadrant at t={t[k + 1]:g}: {np.array((x, y))}")
+        path.append((x, y))
+    return Trajectory(t=t, states=np.array(path))

@@ -12,7 +12,7 @@ feeds on its own output), and accuracy is summarised by MAPE.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -61,7 +61,8 @@ class TimeSeries:
 
     Years must be consecutive integers, observations strictly positive, and
     at least four points are required, enough to analyse injected
-    parameters.  Fitting the ratio regression needs five.
+    parameters.  Fitting the ratio regression needs five.  ``source_sha256``
+    is the digest of the file bytes the series was parsed from, if any.
     """
 
     label_x: str
@@ -70,6 +71,7 @@ class TimeSeries:
     years: tuple[int, ...]
     xs: tuple[float, ...]
     ys: tuple[float, ...]
+    source_sha256: str | None = field(default=None, compare=False)
 
     def __post_init__(self):
         n = len(self.years)

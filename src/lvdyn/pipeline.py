@@ -118,6 +118,8 @@ class AnalysisConfig:
                 f"unknown baseline {self.baseline_key!r}; choose from {sorted(BASELINES)}")
         if self.grid_n < 2:
             raise ValidationError(f"grid_n must be >= 2, got {self.grid_n}")
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise ValidationError(f"seed must be a non-negative integer, got {self.seed!r}")
 
 
 def load_series(path: str | Path, mapping: dict[str, str] | None = None,
@@ -127,7 +129,8 @@ def load_series(path: str | Path, mapping: dict[str, str] | None = None,
     ``mapping`` names the year/x/y columns (defaults: AnalysisConfig's), and
     the series labels are those column names.
     Columns are matched by name, so column order in the file is irrelevant.
-    Parse failures carry the row and column location.
+    Parse failures carry the row and column location.  The file is read
+    once; the series carries the SHA-256 of exactly the bytes parsed.
     """
     mapping = mapping or {}
     year_col = mapping.get("year", AnalysisConfig.year_col)
@@ -138,11 +141,13 @@ def load_series(path: str | Path, mapping: dict[str, str] | None = None,
     if not path.is_file():
         raise IoError(f"input file not found: {path}")
     try:
-        text = path.read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: not UTF-8 text: {exc}") from exc
+        data = path.read_bytes()
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text: {exc}") from exc
 
     reader = csv.DictReader(text.splitlines())
     header = reader.fieldnames or []
@@ -171,6 +176,7 @@ def load_series(path: str | Path, mapping: dict[str, str] | None = None,
         years=tuple(years),
         xs=tuple(xs),
         ys=tuple(ys),
+        source_sha256=hashlib.sha256(data).hexdigest(),
     )
 
 
@@ -445,11 +451,10 @@ def run_pipeline(cfg: AnalysisConfig, stages: set[str] | None = None) -> Report:
             raise PipelineStageError(name, exc) from exc
 
     def stage_load():
-        path = Path(cfg.input_path)
-        ts = load_series(
-            path, {"year": cfg.year_col, "x": cfg.x_col, "y": cfg.y_col}, unit=cfg.unit)
+        ts = load_series(cfg.input_path,
+                         {"year": cfg.year_col, "x": cfg.x_col, "y": cfg.y_col}, unit=cfg.unit)
         report.series = ts
-        report.input_sha256 = hashlib.sha256(path.read_bytes()).hexdigest()
+        report.input_sha256 = ts.source_sha256
 
     run_stage("load", stage_load)
     ts = report.series

@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import qmc
 
 from .errors import InvalidN, TooManyRejections, ValidationError, ZeroBaseline
 from .params import PARAM_NAMES, ContinuousParams
@@ -39,6 +38,67 @@ OUTPUT_NAMES = ("x_star", "y_star")
 
 #: Minimum fraction of base-sample triples that must survive rejection.
 MIN_RETAINED_FRACTION = 0.5
+
+#: Bits per Sobol' coordinate: every point is a multiple of 2**-_SOBOL_BITS.
+_SOBOL_BITS = 30
+#: Primitive polynomials (leading and trailing terms included) and initial
+#: direction numbers of the first 2*N_PARAMS Sobol' dimensions, from Joe & Kuo
+#: (2008) as scipy.stats.qmc.Sobol ships them.  Dimension 0 is van der Corput.
+_JOE_KUO_POLY = (1, 3, 7, 11, 13, 19, 25, 37, 41, 47, 55, 59)
+_JOE_KUO_INIT = ((1,), (1,), (1, 3), (1, 3, 1), (1, 1, 1), (1, 1, 3, 3),
+                 (1, 3, 5, 13), (1, 1, 5, 5, 17), (1, 1, 5, 5, 5),
+                 (1, 1, 7, 11, 19), (1, 1, 5, 1, 1), (1, 1, 1, 3, 11))
+
+
+def _direction_numbers() -> np.ndarray:
+    """(2*N_PARAMS, _SOBOL_BITS) direction numbers, column k shifted left by
+    _SOBOL_BITS-1-k so that bit 29 is the first binary digit of a point."""
+    rows = []
+    for poly, init in zip(_JOE_KUO_POLY, _JOE_KUO_INIT):
+        m = poly.bit_length() - 1          # degree; 0 for dimension 0
+        v = list(init) if m else [1] * _SOBOL_BITS
+        for k in range(len(v), _SOBOL_BITS):
+            new = v[k - m] ^ (v[k - m] << m)
+            for i in range(1, m):
+                if poly >> (m - i) & 1:
+                    new ^= v[k - i] << i
+            v.append(new)
+        rows.append([vk << (_SOBOL_BITS - 1 - k) for k, vk in enumerate(v)])
+    return np.array(rows, dtype=np.uint32)
+
+
+_DIRECTIONS = _direction_numbers()
+
+
+def _sobol_unit(n: int, seed: int) -> np.ndarray:
+    """First n points of the scrambled 2*N_PARAMS-dimensional Sobol' sequence.
+
+    Linear matrix scrambling (Matousek 1998) plus a digital shift, drawn from
+    ``np.random.default_rng(seed)`` in the order scipy.stats.qmc.Sobol draws
+    them, so the result equals ``Sobol(d=12, scramble=True, seed=seed)
+    .random(n)`` bit for bit.  n must be a power of two.
+    """
+    rng = np.random.default_rng(seed)
+    dims = len(_DIRECTIONS)
+    bits = np.arange(_SOBOL_BITS, dtype=np.uint32)
+    msb_first = bits[::-1]
+    shift = rng.integers(2, size=(dims, _SOBOL_BITS), dtype=np.uint32) @ (1 << bits)
+    ltm = np.tril(rng.integers(2, size=(dims, _SOBOL_BITS, _SOBOL_BITS),
+                               dtype=np.uint32)).astype(np.uint8)
+    ltm[:, bits, bits] = 1
+    # Scrambled digit p of a direction number (digit 0 the most significant)
+    # is the parity of row p of its dimension's matrix against its digits.
+    v_digits = (_DIRECTIONS[:, :, None] >> msb_first & 1).astype(np.uint8)
+    scrambled = (v_digits @ ltm.transpose(0, 2, 1) & 1) @ (1 << msb_first)
+
+    # Gray-code order: point 2^j + i is point 2^j - 1 - i with direction j
+    # flipped, so each doubling of the prefix is one vectorised XOR.
+    points = np.empty((n, dims), dtype=np.uint32)
+    points[0] = shift
+    for j in range(n.bit_length() - 1):
+        np.bitwise_xor(points[(1 << j) - 1::-1], scrambled[:, j],
+                       out=points[1 << j:2 << j])
+    return points * 2.0 ** -_SOBOL_BITS
 
 
 @dataclass(frozen=True)
@@ -105,8 +165,7 @@ def saltelli_sample(bounds: ParamBounds, n_base: int, seed: int) -> SaltelliDesi
     """
     if n_base < 64 or n_base & (n_base - 1) != 0:
         raise InvalidN(f"base sample size must be a power of two >= 64, got {n_base}")
-    engine = qmc.Sobol(d=2 * N_PARAMS, scramble=True, seed=seed)
-    unit = engine.random(n_base)
+    unit = _sobol_unit(n_base, seed)
     width = bounds.upper - bounds.lower
     a = bounds.lower + unit[:, :N_PARAMS] * width
     b = bounds.lower + unit[:, N_PARAMS:] * width

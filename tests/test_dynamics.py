@@ -311,18 +311,47 @@ def test_integrate_monotone_convergence_after_transient(key, x0):
     assert np.all(np.diff(tail) <= 1e-12)
 
 
+def reference_rk4_states(cp: ContinuousParams, x0, t_end: float, dt: float) -> np.ndarray:
+    """Classical RK4 stepped on numpy arrays, the oracle for the float loop."""
+    def f(s):
+        return np.array(vector_field(cp, s[0], s[1]))
+
+    def step(s, h):
+        k1 = f(s)
+        k2 = f(s + 0.5 * h * k1)
+        k3 = f(s + 0.5 * h * k2)
+        k4 = f(s + h * k3)
+        return s + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+    states = [np.array(x0, dtype=float)]
+    for _ in range(int(round(t_end / dt))):
+        states.append(step(states[-1], dt))
+    return np.array(states)
+
+
+@pytest.mark.parametrize("key,x0", [
+    ("ai_physical", (15.4, 37202.1)), ("ai_labor", (15.4, 22770.0))])
+def test_integrate_is_bitwise_the_array_rk4(key, x0):
+    cp = cp_for(key)
+    traj = integrate_ode(cp, x0, 10.0, 0.001)
+    assert np.array_equal(traj.states, reference_rk4_states(cp, x0, 10.0, 0.001))
+
+
 def test_integrate_step_too_large():
     cp = ContinuousParams(a1=-1000.0, b11=0, b12=0, a2=1.0, b21=0, b22=0)
-    with pytest.raises(StepTooLarge):
+    with pytest.raises(StepTooLarge) as info:
         integrate_ode(cp, (1.0, 1.0), 1.0, 0.01)
+    assert str(info.value) == "step-doubling estimate 5.485e-01 exceeds 0.001 at t=0"
 
 
 def test_integrate_negative_state():
     # With the error estimate disabled, a giant step on strong quadratic
     # decay overshoots straight through the axis.
     cp = ContinuousParams(a1=0.0, b11=-1.0, b12=0, a2=0.1, b21=0, b22=0)
-    with pytest.raises(NegativeState):
+    with pytest.raises(NegativeState) as info:
         integrate_ode(cp, (10.0, 1.0), 1.0, 1.0, error_tol=np.inf)
+    assert str(info.value) == (
+        "state left the first quadrant at t=1: [-6.49149299e+10  1.10517083e+00]")
 
 
 def test_integrate_validates_arguments():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -21,6 +22,7 @@ from lvdyn import (
     run_pipeline,
     write_report,
 )
+from lvdyn.baselines import BASELINES
 from lvdyn.cli import main
 from lvdyn.params import PARAM_NAMES
 from lvdyn.pipeline import report_json_text
@@ -101,6 +103,17 @@ def test_load_rejects_non_utf8(tmp_path, capsys):
     assert "not UTF-8" in capsys.readouterr().err
 
 
+def test_load_hashes_the_parsed_bytes(tmp_path):
+    # CRLF line ends: the digest is of the raw bytes, not the decoded text.
+    p = tmp_path / "crlf.csv"
+    p.write_bytes(PHYS_FIXTURE.read_bytes().replace(b"\n", b"\r\n"))
+    digest = hashlib.sha256(p.read_bytes()).hexdigest()
+    assert load_series(p).source_sha256 == digest
+    report = run_pipeline(AnalysisConfig(input_path=p), stages={"classify"})
+    assert report.input_sha256 == digest
+    assert report.series == load_series(PHYS_FIXTURE)
+
+
 def test_load_missing_file(tmp_path):
     with pytest.raises(IoError):
         load_series(tmp_path / "nope.csv")
@@ -115,6 +128,12 @@ def test_config_validated_before_any_work(tmp_path):
                      input_path=tmp_path / "does_not_exist.csv")
     with pytest.raises(ValidationError, match="power of two"):
         run_pipeline(cfg)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, "7"])
+def test_config_rejects_bad_seed(seed):
+    with pytest.raises(ValidationError, match="seed"):
+        config_for("ai_physical", seed=seed).validate()
 
 
 def test_config_rejects_nan_classify_tol():
@@ -463,6 +482,27 @@ def test_cli_bad_seed_env_exit_code(monkeypatch, capsys):
     code = main(["fit", "--input", str(PHYS_FIXTURE)])
     assert code == 2
     assert "LVDYN_SEED" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("via_env", [False, True], ids=["flag", "env"])
+def test_cli_negative_seed_exit_code(monkeypatch, capsys, via_env):
+    argv = ["sobol", "--input", str(PHYS_FIXTURE), "--sobol-n", "64"]
+    if via_env:
+        monkeypatch.setenv("LVDYN_SEED", "-1")
+    else:
+        argv += ["--seed", "-1"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "seed must be a non-negative integer" in err
+    assert "stage" not in err
+
+
+def test_cli_baseline_choices_follow_baselines(monkeypatch, capsys):
+    monkeypatch.setitem(BASELINES, "extra", BASELINES["ai_physical"])
+    code = main(["fit", "--input", str(PHYS_FIXTURE), "--params-from-paper",
+                 "--baseline", "extra"])
+    assert code == 0
+    assert "parameters (published_baseline)" in capsys.readouterr().out
 
 
 def test_cli_geometric_series_exit_code(tmp_path, capsys):

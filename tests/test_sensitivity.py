@@ -2,6 +2,12 @@
 
 from __future__ import annotations
 
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -15,12 +21,14 @@ from lvdyn import (
     analyze_sensitivity,
     bounds_from_baseline,
     evaluate_equilibria,
+    fixture_path,
     interior_equilibrium,
     saltelli_sample,
     sobol_indices,
 )
+from lvdyn import sensitivity
 from lvdyn.params import PARAM_NAMES
-from lvdyn.sensitivity import BLOCK
+from lvdyn.sensitivity import BLOCK, _sobol_unit
 
 from conftest import PUBLISHED
 
@@ -121,6 +129,55 @@ def test_design_deterministic_in_seed():
 def test_design_rejects_bad_n(n):
     with pytest.raises(InvalidN):
         saltelli_sample(unit_bounds(), n, 1)
+
+
+# ---------------------------------------------------------------------------
+# Scrambled Sobol' generator
+# ---------------------------------------------------------------------------
+
+def scipy_sobol(n: int, seed: int) -> np.ndarray:
+    qmc = pytest.importorskip("scipy.stats").qmc
+    return qmc.Sobol(d=12, scramble=True, seed=seed).random(n)
+
+
+@pytest.mark.parametrize("seed", [0, 3, 7, 1024, 123456, 2**40])
+@pytest.mark.parametrize("n", [1, 64, 1024, 8192, 65536])
+def test_sobol_unit_matches_scipy(seed, n):
+    assert np.array_equal(_sobol_unit(n, seed), scipy_sobol(n, seed))
+
+
+def test_sobol_unit_matches_scipy_property():
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+
+    @hyp.settings(max_examples=40, deadline=None)
+    @hyp.given(seed=st.integers(0, 2**32 - 1), m=st.integers(6, 12))
+    def check(seed, m):
+        assert np.array_equal(_sobol_unit(2**m, seed), scipy_sobol(2**m, seed))
+
+    check()
+
+
+def test_sobol_unit_pinned_digest():
+    # Holds without scipy; equals the digest of scipy 1.17.1's sample.
+    digest = hashlib.sha256(_sobol_unit(1024, 1024).tobytes()).hexdigest()
+    assert digest == "43a24d5b84fbd673ef480d02a8545655f3ae345456988f244fbd2cc0573d9ea4"
+
+
+def test_analyze_never_imports_scipy(tmp_path):
+    src = str(Path(sensitivity.__file__).resolve().parents[1])
+    fixture = str(fixture_path("cn_ai_physical.csv"))
+    code = (
+        "import sys, lvdyn, lvdyn.cli\n"
+        f"assert lvdyn.cli.main(['analyze', '--input', {fixture!r}, "
+        f"'--out', {str(tmp_path)!r}]) == 0\n"
+        "assert 'scipy' not in sys.modules, 'scipy was imported'\n")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "report.json").is_file()
 
 
 # ---------------------------------------------------------------------------

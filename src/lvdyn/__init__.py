@@ -10,6 +10,7 @@ equilibrium variance to the model parameters with Sobol' indices.  A CLI
 __version__ = "0.1.0"
 
 from .errors import (
+    DegenerateVariance,
     DenominatorNearZero,
     DomainError,
     InsufficientData,

@@ -66,16 +66,27 @@ def interior_equilibria(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Returns (points, ok): points is (n, 2) with columns (x*, y*), and ok is
     False, with NaN in points, where the nullclines are (numerically)
     parallel, judged against the magnitude of the coefficient products
-    involved.
+    involved, or where those products overflow.
     """
     a1, b11, b12, a2, b21, b22 = np.asarray(theta, dtype=float).T
-    den = b12 * b21 - b11 * b22
-    scale = np.maximum(np.maximum(np.abs(b12 * b21), np.abs(b11 * b22)), 1e-300)
-    ok = np.abs(den) >= INTERIOR_DENOM_EPS * scale
-    points = np.full((len(den), 2), np.nan)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        points[ok, 0] = (a1[ok] * b22[ok] - b12[ok] * a2[ok]) / den[ok]
-        points[ok, 1] = (b11[ok] * a2[ok] - a1[ok] * b21[ok]) / den[ok]
+    points = np.empty((2, len(a1))).T             # (n, 2), columns contiguous
+    # Every row is computed unmasked, the rows that are not ok are overwritten
+    # last, and the two product buffers are reused throughout.
+    with np.errstate(all="ignore"):
+        cross, own = b12 * b21, b11 * b22
+        den = cross - own
+        scale = np.maximum(np.abs(cross, out=cross), np.abs(own, out=own), out=cross)
+        np.maximum(scale, 1e-300, out=scale)
+        np.multiply(scale, INTERIOR_DENOM_EPS, out=scale)
+        abs_den = np.abs(den, out=own)
+        # A finite den implies finite products, hence a finite scale.
+        ok = (abs_den >= scale) & (abs_den < np.inf)
+        num, tmp = scale, abs_den                 # both spent: reuse for the numerators
+        np.subtract(np.multiply(a1, b22, out=num), np.multiply(b12, a2, out=tmp), out=num)
+        np.divide(num, den, out=points[:, 0])
+        np.subtract(np.multiply(b11, a2, out=num), np.multiply(a1, b21, out=tmp), out=num)
+        np.divide(num, den, out=points[:, 1])
+    points[~ok] = np.nan
     return points, ok
 
 

@@ -92,6 +92,10 @@ class TooManyRejections(NumericalError):
     """Too few valid sample triples survived rejection filtering."""
 
 
+class DegenerateVariance(NumericalError):
+    """A Sobol' output has zero or non-finite variance, so its shares are undefined."""
+
+
 # --------------------------------------------------------------------------
 # I/O errors (CLI exit code 4)
 # --------------------------------------------------------------------------

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidN, TooManyRejections, ValidationError, ZeroBaseline
+from .errors import (DegenerateVariance, InvalidN, TooManyRejections, ValidationError,
+                     ZeroBaseline)
 from .params import PARAM_NAMES, ContinuousParams
 from .dynamics import interior_equilibria
 
@@ -92,13 +93,14 @@ def _sobol_unit(n: int, seed: int) -> np.ndarray:
     scrambled = (v_digits @ ltm.transpose(0, 2, 1) & 1) @ (1 << msb_first)
 
     # Gray-code order: point 2^j + i is point 2^j - 1 - i with direction j
-    # flipped, so each doubling of the prefix is one vectorised XOR.
-    points = np.empty((n, dims), dtype=np.uint32)
-    points[0] = shift
+    # flipped, so each doubling of the prefix is one vectorised XOR.  Points
+    # are built dimension by dimension, so the result is column-major.
+    points = np.empty((dims, n), dtype=np.uint32)
+    points[:, 0] = shift
     for j in range(n.bit_length() - 1):
-        np.bitwise_xor(points[(1 << j) - 1::-1], scrambled[:, j],
-                       out=points[1 << j:2 << j])
-    return points * 2.0 ** -_SOBOL_BITS
+        np.bitwise_xor(points[:, (1 << j) - 1::-1], scrambled[:, j, None],
+                       out=points[:, 1 << j:2 << j])
+    return (points * 2.0 ** -_SOBOL_BITS).T
 
 
 @dataclass(frozen=True)
@@ -146,12 +148,16 @@ class SaltelliDesign:
     Rows are grouped per base index j in blocks of BLOCK = D+2: the A-row,
     the D rows where column i is swapped in from B, and the B-row, so
     ``matrix.reshape(n_base, BLOCK, D)[:, k]`` is block row k of every base
-    index.  These are the only rows the first-order (Saltelli 2010) and
-    total-order (Jansen 1999) estimators read.  The layout is deterministic
-    for a given (bounds, n_base, seed).
+    index (the reshape copies; see below).  These are the only rows the
+    first-order (Saltelli 2010) and total-order (Jansen 1999) estimators
+    read.  The layout is deterministic for a given (bounds, n_base, seed).
+
+    The matrix is stored column-major (Fortran order): the equilibrium is
+    evaluated one parameter column at a time, and a contiguous column lets
+    every array operation run as one long inner loop.
     """
 
-    matrix: np.ndarray   # (n_base*BLOCK, D)
+    matrix: np.ndarray   # (n_base*BLOCK, D), column-major
     n_base: int
     seed: int
 
@@ -165,16 +171,19 @@ def saltelli_sample(bounds: ParamBounds, n_base: int, seed: int) -> SaltelliDesi
     """
     if n_base < 64 or n_base & (n_base - 1) != 0:
         raise InvalidN(f"base sample size must be a power of two >= 64, got {n_base}")
-    unit = _sobol_unit(n_base, seed)
-    width = bounds.upper - bounds.lower
-    a = bounds.lower + unit[:, :N_PARAMS] * width
-    b = bounds.lower + unit[:, N_PARAMS:] * width
+    unit = _sobol_unit(n_base, seed).T                  # (2D, n_base), contiguous
+    lower = bounds.lower[:, None]
+    width = bounds.upper[:, None] - lower
+    a = lower + unit[:N_PARAMS] * width
+    b = lower + unit[N_PARAMS:] * width
 
-    blocks = np.repeat(a[:, None, :], BLOCK, axis=1)    # (n_base, BLOCK, D)
-    blocks[:, -1] = b
+    columns = np.empty((N_PARAMS, n_base, BLOCK))      # [param, base, block row]
+    columns[:] = a[:, :, None]
+    columns[:, :, -1] = b
     for i in range(N_PARAMS):
-        blocks[:, 1 + i, i] = b[:, i]
-    return SaltelliDesign(matrix=blocks.reshape(-1, N_PARAMS), n_base=n_base, seed=seed)
+        columns[i, :, 1 + i] = b[i]
+    matrix = columns.reshape(N_PARAMS, -1).T
+    return SaltelliDesign(matrix=matrix, n_base=n_base, seed=seed)
 
 
 def evaluate_equilibria(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -185,7 +194,8 @@ def evaluate_equilibria(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     component is negative.  Invalid rows carry NaN outputs.
     """
     out, ok = interior_equilibria(samples)
-    valid = ok & np.all(np.isfinite(out), axis=1) & np.all(out >= 0, axis=1)
+    x, y = out.T
+    valid = ok & (x >= 0) & (y >= 0) & (x < np.inf) & (y < np.inf)
     out[~valid] = np.nan
     return out, valid
 
@@ -211,6 +221,24 @@ class SobolResult:
     seed: int
 
 
+def _mean_in_order(a: np.ndarray) -> np.ndarray:
+    """Mean over the last axis, summed strictly left to right; overwrites ``a``.
+
+    ``np.mean(axis=0)`` of a C-ordered array adds its rows one after another,
+    starting from +0.0, so this equals that mean of ``a``'s transpose bit for
+    bit (the ``+ 0.0`` turns a sum of only -0.0 terms into +0.0, as there).
+    A mean along a contiguous axis would add pairwise and change the last bits.
+    """
+    return (np.add.accumulate(a, axis=-1, out=a)[..., -1] + 0.0) / a.shape[-1]
+
+
+def _var_in_order(a: np.ndarray) -> np.ndarray:
+    """``np.var`` over the last axis, with :func:`_mean_in_order` sums; overwrites a."""
+    a -= _mean_in_order(a.copy())[:, None]
+    a *= a
+    return _mean_in_order(a)
+
+
 def sobol_indices(
     design: SaltelliDesign, outputs: np.ndarray, valid: np.ndarray
 ) -> SobolResult:
@@ -227,34 +255,39 @@ def sobol_indices(
     if outputs.shape != (n * BLOCK, 2) or valid.shape != (n * BLOCK,):
         raise ValidationError("outputs/valid do not match the design shape")
 
-    keep = np.all(valid.reshape(n, BLOCK), axis=1)
+    accepted = int(np.count_nonzero(valid))
+    keep = np.ones(n, dtype=bool)
+    keep[np.flatnonzero(~valid) // BLOCK] = False
     retained = int(np.count_nonzero(keep))
     if retained < MIN_RETAINED_FRACTION * n:
         raise TooManyRejections(
             f"only {retained} of {n} sample triples valid; need at least "
             f"{MIN_RETAINED_FRACTION:.0%}")
 
-    out_blocks = outputs.reshape(n, BLOCK, 2)[keep]
-    f_a = out_blocks[:, 0, :]                    # (retained, 2)
-    f_b = out_blocks[:, -1, :]
-    f_ab = out_blocks[:, 1:-1, :]                # (retained, D, 2)
+    # A copy indexed (output, block row, retained base index), so that every
+    # operation below runs along the long, contiguous base-index axis.
+    first_rows = np.flatnonzero(keep) * BLOCK
+    blocks = np.take(outputs.T, first_rows + np.arange(BLOCK)[:, None], axis=1)
+    f_a, f_b = blocks[:, 0], blocks[:, -1]       # (2, retained)
+    with np.errstate(over="ignore", invalid="ignore"):
+        variance = _var_in_order(np.concatenate([f_a, f_b], axis=1))
+    if not np.all((variance > 0) & (variance < np.inf)):
+        raise DegenerateVariance(
+            f"pooled output variance is {variance.tolist()}; the variance "
+            f"shares of {OUTPUT_NAMES} need a finite, positive variance")
 
-    pooled = np.concatenate([f_a, f_b], axis=0)
-    variance = pooled.var(axis=0)                # (2,)
-
-    first = np.empty((2, N_PARAMS))
-    total = np.empty((2, N_PARAMS))
-    for i in range(N_PARAMS):
-        diff = f_ab[:, i, :] - f_a
-        first[:, i] = np.mean(f_b * diff, axis=0) / variance
-        total[:, i] = np.mean((f_a - f_ab[:, i, :]) ** 2, axis=0) / (2.0 * variance)
+    diff = blocks[:, 1:-1]                       # (2, D, retained)
+    diff -= f_a[:, None]                         # f(A_B^i) - f(A), in place
+    first = _mean_in_order(f_b[:, None] * diff) / variance[:, None]
+    diff *= diff                                 # == (f(A) - f(A_B^i))**2
+    total = _mean_in_order(diff) / (2.0 * variance[:, None])
 
     return SobolResult(
         first_order=first,
         total_order=total,
         total_variance=variance,
-        accepted_count=int(np.count_nonzero(valid)),
-        rejected_count=int(np.count_nonzero(~valid)),
+        accepted_count=accepted,
+        rejected_count=len(valid) - accepted,
         retained_triples=retained,
         n_base=n,
         seed=design.seed,

@@ -22,7 +22,7 @@ from lvdyn import (
     phase_geometry,
     stability_at,
 )
-from lvdyn.dynamics import vector_field
+from lvdyn.dynamics import interior_equilibria, vector_field
 
 from conftest import PUBLISHED
 
@@ -58,6 +58,38 @@ def test_interior_equilibrium_parallel_nullclines():
     # b12*b21 == b11*b22 exactly: no interior intersection.
     cp = ContinuousParams(a1=1, b11=2.0, b12=-2.0, a2=1, b21=3.0, b22=-3.0)
     assert interior_equilibrium(cp) is None
+
+
+def test_interior_equilibrium_overflowing_products():
+    # b11*b22 overflows: the closed form would give (-0.0, -0.0).
+    cp = ContinuousParams(a1=1, b11=-1e200, b12=-1.0, a2=1, b21=1.0, b22=-1e200)
+    assert interior_equilibrium(cp) is None
+
+
+def test_interior_equilibria_zero_both_nullclines_property():
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    coef = st.one_of(st.just(0.0), st.builds(lambda m, s: m * s, st.floats(1e-3, 1e3),
+                                             st.sampled_from([-1.0, 1.0])))
+    rows = st.lists(st.lists(coef, min_size=6, max_size=6), min_size=1, max_size=16)
+    eps = np.finfo(float).eps
+
+    @hyp.settings(max_examples=200, deadline=None)
+    @hyp.given(rows=rows)
+    def check(rows):
+        theta = np.array(rows)
+        points, ok = interior_equilibria(theta)
+        assert np.all(np.isnan(points[~ok]))
+        a1, b11, b12, a2, b21, b22 = theta[ok].T
+        x, y = points[ok].T
+        # Relative residual of each nullcline, bounded by the conditioning of
+        # the 2x2 solve (near-parallel nullclines amplify rounding).
+        cond = np.maximum(np.abs(b12 * b21), np.abs(b11 * b22)) / np.abs(b12 * b21 - b11 * b22)
+        for terms in ((a1, b11 * x, b12 * y), (a2, b21 * x, b22 * y)):
+            size = np.maximum.reduce([np.abs(t) for t in terms] + [np.full(len(x), 1e-300)])
+            assert np.all(np.abs(sum(terms)) <= 16 * eps * cond * size)
+
+    check()
 
 
 @pytest.mark.parametrize("key", ["ai_physical", "ai_labor"])
@@ -156,6 +188,25 @@ def test_eigenvalue_ordering_complex_pair():
     l1, l2 = eigenvalues(m)
     assert l1 == pytest.approx(1j)
     assert l2 == pytest.approx(-1j)
+
+
+def test_eigenvalues_agree_with_numpy_property():
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    entry = st.one_of(st.floats(-1e3, 1e3), st.integers(-3, 3).map(float))
+    key = lambda z: (-z.real, -z.imag)
+
+    @hyp.settings(max_examples=300, deadline=None)
+    @hyp.given(m=st.lists(entry, min_size=4, max_size=4).map(lambda v: np.reshape(v, (2, 2))))
+    def check(m):
+        got = eigenvalues(m)
+        assert list(got) == sorted(got, key=key)
+        want = sorted(np.linalg.eigvals(m).astype(complex).tolist(), key=key)
+        # A repeated root moves by ~sqrt(eps) under rounding, not eps.
+        tol = 1e-6 * max(1.0, np.abs(m).max())
+        assert np.allclose(got, want, rtol=0, atol=tol)
+
+    check()
 
 
 def test_eigenvalues_reject_bad_input():

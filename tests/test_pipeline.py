@@ -523,6 +523,25 @@ def test_cli_four_point_fit_exit_code(tmp_path, capsys):
     assert main(["analyze", "--input", str(p), "--params-from-paper"]) == 0
 
 
+def test_cli_overflowing_fit_fails_sobol_with_typed_cause(tmp_path, capsys):
+    # On the fixture scaled by 1e-160 the fitted b11*b22 overflows.  The
+    # closed form then gave (0, 0) with ok=True for every row, a zero
+    # variance and NaN indices, and the run failed at 'write' with no report.
+    header, *rows = PHYS_FIXTURE.read_text(encoding="utf-8").splitlines()
+    scaled = [header] + [
+        ",".join([year] + [repr(float(v) * 1e-160) for v in values])
+        for year, *values in (row.split(",") for row in rows)]
+    out = tmp_path / "out"
+    assert main(["sobol", "--input", str(write_csv(tmp_path, scaled)),
+                 "--out", str(out)]) == 3
+    assert "stage 'sobol'" in capsys.readouterr().err
+    d = json.loads((out / "report.json").read_text())
+    assert d["incomplete"] is True
+    assert d["failed_stage"] == "sobol"
+    assert d["error"].startswith("TooManyRejections:")
+    assert d["equilibria"]["interior"] is None
+
+
 def test_cli_csv_format(tmp_path):
     out = tmp_path / "out"
     code = main(["analyze", "--input", str(PHYS_FIXTURE), "--params-from-paper",

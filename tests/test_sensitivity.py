@@ -13,6 +13,7 @@ import pytest
 
 from lvdyn import (
     ContinuousParams,
+    DegenerateVariance,
     InvalidN,
     ParamBounds,
     TooManyRejections,
@@ -27,6 +28,7 @@ from lvdyn import (
     sobol_indices,
 )
 from lvdyn import sensitivity
+from lvdyn.errors import exit_code_for
 from lvdyn.params import PARAM_NAMES
 from lvdyn.sensitivity import BLOCK, _sobol_unit
 
@@ -347,6 +349,17 @@ def test_partial_rejection_drops_whole_triples():
     assert res.retained_triples == 98
     assert res.rejected_count == 30
     assert res.first_order[0].sum() == pytest.approx(1.0, abs=0.05)
+
+
+@pytest.mark.parametrize("f", [
+    lambda m: np.full(len(m), 3.0),           # zero variance
+    lambda m: 1e200 * m[:, 0],                # variance overflows to inf
+], ids=["constant", "overflow"])
+def test_degenerate_variance_is_a_typed_error(f):
+    # Indices would be 0/0 or x/inf; NaN must never reach the report.
+    with pytest.raises(DegenerateVariance) as err:
+        indices_for(f, unit_bounds(), n_base=64)
+    assert exit_code_for(err.value) == 3
 
 
 def test_indices_reject_mismatched_shapes():

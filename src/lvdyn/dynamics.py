@@ -268,8 +268,8 @@ class Trajectory:
     states: np.ndarray  # (m+1, 2)
 
 
-def _rk4_step(cp: ContinuousParams, x: float, y: float, h: float) -> tuple[float, float]:
-    """One classical RK4 step of size h from (x, y), on Python floats."""
+def _rk4_step(cp: ContinuousParams, x, y, h: float) -> tuple:
+    """One classical RK4 step of size h from (x, y): floats, or arrays elementwise."""
     c = 0.5 * h
     k1x, k1y = vector_field(cp, x, y)
     k2x, k2y = vector_field(cp, x + c * k1x, y + c * k1y)
@@ -278,6 +278,15 @@ def _rk4_step(cp: ContinuousParams, x: float, y: float, h: float) -> tuple[float
     w = h / 6.0
     return (x + w * (k1x + 2.0 * k2x + 2.0 * k3x + k4x),
             y + w * (k1y + 2.0 * k2y + 2.0 * k3y + k4y))
+
+
+def _first_max(a: np.ndarray, b) -> np.ndarray:
+    """Elementwise ``max(a, b)`` by Python's rule: keep a unless b is greater.
+
+    So a NaN in ``a`` is kept and a NaN in ``b`` is passed over, as ``max``
+    does on floats.
+    """
+    return np.where(b > a, b, a)
 
 
 def integrate_ode(
@@ -293,6 +302,11 @@ def integrate_ode(
     two half steps and the run aborts with StepTooLarge when the relative
     discrepancy exceeds ``error_tol`` (the estimate never adapts the step).
     A state component falling below -1e-9 aborts with NegativeState.
+
+    The check of step k depends only on the state it starts from, so the
+    path is stepped first and every step is checked afterwards in one array
+    pass, with the same floating-point operations in the same order.  A
+    flagged step raises StepTooLarge even when a later step went negative.
     """
     if dt <= 0:
         raise ValidationError(f"dt must be > 0, got {dt}")
@@ -305,17 +319,27 @@ def integrate_ode(
     t = np.linspace(0.0, n_steps * dt, n_steps + 1)
     x, y = float(x0[0]), float(x0[1])
     path = [(x, y)]
-    half_dt = dt / 2.0
-    for k in range(n_steps):
-        fx, fy = _rk4_step(cp, x, y, dt)
-        hx, hy = _rk4_step(cp, *_rk4_step(cp, x, y, half_dt), half_dt)
-        err = max(abs(fx - hx), abs(fy - hy)) / max(abs(hx), abs(hy), 1.0)
-        if err > error_tol:
-            raise StepTooLarge(
-                f"step-doubling estimate {err:.3e} exceeds {error_tol:g} at t={t[k]:g}")
-        x, y = fx, fy
-        if min(x, y) < NEGATIVE_STATE_TOL:
-            raise NegativeState(
-                f"state left the first quadrant at t={t[k + 1]:g}: {np.array((x, y))}")
+    for _ in range(n_steps):
+        x, y = _rk4_step(cp, x, y, dt)
         path.append((x, y))
-    return Trajectory(t=t, states=np.array(path))
+        if min(x, y) < NEGATIVE_STATE_TOL:
+            break
+    states = np.array(path)
+
+    # Step k goes from states[k] to states[k + 1]; redo each in two halves.
+    x_start, y_start = states[:-1].T
+    x_full, y_full = states[1:].T
+    half_dt = dt / 2.0
+    with np.errstate(all="ignore"):
+        hx, hy = _rk4_step(cp, *_rk4_step(cp, x_start, y_start, half_dt), half_dt)
+        err = (_first_max(abs(x_full - hx), abs(y_full - hy))
+               / _first_max(_first_max(abs(hx), abs(hy)), 1.0))
+    flagged = np.flatnonzero(err > error_tol)
+    if flagged.size:
+        k = flagged[0]
+        raise StepTooLarge(
+            f"step-doubling estimate {err[k]:.3e} exceeds {error_tol:g} at t={t[k]:g}")
+    if min(x, y) < NEGATIVE_STATE_TOL:
+        raise NegativeState(
+            f"state left the first quadrant at t={t[len(path) - 1]:g}: {np.array((x, y))}")
+    return Trajectory(t=t, states=states)

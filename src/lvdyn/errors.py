@@ -65,7 +65,8 @@ class NumericalError(LvdynError, ArithmeticError):
 
 
 class SingularDesign(NumericalError):
-    """Regression is degenerate: collinear regressors or a constant response."""
+    """Regression is degenerate: collinear regressors, overflowing or singular
+    normal equations, or a constant response."""
 
 
 class IllConditioned(UserWarning):
@@ -93,7 +94,8 @@ class TooManyRejections(NumericalError):
 
 
 class DegenerateVariance(NumericalError):
-    """A Sobol' output has zero or non-finite variance, so its shares are undefined."""
+    """A Sobol' output has zero or non-finite variance, or an index that is not
+    finite, so its shares are undefined."""
 
 
 # --------------------------------------------------------------------------

@@ -122,10 +122,15 @@ def build_ratio_rows(ts: TimeSeries) -> RatioSystem:
 def _solve_through_origin(X: np.ndarray, resp: np.ndarray) -> np.ndarray:
     """Two-slope least squares without intercept via the normal equations.
 
-    Raises SingularDesign on a rank-deficient design or a singular normal
-    matrix, and warns when the normal matrix is ill conditioned.
+    Raises SingularDesign on a rank-deficient design, on normal equations
+    that overflow, or on a singular normal matrix, and warns when the normal
+    matrix is ill conditioned.
     """
-    gram = X.T @ X
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = X.T @ X
+        rhs = X.T @ resp
+    if not (np.all(np.isfinite(gram)) and np.all(np.isfinite(rhs))):
+        raise SingularDesign("normal equations overflow: the regressors are too large")
     svals = np.linalg.svd(X, compute_uv=False)
     if svals[-1] <= svals[0] * np.finfo(float).eps * max(X.shape):
         raise SingularDesign("regressor columns are collinear")
@@ -135,7 +140,7 @@ def _solve_through_origin(X: np.ndarray, resp: np.ndarray) -> np.ndarray:
             f"normal equations condition number {cond:.3e} exceeds "
             f"{COND_WARN_THRESHOLD:.0e}", IllConditioned, stacklevel=3)
     try:
-        return np.linalg.solve(gram, X.T @ resp)
+        return np.linalg.solve(gram, rhs)
     except np.linalg.LinAlgError as exc:   # e.g. the Gram matrix underflowed
         raise SingularDesign(f"normal equations are singular: {exc}") from exc
 

@@ -561,12 +561,12 @@ def _write_text(path: Path, text: str) -> None:
         raise IoError(f"cannot write {path}: {exc}") from exc
 
 
-def _write_csv(path: Path, header: str, rows) -> Path:
-    """Write a header line and rows; float cells get nine significant digits."""
-    lines = [header]
-    lines.extend(",".join([f"{v:.9g}" if isinstance(v, float) else str(v)
-                           for v in row]) for row in rows)
-    _write_text(path, "\n".join(lines) + "\n")
+def _write_csv(path: Path, header: str, fmt: str, rows) -> Path:
+    """Write a header line and one ``fmt % row`` line per row tuple.
+
+    Float columns are ``%.9g`` (nine significant digits), int columns ``%d``.
+    """
+    _write_text(path, "\n".join([header, *(fmt % row for row in rows)]) + "\n")
     return path
 
 
@@ -586,7 +586,7 @@ def write_report(report: Report, out_dir: str | Path) -> list[Path]:
     if report.sobol is not None:
         sr = report.sobol
         written.append(_write_csv(
-            out / "sobol.csv", "parameter,output,S_i,S_Ti",
+            out / "sobol.csv", "parameter,output,S_i,S_Ti", "%s,%s,%.9g,%.9g",
             ((pname, oname, sr.first_order[oi, pi], sr.total_order[oi, pi])
              for oi, oname in enumerate(OUTPUT_NAMES)
              for pi, pname in enumerate(PARAM_NAMES))))
@@ -597,7 +597,7 @@ def write_report(report: Report, out_dir: str | Path) -> list[Path]:
         written.extend(export_phase_data(report.phase, trajectories, out / "phase"))
         if report.discrete_trajectory is not None:
             written.append(_write_csv(
-                out / "phase" / "trajectory_discrete.csv", "step,x,y",
+                out / "phase" / "trajectory_discrete.csv", "step,x,y", "%d,%.9g,%.9g",
                 ((k, x, y) for k, (x, y)
                  in enumerate(report.discrete_trajectory.tolist()))))
     return written
@@ -650,32 +650,34 @@ def export_phase_data(
 
     def nullcline_rows():
         for kind, (ca, cb, cc) in (("x", pg.nullcline_x), ("y", pg.nullcline_y)):
+            # Library callers may pass int coefficients; those print as str.
+            coeffs = ",".join(f"{v:.9g}" if isinstance(v, float) else str(v)
+                              for v in (ca, cb, cc))
             if cc != 0:
                 for x in xs:
                     y = -(ca + cb * x) / cc
                     if pg.bbox.y_min <= y <= pg.bbox.y_max:
-                        yield kind, ca, cb, cc, x, y
+                        yield kind, coeffs, x, y
             if cb != 0:
                 for y in ys:
                     x = -(ca + cc * y) / cb
                     if pg.bbox.x_min <= x <= pg.bbox.x_max:
-                        yield kind, ca, cb, cc, x, y
+                        yield kind, coeffs, x, y
 
     # Grid points in [i, j] order, which is the order ravel() reads the fields.
-    grid = [(x, y) for x in xs for y in ys]
-    signs = zip(pg.sign_dx.ravel().tolist(), pg.sign_dy.ravel().tolist())
-    field = zip(pg.dx.ravel().tolist(), pg.dy.ravel().tolist())
+    gx, gy = (g.ravel().tolist() for g in np.meshgrid(pg.xs, pg.ys, indexing="ij"))
     written = [
-        _write_csv(out / "nullclines.csv", "kind,A,B,C,x,y", nullcline_rows()),
-        _write_csv(out / "signgrid.csv", "x,y,sign_dx,sign_dy",
-                   ((x, y, sx, sy) for (x, y), (sx, sy) in zip(grid, signs))),
-        _write_csv(out / "vectorfield.csv", "x,y,dxdt,dydt",
-                   ((x, y, fx, fy) for (x, y), (fx, fy) in zip(grid, field))),
+        _write_csv(out / "nullclines.csv", "kind,A,B,C,x,y", "%s,%s,%.9g,%.9g",
+                   nullcline_rows()),
+        _write_csv(out / "signgrid.csv", "x,y,sign_dx,sign_dy", "%.9g,%.9g,%d,%d",
+                   zip(gx, gy, pg.sign_dx.ravel().tolist(), pg.sign_dy.ravel().tolist())),
+        _write_csv(out / "vectorfield.csv", "x,y,dxdt,dydt", "%.9g,%.9g,%.9g,%.9g",
+                   zip(gx, gy, pg.dx.ravel().tolist(), pg.dy.ravel().tolist())),
     ]
     for name, traj in trajectories:
         written.append(_write_csv(
-            out / f"trajectory_{name}.csv", "t,x,y",
-            ((t, x, y) for t, (x, y) in zip(traj.t.tolist(), traj.states.tolist()))))
+            out / f"trajectory_{name}.csv", "t,x,y", "%.9g,%.9g,%.9g",
+            zip(traj.t.tolist(), *traj.states.T.tolist())))
 
     p = out / "README.md"
     _write_text(p, _PHASE_README)

@@ -249,7 +249,8 @@ def sobol_indices(
     squared-difference estimator V_~i-complement ~ mean((f(A) - f(A_B^i))^2)/2.
     A base index is dropped whole when its A-row, B-row or any A_B^i row,
     that is any row of its block, is invalid; at least half the base sample
-    must survive.
+    must survive.  A variance that is zero or not finite, or an index that
+    is not finite, raises DegenerateVariance.
     """
     n = design.n_base
     if outputs.shape != (n * BLOCK, 2) or valid.shape != (n * BLOCK,):
@@ -277,10 +278,16 @@ def sobol_indices(
             f"shares of {OUTPUT_NAMES} need a finite, positive variance")
 
     diff = blocks[:, 1:-1]                       # (2, D, retained)
-    diff -= f_a[:, None]                         # f(A_B^i) - f(A), in place
-    first = _mean_in_order(f_b[:, None] * diff) / variance[:, None]
-    diff *= diff                                 # == (f(A) - f(A_B^i))**2
-    total = _mean_in_order(diff) / (2.0 * variance[:, None])
+    # A tiny positive variance can still overflow a ratio; checked below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        diff -= f_a[:, None]                     # f(A_B^i) - f(A), in place
+        first = _mean_in_order(f_b[:, None] * diff) / variance[:, None]
+        diff *= diff                             # == (f(A) - f(A_B^i))**2
+        total = _mean_in_order(diff) / (2.0 * variance[:, None])
+    if not (np.all(np.isfinite(first)) and np.all(np.isfinite(total))):
+        raise DegenerateVariance(
+            f"Sobol' indices are not finite for a pooled output variance of "
+            f"{variance.tolist()}")
 
     return SobolResult(
         first_order=first,

@@ -1,17 +1,20 @@
-"""Straightforward reference versions of the batched sensitivity kernels.
+"""Straightforward reference versions of the batched kernels.
 
 ``lvdyn`` computes the Saltelli design, the closed-form equilibria and the
-Sobol' estimators with contiguous, unmasked array operations.  These are the
-plain formulations they replace: row-major blocks, boolean-masked division,
-row reductions and one loop iteration per parameter.  The tests require the
-package kernels to equal them bit for bit.
+Sobol' estimators with contiguous, unmasked array operations, and checks the
+RK4 step doubling of a whole path in one array pass.  These are the plain
+formulations they replace: row-major blocks, boolean-masked division, row
+reductions, one loop iteration per parameter and one step-doubling check per
+RK4 step.  The tests require the package kernels to equal them bit for bit.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from lvdyn.dynamics import INTERIOR_DENOM_EPS
+from lvdyn.dynamics import (INTERIOR_DENOM_EPS, NEGATIVE_STATE_TOL, RK4_ERROR_TOL,
+                           Trajectory, _rk4_step)
+from lvdyn.errors import NegativeState, StepTooLarge, ValidationError
 from lvdyn.sensitivity import BLOCK, N_PARAMS, _sobol_unit
 
 
@@ -68,3 +71,32 @@ def sobol_indices(n_base: int, outputs: np.ndarray, valid: np.ndarray):
         first[:, i] = np.mean(f_b * diff, axis=0) / variance
         total[:, i] = np.mean((f_a - f_ab[:, i, :]) ** 2, axis=0) / (2.0 * variance)
     return first, total, variance, int(np.count_nonzero(keep))
+
+
+def integrate_ode(cp, x0, t_end, dt=0.001, error_tol=RK4_ERROR_TOL) -> Trajectory:
+    """RK4 with the step-doubling check made inside the loop, step by step."""
+    if dt <= 0:
+        raise ValidationError(f"dt must be > 0, got {dt}")
+    if t_end < 0:
+        raise ValidationError(f"t_end must be >= 0, got {t_end}")
+    if x0[0] < 0 or x0[1] < 0:
+        raise ValidationError(f"x0 must lie in the closed first quadrant, got {x0}")
+
+    n_steps = int(round(t_end / dt))
+    t = np.linspace(0.0, n_steps * dt, n_steps + 1)
+    x, y = float(x0[0]), float(x0[1])
+    path = [(x, y)]
+    half_dt = dt / 2.0
+    for k in range(n_steps):
+        fx, fy = _rk4_step(cp, x, y, dt)
+        hx, hy = _rk4_step(cp, *_rk4_step(cp, x, y, half_dt), half_dt)
+        err = max(abs(fx - hx), abs(fy - hy)) / max(abs(hx), abs(hy), 1.0)
+        if err > error_tol:
+            raise StepTooLarge(
+                f"step-doubling estimate {err:.3e} exceeds {error_tol:g} at t={t[k]:g}")
+        x, y = fx, fy
+        if min(x, y) < NEGATIVE_STATE_TOL:
+            raise NegativeState(
+                f"state left the first quadrant at t={t[k + 1]:g}: {np.array((x, y))}")
+        path.append((x, y))
+    return Trajectory(t=t, states=np.array(path))

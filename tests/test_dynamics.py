@@ -22,8 +22,10 @@ from lvdyn import (
     phase_geometry,
     stability_at,
 )
-from lvdyn.dynamics import interior_equilibria, vector_field
+from lvdyn.dynamics import RK4_ERROR_TOL, interior_equilibria, vector_field
+from lvdyn.errors import LvdynError
 
+import reference_kernels as ref
 from conftest import PUBLISHED
 
 
@@ -403,6 +405,95 @@ def test_integrate_negative_state():
         integrate_ode(cp, (10.0, 1.0), 1.0, 1.0, error_tol=np.inf)
     assert str(info.value) == (
         "state left the first quadrant at t=1: [-6.49149299e+10  1.10517083e+00]")
+
+
+def ode_outcome(integrate, *args) -> tuple:
+    """A completed path as (states, t), or a failure as (type, message)."""
+    try:
+        traj = integrate(*args)
+    except LvdynError as exc:
+        return type(exc), str(exc)
+    return traj.states, traj.t
+
+
+def assert_same_outcome(*args) -> tuple:
+    """The same failure and message as the per-step loop, or the same path.
+
+    Paths match bit for bit, zero signs included, except for the sign and
+    payload of a NaN: CPython does not fix which operand's NaN a float
+    operation returns, and the loop itself varies there from call to call.
+    """
+    got = ode_outcome(integrate_ode, *args)
+    want = ode_outcome(ref.integrate_ode, *args)
+    if not isinstance(want[0], np.ndarray):
+        assert got == want
+        return got
+    assert isinstance(got[0], np.ndarray), got
+    for g, w in zip(got, want):
+        assert g.shape == w.shape and np.array_equal(g, w, equal_nan=True)
+        num = ~np.isnan(w)
+        assert np.array_equal(np.signbit(g)[num], np.signbit(w)[num])
+    return got
+
+
+def test_integrate_flagged_step_wins_over_later_negative_state():
+    # Step 0 fails the step-doubling check; without the check the path goes
+    # on and leaves the quadrant at t=0.5.  The earlier failure is raised.
+    cp = ContinuousParams(a1=1.7, b11=-0.2, b12=0.1, a2=-1.5, b21=2.0, b22=-0.2)
+    assert assert_same_outcome(cp, (8.0, 14.0), 5.0, 0.25) == (
+        StepTooLarge, "step-doubling estimate 2.392e-01 exceeds 0.001 at t=0")
+    assert assert_same_outcome(cp, (8.0, 14.0), 5.0, 0.25, np.inf) == (
+        NegativeState,
+        "state left the first quadrant at t=0.5: [ 4.02285356e+07 -5.04432257e+08]")
+
+
+def test_integrate_flagged_step_that_also_goes_negative():
+    # The step of test_integrate_negative_state, now with the check on.
+    cp = ContinuousParams(a1=0.0, b11=-1.0, b12=0, a2=0.1, b21=0, b22=0)
+    got = assert_same_outcome(cp, (10.0, 1.0), 1.0, 1.0)
+    assert got[0] is StepTooLarge
+
+
+# In this step the second half step of y overflows to inf - inf = NaN while
+# every stage value stays finite, so x is unaffected: |fy - hy| and |hy| are
+# NaN, the second argument of both max calls.  Python's max passes over a NaN
+# after the first argument and keeps one in first place.
+_NAN_SECOND = dict(a1=-1.0, b11=0.0, b12=0.0, a2=-3e36, b21=0.0, b22=5e-163)
+
+
+def test_integrate_nan_in_second_max_argument_is_passed_over():
+    cp = ContinuousParams(**_NAN_SECOND)
+    assert assert_same_outcome(cp, (1.0, 5e15), 1.0, 1.0) == (
+        StepTooLarge, "step-doubling estimate 6.829e-03 exceeds 0.001 at t=0")
+
+
+def test_integrate_nan_in_first_max_argument_is_kept():
+    # The same step with x and y swapped: the estimate is NaN, which never
+    # exceeds the tolerance, so the step is accepted.
+    p = _NAN_SECOND
+    cp = ContinuousParams(a1=p["a2"], b11=p["b22"], b12=0.0, a2=p["a1"], b21=0.0, b22=0.0)
+    assert_same_outcome(cp, (5e15, 1.0), 1.0, 1.0)
+    traj = integrate_ode(cp, (5e15, 1.0), 1.0, 1.0)
+    assert traj.states[1].tolist() == [1.6875e160, 0.375]
+
+
+def test_integrate_matches_per_step_reference_property():
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    coeff = st.one_of(
+        st.just(0.0),
+        st.builds(lambda sign, exp: sign * 10.0 ** exp,
+                  st.sampled_from([-1.0, 1.0]), st.floats(-4, 2)))
+    params = st.builds(ContinuousParams, coeff, coeff, coeff, coeff, coeff, coeff)
+    state = st.one_of(st.floats(0, 1e3), st.sampled_from([0.0, 1e300, np.inf, np.nan]))
+
+    @hyp.settings(max_examples=300, deadline=None)
+    @hyp.given(cp=params, x0=st.tuples(state, state), t_end=st.floats(0, 3),
+               dt=st.floats(1e-3, 0.5), tol=st.sampled_from([RK4_ERROR_TOL, 1e-6, np.inf]))
+    def check(cp, x0, t_end, dt, tol):
+        assert_same_outcome(cp, x0, t_end, dt, tol)
+
+    check()
 
 
 def test_integrate_validates_arguments():

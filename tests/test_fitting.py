@@ -177,6 +177,14 @@ def test_singular_design_on_underflowing_gram_matrix():
         fit_details(ts)
 
 
+def test_singular_design_on_overflowing_normal_equations(physical_series):
+    # Scaled by 1e160 the regressors are finite, but X.T @ X overflows.
+    ts = series([x * 1e160 for x in physical_series.xs],
+                [y * 1e160 for y in physical_series.ys])
+    with pytest.raises(SingularDesign, match="normal equations overflow"):
+        fit_details(ts)
+
+
 def test_fit_needs_five_points():
     # Four points make a valid series but leave the centered adjusted R^2
     # of the three-term model with no residual degree of freedom.

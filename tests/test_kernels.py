@@ -9,6 +9,7 @@ import pytest
 
 from lvdyn import (
     ContinuousParams,
+    DegenerateVariance,
     ParamBounds,
     bounds_from_baseline,
     discrete_to_continuous,
@@ -154,10 +155,31 @@ def test_indices_match_reference_property():
         valid[invalid] = False
         with np.errstate(all="ignore"):
             first, total, variance, _ = ref.sobol_indices(n, outputs, valid)
-        hyp.assume(np.all(variance > 0))
+        if not (np.all(variance > 0) and np.all(np.isfinite(first))
+                and np.all(np.isfinite(total))):
+            with pytest.raises(DegenerateVariance):
+                sobol_indices(design, outputs, valid)
+            return
         res = sobol_indices(design, outputs, valid)
         assert_same(res.first_order, first)
         assert_same(res.total_order, total)
         assert_same(res.total_variance, variance)
 
     check()
+
+
+def test_indices_overflowing_on_a_tiny_variance_raise():
+    # y* is 1e-153 on one A-row and 0 elsewhere, so its pooled variance is
+    # positive but near 1e-308; one A_B^1 row of 43 then makes the squared
+    # difference over 2V overflow to an infinite total-order index.
+    n = 64
+    design = saltelli_sample(ParamBounds(lower=np.zeros(6), upper=np.ones(6)), n, 1)
+    outputs = np.zeros((n * BLOCK, 2))
+    outputs[0] = (1.0, 1e-153)
+    outputs[1] = (0.0, 43.0)
+    valid = np.ones(n * BLOCK, dtype=bool)
+    with np.errstate(all="ignore"):
+        _, total, variance, _ = ref.sobol_indices(n, outputs, valid)
+    assert np.all(variance > 0) and np.isinf(total[1, 0])
+    with pytest.raises(DegenerateVariance, match="not finite"):
+        sobol_indices(design, outputs, valid)

@@ -6,10 +6,13 @@ import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from lvdyn import (
     AnalysisConfig,
+    BBox,
+    ContinuousParams,
     IoError,
     NonPositiveValue,
     ParseError,
@@ -19,9 +22,11 @@ from lvdyn import (
     export_phase_data,
     fixture_path,
     load_series,
+    phase_geometry,
     run_pipeline,
     write_report,
 )
+from lvdyn import pipeline
 from lvdyn.baselines import BASELINES
 from lvdyn.cli import main
 from lvdyn.params import PARAM_NAMES
@@ -309,6 +314,67 @@ def test_csv_files_match_report_arrays(tmp_path, injected_reports):
         for oi in range(len(OUTPUT_NAMES)) for pi in range(len(PARAM_NAMES))]
 
 
+def per_cell(row) -> str:
+    """A CSV line by the per-cell rule: ``.9g`` for a float, ``str`` otherwise."""
+    return ",".join(f"{v:.9g}" if isinstance(v, float) else str(v) for v in row)
+
+
+#: Cell values a float column may meet: signed zeros and infinities, NaN,
+#: subnormals, extremes, values that need all nine digits, NumPy scalars.
+EDGE_FLOATS = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1e-310,
+               1e300, -1e300, 1e-300, -1e-300, 1.7976931348623157e308, 1 / 3,
+               -123456789.5, 1e16, 0.1, np.float64(-0.0), np.float64(2.5e-320),
+               np.float64(-1e300), np.float64(np.nan), np.float64(1 / 3)]
+SMALL_INTS = [-1, 0, 1, 7, 20, 40401]
+
+
+def test_csv_row_formats_match_the_per_cell_rule(tmp_path, monkeypatch, injected_reports):
+    calls = {}
+    write_csv_rows = pipeline._write_csv
+
+    def spy(path, header, fmt, rows):
+        rows = list(rows)
+        calls[path.name] = fmt, rows
+        return write_csv_rows(path, header, fmt, rows)
+
+    monkeypatch.setattr(pipeline, "_write_csv", spy)
+    write_report(injected_reports["ai_physical"], tmp_path)
+    assert sorted(calls) == ["nullclines.csv", "signgrid.csv", "sobol.csv",
+                             "trajectory_discrete.csv", "trajectory_ode.csv",
+                             "vectorfield.csv"]
+    for fmt, rows in calls.values():
+        assert rows and all(fmt % row == per_cell(row) for row in rows)
+        # Every column kind of the format against its edge values.
+        kinds = fmt.split(",")
+        for k, v in enumerate(EDGE_FLOATS + SMALL_INTS):
+            row = tuple({"%.9g": v if isinstance(v, float) else float(v),
+                         "%d": SMALL_INTS[k % len(SMALL_INTS)],
+                         "%s": "x"}[kind] for kind in kinds)
+            assert fmt % row == per_cell(row)
+
+
+def test_nullclines_print_int_coefficients_as_given(tmp_path):
+    # Library callers may build parameters from ints; a coefficient of ten
+    # digits shows that they print by str, not in nine significant digits.
+    cp = ContinuousParams(a1=3000000001, b11=-1000000000, b12=-1000000000,
+                          a2=4, b21=-1, b22=-2)
+    pg = phase_geometry(cp, BBox(0.5, 3.0, 0.5, 3.0), 11)
+    export_phase_data(pg, [], tmp_path)
+    lines = (tmp_path / "nullclines.csv").read_text().splitlines()
+    want = ["kind,A,B,C,x,y"]
+    for kind, (ca, cb, cc) in (("x", pg.nullcline_x), ("y", pg.nullcline_y)):
+        for x in pg.xs.tolist():
+            y = -(ca + cb * x) / cc
+            if 0.5 <= y <= 3.0:
+                want.append(per_cell((kind, ca, cb, cc, x, y)))
+        for y in pg.ys.tolist():
+            x = -(ca + cc * y) / cb
+            if 0.5 <= x <= 3.0:
+                want.append(per_cell((kind, ca, cb, cc, x, y)))
+    assert lines == want
+    assert {line.split(",", 4)[1] for line in lines[1:]} == {"3000000001", "4"}
+
+
 def test_nullcline_lines_pass_through_equilibrium(injected_reports):
     d = injected_reports["ai_physical"].to_dict()
     x, y = d["equilibria"]["interior"]
@@ -540,6 +606,18 @@ def test_cli_overflowing_fit_fails_sobol_with_typed_cause(tmp_path, capsys):
     assert d["failed_stage"] == "sobol"
     assert d["error"].startswith("TooManyRejections:")
     assert d["equilibria"]["interior"] is None
+
+
+def test_cli_overflowing_normal_equations_exit_code(tmp_path, capsys):
+    # The fixture scaled by 1e160: X.T @ X overflows.  This exited 2 with a
+    # NaN intercept, after a RuntimeWarning from matmul.
+    header, *rows = PHYS_FIXTURE.read_text(encoding="utf-8").splitlines()
+    scaled = [header] + [
+        ",".join([year] + [repr(float(v) * 1e160) for v in values])
+        for year, *values in (row.split(",") for row in rows)]
+    assert main(["fit", "--input", str(write_csv(tmp_path, scaled))]) == 3
+    err = capsys.readouterr().err
+    assert "stage 'fit'" in err and "normal equations overflow" in err
 
 
 def test_cli_csv_format(tmp_path):

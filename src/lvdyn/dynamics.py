@@ -59,19 +59,21 @@ def vector_field(cp: ContinuousParams, x: float | np.ndarray,
     return f1, f2
 
 
-def interior_equilibria(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-form intersection of the two interior nullclines, row by row.
+def interior_equilibria(columns, out: np.ndarray | None = None
+                        ) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form intersection of the two interior nullclines, elementwise.
 
-    ``theta`` is an (n, 6) array of coefficients in PARAM_NAMES order.
-    Returns (points, ok): points is (n, 2) with columns (x*, y*), and ok is
-    False, with NaN in points, where the nullclines are (numerically)
-    parallel, judged against the magnitude of the coefficient products
-    involved, or where those products overflow.
+    ``columns`` holds six coefficient arrays of one length n in PARAM_NAMES
+    order, such as the transpose of an (n, 6) array of parameter rows.
+    Returns (points, ok): points is (2, n) with rows (x*, y*), written into
+    ``out`` when given, and ok is False, with NaN in points, where the
+    nullclines are (numerically) parallel, judged against the magnitude of
+    the coefficient products involved, or where those products overflow.
     """
-    a1, b11, b12, a2, b21, b22 = np.asarray(theta, dtype=float).T
-    points = np.empty((2, len(a1))).T             # (n, 2), columns contiguous
-    # Every row is computed unmasked, the rows that are not ok are overwritten
-    # last, and the two product buffers are reused throughout.
+    a1, b11, b12, a2, b21, b22 = (np.asarray(c, dtype=float) for c in columns)
+    points = np.empty((2, len(a1))) if out is None else out
+    # Every element is computed unmasked, the ones that are not ok are
+    # overwritten last, and the two product buffers are reused throughout.
     with np.errstate(all="ignore"):
         cross, own = b12 * b21, b11 * b22
         den = cross - own
@@ -83,10 +85,11 @@ def interior_equilibria(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         ok = (abs_den >= scale) & (abs_den < np.inf)
         num, tmp = scale, abs_den                 # both spent: reuse for the numerators
         np.subtract(np.multiply(a1, b22, out=num), np.multiply(b12, a2, out=tmp), out=num)
-        np.divide(num, den, out=points[:, 0])
+        np.divide(num, den, out=points[0])
         np.subtract(np.multiply(b11, a2, out=num), np.multiply(a1, b21, out=tmp), out=num)
-        np.divide(num, den, out=points[:, 1])
-    points[~ok] = np.nan
+        np.divide(num, den, out=points[1])
+    if not ok.all():
+        points[:, ~ok] = np.nan
     return points, ok
 
 
@@ -95,8 +98,8 @@ def interior_equilibrium(cp: ContinuousParams) -> tuple[float, float] | None:
 
     Returns None when the nullclines are (numerically) parallel.
     """
-    points, ok = interior_equilibria([cp.as_tuple()])
-    return tuple(points[0].tolist()) if ok[0] else None
+    points, ok = interior_equilibria([[v] for v in cp.as_tuple()])
+    return tuple(points[:, 0].tolist()) if ok[0] else None
 
 
 @dataclass(frozen=True)
@@ -312,8 +315,9 @@ def integrate_ode(
         raise ValidationError(f"dt must be > 0, got {dt}")
     if t_end < 0:
         raise ValidationError(f"t_end must be >= 0, got {t_end}")
-    if x0[0] < 0 or x0[1] < 0:
-        raise ValidationError(f"x0 must lie in the closed first quadrant, got {x0}")
+    if not (0 <= x0[0] < np.inf and 0 <= x0[1] < np.inf):
+        raise ValidationError(
+            f"x0 must be finite and lie in the closed first quadrant, got {x0}")
 
     n_steps = int(round(t_end / dt))
     t = np.linspace(0.0, n_steps * dt, n_steps + 1)

@@ -103,6 +103,15 @@ class AnalysisConfig:
     grid_n: int = 41
 
     def validate(self) -> None:
+        for name in ("sobol_n", "grid_n", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+                raise ValidationError(f"{name} must be an integer, got {value!r}")
+        for name in ("fraction", "classify_tol"):
+            value = getattr(self, name)
+            if (not isinstance(value, (int, float, np.integer, np.floating))
+                    or isinstance(value, bool)):
+                raise ValidationError(f"{name} must be a real number, got {value!r}")
         if self.sobol_n < 64 or self.sobol_n & (self.sobol_n - 1) != 0:
             raise ValidationError(
                 f"sobol_n must be a power of two >= 64, got {self.sobol_n}")
@@ -118,7 +127,7 @@ class AnalysisConfig:
                 f"unknown baseline {self.baseline_key!r}; choose from {sorted(BASELINES)}")
         if self.grid_n < 2:
             raise ValidationError(f"grid_n must be >= 2, got {self.grid_n}")
-        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+        if self.seed < 0:
             raise ValidationError(f"seed must be a non-negative integer, got {self.seed!r}")
 
 

@@ -4,9 +4,13 @@ The equilibrium (x*, y*) is a closed-form function of the six ODE
 coefficients.  Each coefficient is varied independently and uniformly inside
 a box around its baseline, the model is evaluated on a Saltelli design built
 from a scrambled Sobol' sequence, and first-order / total-order variance
-shares are estimated per output.  Parameter draws whose equilibrium is
-non-finite or leaves the first quadrant are rejected; rejection removes the
-whole base-index triple so estimator pairings stay aligned.
+shares are estimated per output.  The design keeps only its base matrices A
+and B; the N*(D+2) parameter sets are evaluated one block row at a time
+(A, each A_B^i, B) from column views of A and B, and the outputs are laid
+out (output, block row, base index) for the estimators.  Parameter draws
+whose equilibrium is non-finite or leaves the first quadrant are rejected;
+rejection removes the whole base-index triple so estimator pairings stay
+aligned.
 """
 
 from __future__ import annotations
@@ -143,23 +147,31 @@ def bounds_from_baseline(cp: ContinuousParams, fraction: float) -> ParamBounds:
 
 @dataclass(frozen=True)
 class SaltelliDesign:
-    """Saltelli sample of N*(D+2) rows for D=6 parameters.
+    """Saltelli design of N*(D+2) parameter sets for D=6 parameters.
 
-    Rows are grouped per base index j in blocks of BLOCK = D+2: the A-row,
-    the D rows where column i is swapped in from B, and the B-row, so
-    ``matrix.reshape(n_base, BLOCK, D)[:, k]`` is block row k of every base
-    index (the reshape copies; see below).  These are the only rows the
+    Only the base matrices A and B are stored, each as (D, n_base): row i is
+    parameter i, column j base index j.  Every base index has BLOCK = D+2
+    block rows: the A-row, the D rows A_B^i that take column i from B, and
+    the B-row; :meth:`block` gives block row k of every base index as six
+    column views of A and B.  These are the only parameter sets the
     first-order (Saltelli 2010) and total-order (Jansen 1999) estimators
-    read.  The layout is deterministic for a given (bounds, n_base, seed).
-
-    The matrix is stored column-major (Fortran order): the equilibrium is
-    evaluated one parameter column at a time, and a contiguous column lets
-    every array operation run as one long inner loop.
+    read, and none of them is copied into a design matrix.  The layout is
+    deterministic for a given (bounds, n_base, seed).
     """
 
-    matrix: np.ndarray   # (n_base*BLOCK, D), column-major
+    a: np.ndarray   # (D, n_base)
+    b: np.ndarray   # (D, n_base)
     n_base: int
     seed: int
+
+    def block(self, k: int) -> list[np.ndarray]:
+        """Parameter columns of block row k: A, A_B^k (k = 1..D) or B."""
+        if k == BLOCK - 1:
+            return list(self.b)
+        columns = list(self.a)
+        if k:
+            columns[k - 1] = self.b[k - 1]
+        return columns
 
 
 def saltelli_sample(bounds: ParamBounds, n_base: int, seed: int) -> SaltelliDesign:
@@ -176,28 +188,46 @@ def saltelli_sample(bounds: ParamBounds, n_base: int, seed: int) -> SaltelliDesi
     width = bounds.upper[:, None] - lower
     a = lower + unit[:N_PARAMS] * width
     b = lower + unit[N_PARAMS:] * width
-
-    columns = np.empty((N_PARAMS, n_base, BLOCK))      # [param, base, block row]
-    columns[:] = a[:, :, None]
-    columns[:, :, -1] = b
-    for i in range(N_PARAMS):
-        columns[i, :, 1 + i] = b[i]
-    matrix = columns.reshape(N_PARAMS, -1).T
-    return SaltelliDesign(matrix=matrix, n_base=n_base, seed=seed)
+    return SaltelliDesign(a=a, b=b, n_base=n_base, seed=seed)
 
 
-def evaluate_equilibria(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-form interior equilibrium for every sample row.
+def _screen(columns, out: np.ndarray | None = None, valid: np.ndarray | None = None):
+    """Equilibria of six parameter columns with the validity rule applied.
 
-    Returns (outputs, valid): outputs has columns (x*, y*); a row is invalid
-    when the nullclines are parallel, the result is non-finite, or either
-    component is negative.  Invalid rows carry NaN outputs.
+    A point is valid when its nullclines cross and it is finite and in the
+    closed first quadrant; an invalid point is NaN.  Writes into ``out``
+    (2, n) and ``valid`` (n,) when given.
     """
-    out, ok = interior_equilibria(samples)
-    x, y = out.T
-    valid = ok & (x >= 0) & (y >= 0) & (x < np.inf) & (y < np.inf)
-    out[~valid] = np.nan
-    return out, valid
+    points, ok = interior_equilibria(columns, out)
+    x, y = points
+    valid = np.logical_and(ok, x >= 0, out=valid)
+    valid &= y >= 0
+    valid &= x < np.inf
+    valid &= y < np.inf
+    if not valid.all():
+        points[:, ~valid] = np.nan
+    return points, valid
+
+
+def evaluate_equilibria(samples) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form interior equilibrium of every sampled parameter set.
+
+    ``samples`` is a SaltelliDesign or an (n, 6) array of parameter rows.
+    A design is evaluated one block row at a time, straight from the columns
+    of A and B: outputs is (2, BLOCK, n_base), indexed (output, block row,
+    base index), and valid is (BLOCK, n_base).  Rows give outputs (n, 2),
+    with columns (x*, y*), and valid (n,).  A point is invalid when the
+    nullclines are parallel, the result is non-finite, or either component
+    is negative; invalid points carry NaN outputs.
+    """
+    if isinstance(samples, SaltelliDesign):
+        outputs = np.empty((2, BLOCK, samples.n_base))
+        valid = np.empty((BLOCK, samples.n_base), dtype=bool)
+        for k in range(BLOCK):
+            _screen(samples.block(k), outputs[:, k], valid[k])
+        return outputs, valid
+    points, valid = _screen(np.asarray(samples, dtype=float).T)
+    return points.T, valid
 
 
 @dataclass(frozen=True)
@@ -244,31 +274,30 @@ def sobol_indices(
 ) -> SobolResult:
     """Estimate variance shares from an evaluated Saltelli design.
 
-    First-order indices use the cross-matrix covariance estimator
-    V_i ~ mean(f(B) * (f(A_B^i) - f(A))); total-order indices use the
-    squared-difference estimator V_~i-complement ~ mean((f(A) - f(A_B^i))^2)/2.
-    A base index is dropped whole when its A-row, B-row or any A_B^i row,
-    that is any row of its block, is invalid; at least half the base sample
-    must survive.  A variance that is zero or not finite, or an index that
-    is not finite, raises DegenerateVariance.
+    ``outputs`` (2, BLOCK, n_base) and ``valid`` (BLOCK, n_base) are laid
+    out as :func:`evaluate_equilibria` returns them for ``design``; neither
+    is modified.  First-order indices use the cross-matrix covariance
+    estimator V_i ~ mean(f(B) * (f(A_B^i) - f(A))); total-order indices use
+    the squared-difference estimator V_~i-complement ~ mean((f(A) -
+    f(A_B^i))^2)/2.  A base index is dropped whole when its A-row, B-row or
+    any A_B^i row, that is any row of its block, is invalid; at least half
+    the base sample must survive.  A variance that is zero or not finite, or
+    an index that is not finite, raises DegenerateVariance.
     """
     n = design.n_base
-    if outputs.shape != (n * BLOCK, 2) or valid.shape != (n * BLOCK,):
+    if outputs.shape != (2, BLOCK, n) or valid.shape != (BLOCK, n):
         raise ValidationError("outputs/valid do not match the design shape")
 
     accepted = int(np.count_nonzero(valid))
-    keep = np.ones(n, dtype=bool)
-    keep[np.flatnonzero(~valid) // BLOCK] = False
+    keep = valid.all(axis=0)
     retained = int(np.count_nonzero(keep))
     if retained < MIN_RETAINED_FRACTION * n:
         raise TooManyRejections(
             f"only {retained} of {n} sample triples valid; need at least "
             f"{MIN_RETAINED_FRACTION:.0%}")
 
-    # A copy indexed (output, block row, retained base index), so that every
-    # operation below runs along the long, contiguous base-index axis.
-    first_rows = np.flatnonzero(keep) * BLOCK
-    blocks = np.take(outputs.T, first_rows + np.arange(BLOCK)[:, None], axis=1)
+    # Every operation below runs along the long, contiguous base-index axis.
+    blocks = outputs if retained == n else outputs[:, :, keep]
     f_a, f_b = blocks[:, 0], blocks[:, -1]       # (2, retained)
     with np.errstate(over="ignore", invalid="ignore"):
         variance = _var_in_order(np.concatenate([f_a, f_b], axis=1))
@@ -277,10 +306,9 @@ def sobol_indices(
             f"pooled output variance is {variance.tolist()}; the variance "
             f"shares of {OUTPUT_NAMES} need a finite, positive variance")
 
-    diff = blocks[:, 1:-1]                       # (2, D, retained)
     # A tiny positive variance can still overflow a ratio; checked below.
     with np.errstate(over="ignore", invalid="ignore"):
-        diff -= f_a[:, None]                     # f(A_B^i) - f(A), in place
+        diff = np.subtract(blocks[:, 1:-1], f_a[:, None])    # f(A_B^i) - f(A)
         first = _mean_in_order(f_b[:, None] * diff) / variance[:, None]
         diff *= diff                             # == (f(A) - f(A_B^i))**2
         total = _mean_in_order(diff) / (2.0 * variance[:, None])
@@ -294,7 +322,7 @@ def sobol_indices(
         total_order=total,
         total_variance=variance,
         accepted_count=accepted,
-        rejected_count=len(valid) - accepted,
+        rejected_count=valid.size - accepted,
         retained_triples=retained,
         n_base=n,
         seed=design.seed,
@@ -307,5 +335,5 @@ def analyze_sensitivity(
     """End-to-end driver: bounds, sampling, evaluation, indices."""
     bounds = bounds_from_baseline(cp, fraction)
     design = saltelli_sample(bounds, n_base, seed)
-    outputs, valid = evaluate_equilibria(design.matrix)
+    outputs, valid = evaluate_equilibria(design)
     return sobol_indices(design, outputs, valid)

@@ -1,11 +1,14 @@
 """Straightforward reference versions of the batched kernels.
 
-``lvdyn`` computes the Saltelli design, the closed-form equilibria and the
-Sobol' estimators with contiguous, unmasked array operations, and checks the
-RK4 step doubling of a whole path in one array pass.  These are the plain
-formulations they replace: row-major blocks, boolean-masked division, row
-reductions, one loop iteration per parameter and one step-doubling check per
-RK4 step.  The tests require the package kernels to equal them bit for bit.
+``lvdyn`` evaluates the Saltelli design block row by block row from the base
+matrices A and B, computes the closed-form equilibria and the Sobol'
+estimators with contiguous, unmasked array operations, and checks the RK4
+step doubling of a whole path in one array pass.  These are the plain
+formulations they replace: a materialised row-major design, boolean-masked
+division, row reductions, one loop iteration per parameter and one
+step-doubling check per RK4 step.  The tests require the package kernels to
+equal them bit for bit, after :func:`block_major` puts the row-major results
+in the package's (..., block row, base index) order.
 """
 
 from __future__ import annotations
@@ -29,6 +32,22 @@ def saltelli_matrix(bounds, n_base: int, seed: int) -> np.ndarray:
     for i in range(N_PARAMS):
         blocks[:, 1 + i, i] = b[:, i]
     return blocks.reshape(-1, N_PARAMS)
+
+
+def block_major(rows: np.ndarray, n_base: int) -> np.ndarray:
+    """Row-major design data, (n_base*BLOCK, ...) -> (..., BLOCK, n_base)."""
+    blocks = rows.reshape(n_base, BLOCK, *rows.shape[1:])
+    return np.moveaxis(blocks, (0, 1), (-1, -2))
+
+
+def design_rows(design) -> np.ndarray:
+    """(BLOCK, n_base, D): the parameter rows of every block row of a design."""
+    return np.stack([np.column_stack(design.block(k)) for k in range(BLOCK)])
+
+
+def block_values(f, design) -> np.ndarray:
+    """f of every parameter row of a design, as (BLOCK, n_base)."""
+    return f(design_rows(design).reshape(-1, N_PARAMS)).reshape(BLOCK, design.n_base)
 
 
 def interior_equilibria(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -79,8 +98,9 @@ def integrate_ode(cp, x0, t_end, dt=0.001, error_tol=RK4_ERROR_TOL) -> Trajector
         raise ValidationError(f"dt must be > 0, got {dt}")
     if t_end < 0:
         raise ValidationError(f"t_end must be >= 0, got {t_end}")
-    if x0[0] < 0 or x0[1] < 0:
-        raise ValidationError(f"x0 must lie in the closed first quadrant, got {x0}")
+    if not (0 <= x0[0] < np.inf and 0 <= x0[1] < np.inf):
+        raise ValidationError(
+            f"x0 must be finite and lie in the closed first quadrant, got {x0}")
 
     n_steps = int(round(t_end / dt))
     t = np.linspace(0.0, n_steps * dt, n_steps + 1)

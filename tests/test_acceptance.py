@@ -28,6 +28,7 @@ from lvdyn.dynamics import vector_field
 from lvdyn.params import PARAM_NAMES
 from lvdyn.sensitivity import OUTPUT_NAMES
 
+from reference_kernels import block_values
 from conftest import (
     PUBLISHED,
     PUBLISHED_SOBOL,
@@ -148,7 +149,7 @@ def test_criterion_07_sobol_reproduction(injected_reports):
         rep = injected_reports[key]
         design = saltelli_sample(published_sobol_bounds(rep.continuous),
                                  rep.config.sobol_n, rep.config.seed)
-        res = sobol_indices(design, *evaluate_equilibria(design.matrix))
+        res = sobol_indices(design, *evaluate_equilibria(design))
         print(f"\n    {key} max |dS_T| vs published: documented box "
               f"{_max_total_order_miss(key, rep.sobol):.3f}, published-table box "
               f"{_max_total_order_miss(key, res):.3f}")
@@ -181,9 +182,8 @@ def test_criterion_08_estimator_oracles():
     # Single-variable function: all variance from parameter 1.
     bounds = ParamBounds(lower=np.zeros(6), upper=np.ones(6))
     design = saltelli_sample(bounds, 1024, seed=42)
-    vals = design.matrix[:, 0]
-    res = sobol_indices(design, np.column_stack([vals, vals]),
-                        np.ones(len(vals), dtype=bool))
+    vals = block_values(lambda m: m[:, 0], design)
+    res = sobol_indices(design, np.stack([vals, vals]), np.ones(vals.shape, dtype=bool))
     if abs(res.first_order[0, 0] - 1.0) > 0.02:
         failures.append(f"single-variable S_1 = {res.first_order[0, 0]:.3f}")
     if max(abs(res.first_order[0, i]) for i in range(1, 6)) > 0.02:
@@ -193,9 +193,8 @@ def test_criterion_08_estimator_oracles():
     bounds2 = ParamBounds(lower=np.zeros(6),
                           upper=np.array([2.0, 1.0, 1e-9, 1e-9, 1e-9, 1e-9]))
     design2 = saltelli_sample(bounds2, 1024, seed=43)
-    vals2 = design2.matrix[:, 0] + design2.matrix[:, 1]
-    res2 = sobol_indices(design2, np.column_stack([vals2, vals2]),
-                         np.ones(len(vals2), dtype=bool))
+    vals2 = block_values(lambda m: m[:, 0] + m[:, 1], design2)
+    res2 = sobol_indices(design2, np.stack([vals2, vals2]), np.ones(vals2.shape, dtype=bool))
     for i, share in ((0, 0.8), (1, 0.2)):
         if abs(res2.first_order[0, i] - share) > 0.02:
             failures.append(

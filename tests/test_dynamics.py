@@ -80,10 +80,10 @@ def test_interior_equilibria_zero_both_nullclines_property():
     @hyp.given(rows=rows)
     def check(rows):
         theta = np.array(rows)
-        points, ok = interior_equilibria(theta)
-        assert np.all(np.isnan(points[~ok]))
+        points, ok = interior_equilibria(theta.T)
+        assert np.all(np.isnan(points[:, ~ok]))
         a1, b11, b12, a2, b21, b22 = theta[ok].T
-        x, y = points[ok].T
+        x, y = points[:, ok]
         # Relative residual of each nullcline, bounded by the conditioning of
         # the 2x2 solve (near-parallel nullclines amplify rounding).
         cond = np.maximum(np.abs(b12 * b21), np.abs(b11 * b22)) / np.abs(b12 * b21 - b11 * b22)
@@ -504,3 +504,10 @@ def test_integrate_validates_arguments():
         integrate_ode(cp, (1.0, 1.0), -1.0, 0.1)
     with pytest.raises(ValidationError):
         integrate_ode(cp, (-1.0, 1.0), 1.0, 0.1)
+
+
+@pytest.mark.parametrize("x0", [(np.nan, 1.0), (1.0, np.nan), (np.inf, 1.0), (1.0, np.inf)])
+def test_integrate_rejects_non_finite_start(x0):
+    # Such a start would give a path that ends in NaN.
+    with pytest.raises(ValidationError, match="finite"):
+        integrate_ode(cp_for("ai_physical"), x0, 1.0, 0.1)

@@ -11,6 +11,7 @@ from lvdyn import (
     ContinuousParams,
     DegenerateVariance,
     ParamBounds,
+    analyze_sensitivity,
     bounds_from_baseline,
     discrete_to_continuous,
     evaluate_equilibria,
@@ -53,16 +54,21 @@ def assert_same(got: np.ndarray, want: np.ndarray) -> None:
 
 
 def assert_kernels_match(bounds: ParamBounds, n_base: int, seed: int) -> int:
-    """Run design, evaluation and indices against the references; return retained."""
+    """Run design, evaluation and indices against the references; return retained.
+
+    The references run on the row-major design; their rows are compared in
+    the package's block-major order.
+    """
     design = saltelli_sample(bounds, n_base, seed)
     want_matrix = ref.saltelli_matrix(bounds, n_base, seed)
-    assert design.matrix.flags.f_contiguous
-    assert_same(design.matrix, want_matrix)
+    assert design.a.flags.c_contiguous and design.b.flags.c_contiguous
+    assert_same(np.moveaxis(ref.design_rows(design), -1, 0),
+                ref.block_major(want_matrix, n_base))
 
-    outputs, valid = evaluate_equilibria(design.matrix)
+    outputs, valid = evaluate_equilibria(design)
     want_out, want_valid = ref.evaluate_equilibria(want_matrix)
-    assert_same(outputs, want_out)
-    assert np.array_equal(valid, want_valid)
+    assert_same(outputs, ref.block_major(want_out, n_base))
+    assert np.array_equal(valid, ref.block_major(want_valid, n_base))
 
     res = sobol_indices(design, outputs, valid)
     first, total, variance, retained = ref.sobol_indices(n_base, want_out, want_valid)
@@ -71,6 +77,7 @@ def assert_kernels_match(bounds: ParamBounds, n_base: int, seed: int) -> int:
     assert_same(res.total_variance, variance)
     assert res.retained_triples == retained
     assert res.accepted_count == np.count_nonzero(want_valid)
+    assert res.rejected_count == np.count_nonzero(~want_valid)
     return retained
 
 
@@ -79,7 +86,7 @@ def assert_kernels_match(bounds: ParamBounds, n_base: int, seed: int) -> int:
 @pytest.mark.parametrize("case", CASES)
 def test_kernels_match_references(case, seed, fraction):
     retained = assert_kernels_match(bounds_from_baseline(params_for(case), fraction), 1024, seed)
-    # The wide box rejects whole blocks, so the gather is exercised too.
+    # The wide box rejects whole blocks, so the compress is exercised too.
     assert (retained < 1024) == (fraction == 0.5)
 
 
@@ -89,17 +96,59 @@ def test_kernels_match_references_large_n(case, fraction):
     assert_kernels_match(bounds_from_baseline(params_for(case), fraction), 2**16, 3)
 
 
+def assert_chain_matches(cp: ContinuousParams, fraction: float, n_base: int, seed: int):
+    """analyze_sensitivity against the row-major reference chain, every field."""
+    res = analyze_sensitivity(cp, fraction, n_base, seed)
+    bounds = bounds_from_baseline(cp, fraction)
+    want_out, want_valid = ref.evaluate_equilibria(ref.saltelli_matrix(bounds, n_base, seed))
+    first, total, variance, retained = ref.sobol_indices(n_base, want_out, want_valid)
+    assert_same(res.first_order, first)
+    assert_same(res.total_order, total)
+    assert_same(res.total_variance, variance)
+    assert (res.accepted_count, res.rejected_count, res.retained_triples) == (
+        np.count_nonzero(want_valid), np.count_nonzero(~want_valid), retained)
+    assert (res.n_base, res.seed) == (n_base, seed)
+    return res
+
+
+@pytest.mark.parametrize("fraction", [0.1, 0.5])
+@pytest.mark.parametrize("seed", [1, 1024, 31337])
+@pytest.mark.parametrize("case", CASES)
+def test_analyze_sensitivity_matches_reference_chain(case, seed, fraction):
+    assert_chain_matches(params_for(case), fraction, 1024, seed)
+
+
+def test_analyze_sensitivity_matches_reference_chain_large_n():
+    res = assert_chain_matches(params_for("fitted:ai_physical"), 0.5, 2**16, 42)
+    assert res.retained_triples < 2**16
+
+
+@pytest.mark.parametrize("reject", [False, True], ids=["all-kept", "some-dropped"])
+def test_indices_leave_their_arguments_unmodified(reject):
+    design = saltelli_sample(bounds_from_baseline(params_for("published:ai_labor"), 0.1),
+                             256, 3)
+    outputs, valid = evaluate_equilibria(design)
+    if reject:
+        valid[3, :20] = False
+    want_out, want_valid = outputs.copy(), valid.copy()
+    res = sobol_indices(design, outputs, valid)
+    assert res.retained_triples == 256 - 20 * reject
+    assert_same(outputs, want_out)
+    assert np.array_equal(valid, want_valid)
+
+
 @pytest.mark.parametrize("f", [
     lambda m: m[:, 0] - 2.0,                  # negative; five inert inputs
     lambda m: np.sin(m[:, 0]) + 7.0 * np.sin(m[:, 1]) ** 2 - m[:, 5],
 ], ids=["negative-one-input", "ishigami-like"])
 def test_indices_match_reference_on_test_functions(f):
-    design = saltelli_sample(ParamBounds(lower=np.zeros(6), upper=np.ones(6)), 256, 5)
-    vals = f(np.ascontiguousarray(design.matrix))
+    bounds = ParamBounds(lower=np.zeros(6), upper=np.ones(6))
+    design = saltelli_sample(bounds, 256, 5)
+    vals = f(ref.saltelli_matrix(bounds, 256, 5))
     outputs = np.column_stack([vals, -vals])
     valid = np.ones(len(vals), dtype=bool)
     valid[[3, 40, 41, 999]] = False
-    res = sobol_indices(design, outputs, valid)
+    res = sobol_indices(design, ref.block_major(outputs, 256), ref.block_major(valid, 256))
     first, total, variance, _ = ref.sobol_indices(256, outputs, valid)
     assert_same(res.first_order, first)
     assert_same(res.total_order, total)
@@ -127,10 +176,10 @@ def test_equilibria_match_masked_reference_property():
     @hyp.given(rows=rows)
     def check(rows):
         theta = np.array(rows, dtype=float)
-        points, ok = interior_equilibria(theta)
+        points, ok = interior_equilibria(theta.T)
         want_points, want_ok = ref.interior_equilibria(theta)
         assert np.array_equal(ok, want_ok)
-        assert_same(points, want_points)
+        assert_same(points, want_points.T)
         out, valid = evaluate_equilibria(theta)
         want_out, want_valid = ref.evaluate_equilibria(theta)
         assert np.array_equal(valid, want_valid)
@@ -158,9 +207,9 @@ def test_indices_match_reference_property():
         if not (np.all(variance > 0) and np.all(np.isfinite(first))
                 and np.all(np.isfinite(total))):
             with pytest.raises(DegenerateVariance):
-                sobol_indices(design, outputs, valid)
+                sobol_indices(design, ref.block_major(outputs, n), ref.block_major(valid, n))
             return
-        res = sobol_indices(design, outputs, valid)
+        res = sobol_indices(design, ref.block_major(outputs, n), ref.block_major(valid, n))
         assert_same(res.first_order, first)
         assert_same(res.total_order, total)
         assert_same(res.total_variance, variance)
@@ -182,4 +231,4 @@ def test_indices_overflowing_on_a_tiny_variance_raise():
         _, total, variance, _ = ref.sobol_indices(n, outputs, valid)
     assert np.all(variance > 0) and np.isinf(total[1, 0])
     with pytest.raises(DegenerateVariance, match="not finite"):
-        sobol_indices(design, outputs, valid)
+        sobol_indices(design, ref.block_major(outputs, n), ref.block_major(valid, n))

@@ -29,6 +29,7 @@ from lvdyn import (
 from lvdyn import pipeline
 from lvdyn.baselines import BASELINES
 from lvdyn.cli import main
+from lvdyn.errors import exit_code_for
 from lvdyn.params import PARAM_NAMES
 from lvdyn.pipeline import report_json_text
 from lvdyn.sensitivity import OUTPUT_NAMES
@@ -139,6 +140,19 @@ def test_config_validated_before_any_work(tmp_path):
 def test_config_rejects_bad_seed(seed):
     with pytest.raises(ValidationError, match="seed"):
         config_for("ai_physical", seed=seed).validate()
+
+
+@pytest.mark.parametrize("name,value", [
+    ("sobol_n", 1024.0), ("sobol_n", "1024"), ("sobol_n", True),
+    ("grid_n", 41.5), ("grid_n", "41"), ("seed", True),
+    ("fraction", "0.1"), ("fraction", None), ("classify_tol", "0"),
+])
+def test_config_rejects_values_of_the_wrong_type(name, value):
+    # A typed error before any work: no bare TypeError from a comparison,
+    # and no grid_n=41.5 failing later at stage 'phase'.
+    with pytest.raises(ValidationError, match=name) as err:
+        config_for("ai_physical", **{name: value}).validate()
+    assert exit_code_for(err.value) == 2
 
 
 def test_config_rejects_nan_classify_tol():

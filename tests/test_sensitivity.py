@@ -6,6 +6,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +33,7 @@ from lvdyn.errors import exit_code_for
 from lvdyn.params import PARAM_NAMES
 from lvdyn.sensitivity import BLOCK, _sobol_unit
 
+import reference_kernels as ref
 from conftest import PUBLISHED
 
 
@@ -46,9 +48,9 @@ def unit_bounds() -> ParamBounds:
 def indices_for(f, bounds: ParamBounds, n_base=1024, seed=99):
     """Run the estimator on a scalar test function (same output both slots)."""
     design = saltelli_sample(bounds, n_base, seed)
-    vals = f(design.matrix)
-    outputs = np.column_stack([vals, vals])
-    valid = np.ones(len(vals), dtype=bool)
+    vals = ref.block_values(f, design)
+    outputs = np.stack([vals, vals])
+    valid = np.ones(vals.shape, dtype=bool)
     return sobol_indices(design, outputs, valid)
 
 
@@ -96,24 +98,29 @@ def test_param_bounds_validation():
 
 def test_design_row_counts():
     bounds = unit_bounds()
-    assert saltelli_sample(bounds, 64, 1).matrix.shape == (512, 6)
-    assert saltelli_sample(bounds, 1024, 1).matrix.shape == (8192, 6)
+    for n, rows in ((64, 512), (1024, 8192)):
+        design = saltelli_sample(bounds, n, 1)
+        assert design.a.shape == design.b.shape == (6, n)
+        assert ref.design_rows(design).reshape(-1, 6).shape == (rows, 6)
+        outputs, valid = evaluate_equilibria(design)
+        assert outputs.shape == (2, BLOCK, n) and valid.size == rows
 
 
 def test_design_within_bounds():
     cp = cp_for("ai_physical")
     bounds = bounds_from_baseline(cp, 0.1)
-    design = saltelli_sample(bounds, 128, 5)
-    assert np.all(design.matrix >= bounds.lower)
-    assert np.all(design.matrix <= bounds.upper)
+    rows = ref.design_rows(saltelli_sample(bounds, 128, 5))
+    assert np.all(rows >= bounds.lower)
+    assert np.all(rows <= bounds.upper)
 
 
 def test_design_block_structure():
     design = saltelli_sample(unit_bounds(), 64, 3)
-    blocks = design.matrix.reshape(64, BLOCK, 6)
-    a, b = blocks[:, 0], blocks[:, -1]
+    blocks = ref.design_rows(design)                # (BLOCK, 64, 6)
+    a, b = blocks[0], blocks[-1]
+    assert np.array_equal(a, design.a.T) and np.array_equal(b, design.b.T)
     for i in range(6):
-        ab = blocks[:, 1 + i]
+        ab = blocks[1 + i]
         other = [j for j in range(6) if j != i]
         assert np.array_equal(ab[:, other], a[:, other])
         assert np.array_equal(ab[:, i], b[:, i])
@@ -123,8 +130,9 @@ def test_design_deterministic_in_seed():
     one = saltelli_sample(unit_bounds(), 128, 42)
     two = saltelli_sample(unit_bounds(), 128, 42)
     other = saltelli_sample(unit_bounds(), 128, 43)
-    assert np.array_equal(one.matrix, two.matrix)
-    assert not np.array_equal(one.matrix, other.matrix)
+    assert np.array_equal(one.a, two.a) and np.array_equal(one.b, two.b)
+    assert not np.array_equal(one.a, other.a)
+    assert not np.array_equal(one.b, other.b)
 
 
 @pytest.mark.parametrize("n", [0, -4, 32, 100, 1000])
@@ -232,7 +240,7 @@ def test_evaluate_fixture_box_has_no_rejections():
     for key in ("ai_physical", "ai_labor"):
         bounds = bounds_from_baseline(cp_for(key), 0.1)
         design = saltelli_sample(bounds, 256, 7)
-        _, valid = evaluate_equilibria(design.matrix)
+        _, valid = evaluate_equilibria(design)
         assert np.all(valid)
 
 
@@ -332,20 +340,20 @@ def test_too_many_rejections():
     bounds = ParamBounds(lower=np.array([0.9, 0.9, -0.1, 0.9, -0.1, 0.9]),
                          upper=np.array([1.1, 1.1, 0.1, 1.1, 0.1, 1.1]))
     design = saltelli_sample(bounds, 64, 1)
-    outputs, valid = evaluate_equilibria(design.matrix)
+    outputs, valid = evaluate_equilibria(design)
     with pytest.raises(TooManyRejections):
         sobol_indices(design, outputs, valid)
 
 
 def test_partial_rejection_drops_whole_triples():
     design = saltelli_sample(unit_bounds(), 128, 9)
-    vals = design.matrix.sum(axis=1)
-    outputs = np.column_stack([vals, vals])
-    valid = np.ones((128, BLOCK), dtype=bool)
+    vals = ref.block_values(lambda m: m.sum(axis=1), design)
+    outputs = np.stack([vals, vals])
+    valid = np.ones((BLOCK, 128), dtype=bool)
 
     # Invalidate the A-row of the first 30 base blocks: those triples drop.
-    valid[:30, 0] = False
-    res = sobol_indices(design, outputs, valid.ravel())
+    valid[0, :30] = False
+    res = sobol_indices(design, outputs, valid)
     assert res.retained_triples == 98
     assert res.rejected_count == 30
     assert res.first_order[0].sum() == pytest.approx(1.0, abs=0.05)
@@ -366,6 +374,23 @@ def test_indices_reject_mismatched_shapes():
     design = saltelli_sample(unit_bounds(), 64, 1)
     with pytest.raises(ValidationError):
         sobol_indices(design, np.zeros((10, 2)), np.ones(10, dtype=bool))
+    # The row-major layout of the same rows is not the block layout.
+    with pytest.raises(ValidationError):
+        sobol_indices(design, np.zeros((64 * BLOCK, 2)), np.ones(64 * BLOCK, dtype=bool))
+
+
+def test_large_n_peak_memory():
+    # No design matrix is built: the N*(D+2)x6 matrix alone would be 25 MB
+    # at N = 2^16, and a chain that builds it peaks near 50 MB.
+    cp = cp_for("ai_physical")
+    analyze_sensitivity(cp, 0.1, 2**16, 7)
+    tracemalloc.start()
+    try:
+        analyze_sensitivity(cp, 0.1, 2**16, 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40e6
 
 
 def test_param_names_order_matches_result_columns():

@@ -10,7 +10,9 @@ and B; the N*(D+2) parameter sets are evaluated one block row at a time
 out (output, block row, base index) for the estimators.  Parameter draws
 whose equilibrium is non-finite or leaves the first quadrant are rejected;
 rejection removes the whole base-index triple so estimator pairings stay
-aligned.
+aligned.  Every estimator mean and variance is numpy's pairwise sum along a
+C-contiguous row of base indices, whose rounding error grows with log N
+rather than N (Higham 1993), whatever the memory order of the outputs.
 """
 
 from __future__ import annotations
@@ -75,13 +77,15 @@ def _direction_numbers() -> np.ndarray:
 _DIRECTIONS = _direction_numbers()
 
 
-def _sobol_unit(n: int, seed: int) -> np.ndarray:
-    """First n points of the scrambled 2*N_PARAMS-dimensional Sobol' sequence.
+def _sobol_points(n: int, seed: int) -> np.ndarray:
+    """Digits of the first n points of the scrambled 2*N_PARAMS-dim Sobol' sequence.
 
-    Linear matrix scrambling (Matousek 1998) plus a digital shift, drawn from
-    ``np.random.default_rng(seed)`` in the order scipy.stats.qmc.Sobol draws
-    them, so the result equals ``Sobol(d=12, scramble=True, seed=seed)
-    .random(n)`` bit for bit.  n must be a power of two.
+    Returns (2*N_PARAMS, n) uint32: coordinate d of point j is
+    ``points[d, j] * 2**-_SOBOL_BITS``.  Linear matrix scrambling (Matousek
+    1998) plus a digital shift, drawn from ``np.random.default_rng(seed)`` in
+    the order scipy.stats.qmc.Sobol draws them, so the scaled, transposed
+    points equal ``Sobol(d=12, scramble=True, seed=seed).random(n)`` bit for
+    bit.  n must be a power of two.
     """
     rng = np.random.default_rng(seed)
     dims = len(_DIRECTIONS)
@@ -97,14 +101,13 @@ def _sobol_unit(n: int, seed: int) -> np.ndarray:
     scrambled = (v_digits @ ltm.transpose(0, 2, 1) & 1) @ (1 << msb_first)
 
     # Gray-code order: point 2^j + i is point 2^j - 1 - i with direction j
-    # flipped, so each doubling of the prefix is one vectorised XOR.  Points
-    # are built dimension by dimension, so the result is column-major.
+    # flipped, so each doubling of the prefix is one vectorised XOR.
     points = np.empty((dims, n), dtype=np.uint32)
     points[:, 0] = shift
     for j in range(n.bit_length() - 1):
         np.bitwise_xor(points[:, (1 << j) - 1::-1], scrambled[:, j, None],
                        out=points[:, 1 << j:2 << j])
-    return (points * 2.0 ** -_SOBOL_BITS).T
+    return points
 
 
 @dataclass(frozen=True)
@@ -183,12 +186,13 @@ def saltelli_sample(bounds: ParamBounds, n_base: int, seed: int) -> SaltelliDesi
     """
     if n_base < 64 or n_base & (n_base - 1) != 0:
         raise InvalidN(f"base sample size must be a power of two >= 64, got {n_base}")
-    unit = _sobol_unit(n_base, seed).T                  # (2D, n_base), contiguous
+    # (A, B) as (2, D, n_base), scaled in place: p * 2**-30 is exact, so this
+    # is lower + unit * width bit for bit.
+    ab = np.multiply(_sobol_points(n_base, seed), 2.0 ** -_SOBOL_BITS).reshape(2, N_PARAMS, -1)
     lower = bounds.lower[:, None]
-    width = bounds.upper[:, None] - lower
-    a = lower + unit[:N_PARAMS] * width
-    b = lower + unit[N_PARAMS:] * width
-    return SaltelliDesign(a=a, b=b, n_base=n_base, seed=seed)
+    ab *= bounds.upper[:, None] - lower
+    ab += lower
+    return SaltelliDesign(a=ab[0], b=ab[1], n_base=n_base, seed=seed)
 
 
 def _screen(columns, out: np.ndarray | None = None, valid: np.ndarray | None = None):
@@ -251,24 +255,6 @@ class SobolResult:
     seed: int
 
 
-def _mean_in_order(a: np.ndarray) -> np.ndarray:
-    """Mean over the last axis, summed strictly left to right; overwrites ``a``.
-
-    ``np.mean(axis=0)`` of a C-ordered array adds its rows one after another,
-    starting from +0.0, so this equals that mean of ``a``'s transpose bit for
-    bit (the ``+ 0.0`` turns a sum of only -0.0 terms into +0.0, as there).
-    A mean along a contiguous axis would add pairwise and change the last bits.
-    """
-    return (np.add.accumulate(a, axis=-1, out=a)[..., -1] + 0.0) / a.shape[-1]
-
-
-def _var_in_order(a: np.ndarray) -> np.ndarray:
-    """``np.var`` over the last axis, with :func:`_mean_in_order` sums; overwrites a."""
-    a -= _mean_in_order(a.copy())[:, None]
-    a *= a
-    return _mean_in_order(a)
-
-
 def sobol_indices(
     design: SaltelliDesign, outputs: np.ndarray, valid: np.ndarray
 ) -> SobolResult:
@@ -283,6 +269,10 @@ def sobol_indices(
     any A_B^i row, that is any row of its block, is invalid; at least half
     the base sample must survive.  A variance that is zero or not finite, or
     an index that is not finite, raises DegenerateVariance.
+
+    Summation: each mean, and the pooled ``np.var`` of the A and B outputs,
+    is numpy's pairwise sum over one C-contiguous (retained,) row per
+    output, whatever the memory order of ``outputs``.
     """
     n = design.n_base
     if outputs.shape != (2, BLOCK, n) or valid.shape != (BLOCK, n):
@@ -296,22 +286,27 @@ def sobol_indices(
             f"only {retained} of {n} sample triples valid; need at least "
             f"{MIN_RETAINED_FRACTION:.0%}")
 
-    # Every operation below runs along the long, contiguous base-index axis.
-    blocks = outputs if retained == n else outputs[:, :, keep]
+    # Every sum below runs along C-contiguous rows of the base-index axis.
+    blocks = (np.ascontiguousarray(outputs) if retained == n
+              else np.compress(keep, outputs, axis=-1))
     f_a, f_b = blocks[:, 0], blocks[:, -1]       # (2, retained)
     with np.errstate(over="ignore", invalid="ignore"):
-        variance = _var_in_order(np.concatenate([f_a, f_b], axis=1))
+        variance = np.concatenate([f_a, f_b], axis=1).var(axis=-1)
     if not np.all((variance > 0) & (variance < np.inf)):
         raise DegenerateVariance(
             f"pooled output variance is {variance.tolist()}; the variance "
             f"shares of {OUTPUT_NAMES} need a finite, positive variance")
 
     # A tiny positive variance can still overflow a ratio; checked below.
+    first, total = np.empty((2, 2, N_PARAMS))
+    diff, prod = np.empty((2, 2, retained))      # reused for every parameter
     with np.errstate(over="ignore", invalid="ignore"):
-        diff = np.subtract(blocks[:, 1:-1], f_a[:, None])    # f(A_B^i) - f(A)
-        first = _mean_in_order(f_b[:, None] * diff) / variance[:, None]
-        diff *= diff                             # == (f(A) - f(A_B^i))**2
-        total = _mean_in_order(diff) / (2.0 * variance[:, None])
+        for i in range(N_PARAMS):
+            np.subtract(blocks[:, 1 + i], f_a, out=diff)       # f(A_B^i) - f(A)
+            first[:, i] = np.multiply(f_b, diff, out=prod).mean(axis=-1)
+            total[:, i] = np.multiply(diff, diff, out=prod).mean(axis=-1)
+        first /= variance[:, None]
+        total /= 2.0 * variance[:, None]
     if not (np.all(np.isfinite(first)) and np.all(np.isfinite(total))):
         raise DegenerateVariance(
             f"Sobol' indices are not finite for a pooled output variance of "

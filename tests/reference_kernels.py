@@ -5,10 +5,12 @@ matrices A and B, computes the closed-form equilibria and the Sobol'
 estimators with contiguous, unmasked array operations, and checks the RK4
 step doubling of a whole path in one array pass.  These are the plain
 formulations they replace: a materialised row-major design, boolean-masked
-division, row reductions, one loop iteration per parameter and one
-step-doubling check per RK4 step.  The tests require the package kernels to
-equal them bit for bit, after :func:`block_major` puts the row-major results
-in the package's (..., block row, base index) order.
+division, one loop iteration per parameter and one step-doubling check per
+RK4 step.  The tests require the package kernels to equal them bit for bit,
+after :func:`block_major` puts the row-major results in the package's (...,
+block row, base index) order.  The one thing the references share with the
+package is the summation order of the Sobol' estimators: each sum is numpy's
+pairwise sum over a contiguous row of one output's values.
 """
 
 from __future__ import annotations
@@ -18,12 +20,17 @@ import numpy as np
 from lvdyn.dynamics import (INTERIOR_DENOM_EPS, NEGATIVE_STATE_TOL, RK4_ERROR_TOL,
                            Trajectory, _rk4_step)
 from lvdyn.errors import NegativeState, StepTooLarge, ValidationError
-from lvdyn.sensitivity import BLOCK, N_PARAMS, _sobol_unit
+from lvdyn.sensitivity import _SOBOL_BITS, BLOCK, N_PARAMS, _sobol_points
+
+
+def sobol_unit(n: int, seed: int) -> np.ndarray:
+    """(n, 12) scrambled Sobol' points in [0, 1), as scipy.stats.qmc.Sobol gives them."""
+    return (_sobol_points(n, seed) * 2.0 ** -_SOBOL_BITS).T
 
 
 def saltelli_matrix(bounds, n_base: int, seed: int) -> np.ndarray:
     """Row-major (n_base*BLOCK, D) design: per base index A, A_B^1..A_B^D, B."""
-    unit = np.ascontiguousarray(_sobol_unit(n_base, seed))
+    unit = np.ascontiguousarray(sobol_unit(n_base, seed))
     width = bounds.upper - bounds.lower
     a = bounds.lower + unit[:, :N_PARAMS] * width
     b = bounds.lower + unit[:, N_PARAMS:] * width
@@ -75,20 +82,29 @@ def evaluate_equilibria(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return out, valid
 
 
+def by_output(rows: np.ndarray) -> np.ndarray:
+    """(retained, 2) row-major values as a C-contiguous (2, retained) copy."""
+    return np.ascontiguousarray(rows.T)
+
+
 def sobol_indices(n_base: int, outputs: np.ndarray, valid: np.ndarray):
-    """(first, total, variance, retained) with one (retained, 2) mean per parameter."""
+    """(first, total, variance, retained) with one (retained, 2) product per parameter.
+
+    Each mean and variance reduces a C-contiguous (2, retained) copy along
+    axis 1, one pairwise sum per output.
+    """
     keep = np.all(valid.reshape(n_base, BLOCK), axis=1)
     out_blocks = outputs.reshape(n_base, BLOCK, 2)[keep]
     f_a = out_blocks[:, 0, :]
     f_b = out_blocks[:, -1, :]
     f_ab = out_blocks[:, 1:-1, :]
-    variance = np.concatenate([f_a, f_b], axis=0).var(axis=0)
+    variance = by_output(np.concatenate([f_a, f_b], axis=0)).var(axis=1)
     first = np.empty((2, N_PARAMS))
     total = np.empty((2, N_PARAMS))
     for i in range(N_PARAMS):
         diff = f_ab[:, i, :] - f_a
-        first[:, i] = np.mean(f_b * diff, axis=0) / variance
-        total[:, i] = np.mean((f_a - f_ab[:, i, :]) ** 2, axis=0) / (2.0 * variance)
+        first[:, i] = np.mean(by_output(f_b * diff), axis=1) / variance
+        total[:, i] = np.mean(by_output((f_a - f_ab[:, i, :]) ** 2), axis=1) / (2.0 * variance)
     return first, total, variance, int(np.count_nonzero(keep))
 
 

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import json
 from functools import cache
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -121,6 +123,42 @@ def test_analyze_sensitivity_matches_reference_chain(case, seed, fraction):
 def test_analyze_sensitivity_matches_reference_chain_large_n():
     res = assert_chain_matches(params_for("fitted:ai_physical"), 0.5, 2**16, 42)
     assert res.retained_triples < 2**16
+
+
+@pytest.mark.parametrize("fraction", [0.1, 0.5])
+def test_indices_do_not_depend_on_the_output_layout(fraction):
+    # Rejections at 0.5 drop base indices; the sums must still run pairwise
+    # along contiguous rows, as they do for C-ordered outputs.
+    design = saltelli_sample(bounds_from_baseline(params_for("fitted:ai_labor"), fraction),
+                             1024, 7)
+    outputs, valid = evaluate_equilibria(design)
+    want = sobol_indices(design, outputs, valid)
+    got = sobol_indices(design, np.asfortranarray(outputs), valid)
+    assert (want.retained_triples < 1024) == (fraction == 0.5)
+    assert_same(got.first_order, want.first_order)
+    assert_same(got.total_order, want.total_order)
+    assert_same(got.total_variance, want.total_variance)
+
+
+#: The Sobol' results the benchmark gate compares against, to 9 digits.
+RECORDED_SOBOL = json.loads(
+    (Path(__file__).resolve().parents[1] / "benchmarks" / "expected.json")
+    .read_text(encoding="utf-8"))["sobol"]
+
+
+@pytest.mark.parametrize("key", sorted(RECORDED_SOBOL))
+def test_indices_match_recorded_benchmark_results(key):
+    # The benchmark's sobol_large_n draws one of these per op: N = 2^16,
+    # fraction 0.1.  A rounding flip in the 9th digit fails here every time.
+    subsystem, source, seed = key.split("/")
+    res = analyze_sensitivity(params_for(f"{source}:{subsystem}"), 0.1, 2**16, int(seed))
+
+    def g(values):
+        return [f"{float(v):.9g}" for v in values]
+    assert {"first_order": [g(row) for row in res.first_order],
+            "total_order": [g(row) for row in res.total_order],
+            "total_variance": g(res.total_variance),
+            "retained_triples": res.retained_triples} == RECORDED_SOBOL[key]
 
 
 @pytest.mark.parametrize("reject", [False, True], ids=["all-kept", "some-dropped"])

@@ -9,6 +9,8 @@ equilibrium variance to the model parameters with Sobol' indices.  A CLI
 
 __version__ = "0.1.0"
 
+from types import ModuleType as _ModuleType
+
 from .errors import (
     DegenerateVariance,
     DenominatorNearZero,
@@ -92,4 +94,5 @@ from .pipeline import (
     write_report,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [name for name in dir()
+           if not (name.startswith("_") or isinstance(globals()[name], _ModuleType))]

@@ -14,8 +14,6 @@ from dataclasses import dataclass
 
 from .params import ContinuousParams
 
-__all__ = ["SubsystemBaseline", "BASELINES", "baseline_for_labels"]
-
 
 @dataclass(frozen=True)
 class SubsystemBaseline:

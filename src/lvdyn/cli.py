@@ -144,7 +144,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
         raise IoError(f"report file not found: {path}")
     try:
         d = json.loads(path.read_text(encoding="utf-8"))
-    except ValueError as exc:   # not UTF-8, or not JSON
+    except (ValueError, RecursionError) as exc:   # not UTF-8, not JSON, or nested too deep
         raise ParseError(f"cannot parse {path}: {exc}") from exc
     if not (isinstance(d, dict) and isinstance(d.get("provenance"), dict)
             and d["provenance"].get("package") == "lvdyn"):

@@ -21,25 +21,6 @@ import numpy as np
 from .errors import InvalidBBox, NegativeState, StepTooLarge, ValidationError
 from .params import ContinuousParams
 
-__all__ = [
-    "EquilibriumSet",
-    "Stability",
-    "StabilityReport",
-    "BBox",
-    "PhaseGeometry",
-    "Trajectory",
-    "vector_field",
-    "interior_equilibria",
-    "interior_equilibrium",
-    "equilibrium_set",
-    "jacobian_at",
-    "eigenvalues",
-    "classify_stability",
-    "stability_at",
-    "phase_geometry",
-    "integrate_ode",
-]
-
 #: Relative threshold below which the interior-equilibrium denominator is
 #: treated as zero (no interior point).
 INTERIOR_DENOM_EPS = 1e-15

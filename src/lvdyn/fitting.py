@@ -30,20 +30,6 @@ from .errors import (
 )
 from .params import DiscreteParams, RegressionCoeffs
 
-__all__ = [
-    "TimeSeries",
-    "RatioSystem",
-    "EquationFit",
-    "FitDiagnostics",
-    "FitMode",
-    "build_ratio_rows",
-    "fit_details",
-    "fitted_trajectories",
-    "one_step_predictions",
-    "free_run",
-    "mape",
-]
-
 #: Condition-number threshold above which the normal equations trigger an
 #: IllConditioned warning.
 COND_WARN_THRESHOLD = 1e12
@@ -95,28 +81,15 @@ class TimeSeries:
         return len(self.years)
 
 
-@dataclass(frozen=True)
-class RatioSystem:
-    """The two ratio-regression problems extracted from a series.
+def build_ratio_rows(ts: TimeSeries) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The two ratio-regression problems as (regressors, response_x, response_y).
 
-    Row k pairs the states at year k with the ratio formed against year k+1;
+    Row k pairs the states x(k), y(k) with the ratios x(k)/x(k+1), y(k)/y(k+1);
     there is no row for the final year.
     """
-
-    regressors: np.ndarray     # (n-1, 2) columns: x(k), y(k)
-    response_x: np.ndarray     # (n-1,) x(k)/x(k+1)
-    response_y: np.ndarray     # (n-1,) y(k)/y(k+1)
-
-
-def build_ratio_rows(ts: TimeSeries) -> RatioSystem:
-    """Assemble the ratio responses and state regressors from a series."""
     xs = np.asarray(ts.xs, dtype=float)
     ys = np.asarray(ts.ys, dtype=float)
-    return RatioSystem(
-        regressors=np.column_stack([xs[:-1], ys[:-1]]),
-        response_x=xs[:-1] / xs[1:],
-        response_y=ys[:-1] / ys[1:],
-    )
+    return np.column_stack([xs[:-1], ys[:-1]]), xs[:-1] / xs[1:], ys[:-1] / ys[1:]
 
 
 def _solve_through_origin(X: np.ndarray, resp: np.ndarray) -> np.ndarray:
@@ -206,9 +179,9 @@ class FitDiagnostics:
 
 def fit_details(ts: TimeSeries) -> FitDiagnostics:
     """Fit both ratio equations and keep per-equation diagnostics."""
-    rows = build_ratio_rows(ts)
-    eq_x = _fit_equation(rows.regressors, rows.response_x, self_col=0)
-    eq_y = _fit_equation(rows.regressors, rows.response_y, self_col=1)
+    regressors, response_x, response_y = build_ratio_rows(ts)
+    eq_x = _fit_equation(regressors, response_x, self_col=0)
+    eq_y = _fit_equation(regressors, response_y, self_col=1)
     coeffs = RegressionCoeffs(
         intercept1=eq_x.intercept,
         self_slope1=eq_x.self_slope,

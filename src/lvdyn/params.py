@@ -32,19 +32,6 @@ from enum import Enum
 
 from .errors import DomainError, ValidationError
 
-__all__ = [
-    "ContinuousParams",
-    "DiscreteParams",
-    "RegressionCoeffs",
-    "InteractionKind",
-    "InteractionType",
-    "regression_to_discrete",
-    "discrete_to_regression",
-    "discrete_to_continuous",
-    "continuous_to_discrete",
-    "classify_interaction",
-]
-
 
 def _require_finite(obj, fields: tuple[str, ...]) -> None:
     for name in fields:

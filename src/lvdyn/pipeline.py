@@ -63,17 +63,6 @@ from .params import (
 )
 from .sensitivity import OUTPUT_NAMES, SobolResult, analyze_sensitivity
 
-__all__ = [
-    "AnalysisConfig",
-    "Report",
-    "load_series",
-    "run_pipeline",
-    "export_phase_data",
-    "write_report",
-    "report_json_text",
-    "fixture_path",
-]
-
 _DATA_DIR = Path(__file__).parent / "data"
 
 
@@ -159,6 +148,10 @@ def load_series(path: str | Path, mapping: dict[str, str] | None = None,
         raise ParseError(f"{path}: not UTF-8 text: {exc}") from exc
 
     reader = csv.DictReader(text.splitlines())
+    try:
+        rows = list(reader)
+    except csv.Error as exc:   # e.g. a field over csv.field_size_limit()
+        raise ParseError(f"{path}: row {reader.reader.line_num}: {exc}") from exc
     header = reader.fieldnames or []
     for col in (year_col, x_col, y_col):
         if col not in header:
@@ -167,7 +160,7 @@ def load_series(path: str | Path, mapping: dict[str, str] | None = None,
     years: list[int] = []
     xs: list[float] = []
     ys: list[float] = []
-    for rownum, row in enumerate(reader, start=2):
+    for rownum, row in enumerate(rows, start=2):
         for col, target, cast in ((year_col, years, int), (x_col, xs, float),
                                   (y_col, ys, float)):
             raw = (row.get(col) or "").strip()
@@ -600,15 +593,8 @@ def write_report(report: Report, out_dir: str | Path) -> list[Path]:
              for oi, oname in enumerate(OUTPUT_NAMES)
              for pi, pname in enumerate(PARAM_NAMES))))
     if report.phase is not None:
-        trajectories = []
-        if report.ode_trajectory is not None:
-            trajectories.append(("ode", report.ode_trajectory))
-        written.extend(export_phase_data(report.phase, trajectories, out / "phase"))
-        if report.discrete_trajectory is not None:
-            written.append(_write_csv(
-                out / "phase" / "trajectory_discrete.csv", "step,x,y", "%d,%.9g,%.9g",
-                ((k, x, y) for k, (x, y)
-                 in enumerate(report.discrete_trajectory.tolist()))))
+        written.extend(export_phase_data(report.phase, report.ode_trajectory,
+                                         report.discrete_trajectory, out / "phase"))
     return written
 
 
@@ -647,12 +633,9 @@ All files are plain UTF-8 CSV with a single header row.
 """
 
 
-def export_phase_data(
-    pg: PhaseGeometry,
-    trajectories: list[tuple[str, Trajectory]],
-    out_dir: str | Path,
-) -> list[Path]:
-    """Write plot-ready CSVs for nullclines, sign grid, field and trajectories."""
+def export_phase_data(pg: PhaseGeometry, ode: Trajectory | None, discrete: np.ndarray | None,
+                      out_dir: str | Path) -> list[Path]:
+    """Write plot-ready CSVs for nullclines, sign grid, field and each trajectory given."""
     out = _ensure_dir(Path(out_dir))
 
     xs, ys = pg.xs.tolist(), pg.ys.tolist()
@@ -683,12 +666,14 @@ def export_phase_data(
         _write_csv(out / "vectorfield.csv", "x,y,dxdt,dydt", "%.9g,%.9g,%.9g,%.9g",
                    zip(gx, gy, pg.dx.ravel().tolist(), pg.dy.ravel().tolist())),
     ]
-    for name, traj in trajectories:
-        written.append(_write_csv(
-            out / f"trajectory_{name}.csv", "t,x,y", "%.9g,%.9g,%.9g",
-            zip(traj.t.tolist(), *traj.states.T.tolist())))
+    if ode is not None:
+        written.append(_write_csv(out / "trajectory_ode.csv", "t,x,y", "%.9g,%.9g,%.9g",
+                                  zip(ode.t.tolist(), *ode.states.T.tolist())))
 
     p = out / "README.md"
     _write_text(p, _PHASE_README)
     written.append(p)
+    if discrete is not None:
+        written.append(_write_csv(out / "trajectory_discrete.csv", "step,x,y", "%d,%.9g,%.9g",
+                                  ((k, x, y) for k, (x, y) in enumerate(discrete.tolist()))))
     return written

@@ -26,18 +26,6 @@ from .errors import (DegenerateVariance, InvalidN, TooManyRejections, Validation
 from .params import PARAM_NAMES, ContinuousParams
 from .dynamics import interior_equilibria
 
-__all__ = [
-    "ParamBounds",
-    "SaltelliDesign",
-    "SobolResult",
-    "bounds_from_baseline",
-    "saltelli_sample",
-    "evaluate_equilibria",
-    "sobol_indices",
-    "analyze_sensitivity",
-    "OUTPUT_NAMES",
-]
-
 N_PARAMS = len(PARAM_NAMES)
 #: Rows per base index in the Saltelli design: A, the N_PARAMS A_B^i rows, B.
 BLOCK = N_PARAMS + 2
@@ -195,43 +183,26 @@ def saltelli_sample(bounds: ParamBounds, n_base: int, seed: int) -> SaltelliDesi
     return SaltelliDesign(a=ab[0], b=ab[1], n_base=n_base, seed=seed)
 
 
-def _screen(columns, out: np.ndarray | None = None, valid: np.ndarray | None = None):
-    """Equilibria of six parameter columns with the validity rule applied.
+def evaluate_equilibria(design: SaltelliDesign) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form interior equilibrium of every parameter set of a design.
 
-    A point is valid when its nullclines cross and it is finite and in the
-    closed first quadrant; an invalid point is NaN.  Writes into ``out``
-    (2, n) and ``valid`` (n,) when given.
+    The design is evaluated one block row at a time, straight from the
+    columns of A and B: outputs is (2, BLOCK, n_base), indexed (output, block
+    row, base index), and valid is (BLOCK, n_base).  A point is valid when
+    its nullclines cross and it is finite and in the closed first quadrant;
+    invalid points carry NaN outputs.
     """
-    points, ok = interior_equilibria(columns, out)
-    x, y = points
-    valid = np.logical_and(ok, x >= 0, out=valid)
-    valid &= y >= 0
-    valid &= x < np.inf
-    valid &= y < np.inf
-    if not valid.all():
-        points[:, ~valid] = np.nan
-    return points, valid
-
-
-def evaluate_equilibria(samples) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-form interior equilibrium of every sampled parameter set.
-
-    ``samples`` is a SaltelliDesign or an (n, 6) array of parameter rows.
-    A design is evaluated one block row at a time, straight from the columns
-    of A and B: outputs is (2, BLOCK, n_base), indexed (output, block row,
-    base index), and valid is (BLOCK, n_base).  Rows give outputs (n, 2),
-    with columns (x*, y*), and valid (n,).  A point is invalid when the
-    nullclines are parallel, the result is non-finite, or either component
-    is negative; invalid points carry NaN outputs.
-    """
-    if isinstance(samples, SaltelliDesign):
-        outputs = np.empty((2, BLOCK, samples.n_base))
-        valid = np.empty((BLOCK, samples.n_base), dtype=bool)
-        for k in range(BLOCK):
-            _screen(samples.block(k), outputs[:, k], valid[k])
-        return outputs, valid
-    points, valid = _screen(np.asarray(samples, dtype=float).T)
-    return points.T, valid
+    outputs = np.empty((2, BLOCK, design.n_base))
+    valid = np.empty((BLOCK, design.n_base), dtype=bool)
+    for k in range(BLOCK):
+        (x, y), ok = interior_equilibria(design.block(k), outputs[:, k])
+        row_valid = np.logical_and(ok, x >= 0, out=valid[k])
+        row_valid &= y >= 0
+        row_valid &= x < np.inf
+        row_valid &= y < np.inf
+        if not row_valid.all():
+            outputs[:, k, ~row_valid] = np.nan
+    return outputs, valid
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,9 @@ after :func:`block_major` puts the row-major results in the package's (...,
 block row, base index) order.  The one thing the references share with the
 package is the summation order of the Sobol' estimators: each sum is numpy's
 pairwise sum over a contiguous row of one output's values.
+
+The package's ``evaluate_equilibria`` takes only a design; tests reach it on
+(n, 6) parameter rows through :func:`evaluate_rows`.
 """
 
 from __future__ import annotations
@@ -20,7 +23,8 @@ import numpy as np
 from lvdyn.dynamics import (INTERIOR_DENOM_EPS, NEGATIVE_STATE_TOL, RK4_ERROR_TOL,
                            Trajectory, _rk4_step)
 from lvdyn.errors import NegativeState, StepTooLarge, ValidationError
-from lvdyn.sensitivity import _SOBOL_BITS, BLOCK, N_PARAMS, _sobol_points
+from lvdyn.sensitivity import (_SOBOL_BITS, BLOCK, N_PARAMS, SaltelliDesign, _sobol_points,
+                               evaluate_equilibria as evaluate_design)
 
 
 def sobol_unit(n: int, seed: int) -> np.ndarray:
@@ -55,6 +59,18 @@ def design_rows(design) -> np.ndarray:
 def block_values(f, design) -> np.ndarray:
     """f of every parameter row of a design, as (BLOCK, n_base)."""
     return f(design_rows(design).reshape(-1, N_PARAMS)).reshape(BLOCK, design.n_base)
+
+
+def evaluate_rows(theta) -> tuple[np.ndarray, np.ndarray]:
+    """The package's evaluate_equilibria on (n, 6) parameter rows.
+
+    The rows become a design with A = B = the rows, so every block row holds
+    them; block row 0 gives outputs (n, 2), columns (x*, y*), and valid (n,).
+    """
+    columns = np.asarray(theta, dtype=float).T
+    design = SaltelliDesign(a=columns, b=columns, n_base=columns.shape[1], seed=0)
+    outputs, valid = evaluate_design(design)
+    return outputs[:, 0].T, valid[0]
 
 
 def interior_equilibria(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -84,17 +84,17 @@ def test_time_series_rejects_length_mismatch():
 # ---------------------------------------------------------------------------
 
 def test_ratio_rows_from_fixture(physical_series):
-    rows = build_ratio_rows(physical_series)
-    assert rows.regressors.shape == (7, 2)
-    assert rows.response_x[0] == pytest.approx(15.40 / 31.80, abs=1e-12)
-    assert tuple(rows.regressors[0]) == (15.40, 37202.10)
-    assert rows.response_y[-1] == pytest.approx(49596.60 / 50970.80, abs=1e-12)
+    regressors, response_x, response_y = build_ratio_rows(physical_series)
+    assert regressors.shape == (7, 2)
+    assert response_x[0] == pytest.approx(15.40 / 31.80, abs=1e-12)
+    assert tuple(regressors[0]) == (15.40, 37202.10)
+    assert response_y[-1] == pytest.approx(49596.60 / 50970.80, abs=1e-12)
 
 
 def test_ratio_rows_constant_series():
-    rows = build_ratio_rows(series([5, 5, 5, 5, 5], [9, 9, 9, 9, 9]))
-    assert np.all(rows.response_x == 1.0)
-    assert np.all(rows.response_y == 1.0)
+    _, response_x, response_y = build_ratio_rows(series([5, 5, 5, 5, 5], [9, 9, 9, 9, 9]))
+    assert np.all(response_x == 1.0)
+    assert np.all(response_y == 1.0)
 
 
 # ---------------------------------------------------------------------------

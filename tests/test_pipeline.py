@@ -125,6 +125,17 @@ def test_load_missing_file(tmp_path):
         load_series(tmp_path / "nope.csv")
 
 
+def test_load_rejects_oversized_field(tmp_path, capsys):
+    # A field over the csv module's 131072-character limit raised csv.Error,
+    # which the CLI reported through its untyped fallback with exit code 3.
+    p = write_csv(tmp_path, ["year,ai_capital,physical_capital", "2000,1,10",
+                             "2001," + "1" * 131073 + ",11", "2002,3,12", "2003,4,13"])
+    with pytest.raises(ParseError, match=r"data\.csv: row 3: field larger than field limit"):
+        load_series(p)
+    assert main(["fit", "--input", str(p)]) == 2
+    assert "row 3" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # Pipeline
 # ---------------------------------------------------------------------------
@@ -373,7 +384,7 @@ def test_nullclines_print_int_coefficients_as_given(tmp_path):
     cp = ContinuousParams(a1=3000000001, b11=-1000000000, b12=-1000000000,
                           a2=4, b21=-1, b22=-2)
     pg = phase_geometry(cp, BBox(0.5, 3.0, 0.5, 3.0), 11)
-    export_phase_data(pg, [], tmp_path)
+    export_phase_data(pg, None, None, tmp_path)
     lines = (tmp_path / "nullclines.csv").read_text().splitlines()
     want = ["kind,A,B,C,x,y"]
     for kind, (ca, cb, cc) in (("x", pg.nullcline_x), ("y", pg.nullcline_y)):
@@ -399,9 +410,20 @@ def test_nullcline_lines_pass_through_equilibrium(injected_reports):
 
 def test_export_phase_data_without_trajectories(tmp_path, injected_reports):
     pg = injected_reports["ai_physical"].phase
-    written = export_phase_data(pg, [], tmp_path / "phase")
+    written = export_phase_data(pg, None, None, tmp_path / "phase")
     names = {p.name for p in written}
     assert names == {"nullclines.csv", "signgrid.csv", "vectorfield.csv", "README.md"}
+
+
+def test_export_phase_data_writes_both_trajectories(tmp_path, injected_reports):
+    rep = injected_reports["ai_physical"]
+    written = export_phase_data(rep.phase, rep.ode_trajectory, rep.discrete_trajectory,
+                                tmp_path / "phase")
+    assert [p.name for p in written] == [
+        "nullclines.csv", "signgrid.csv", "vectorfield.csv", "trajectory_ode.csv",
+        "README.md", "trajectory_discrete.csv"]
+    # write_report returns the same phase paths, after its own files.
+    assert [p.name for p in write_report(rep, tmp_path)][-6:] == [p.name for p in written]
 
 
 def test_export_phase_data_unwritable_target(tmp_path, injected_reports):
@@ -409,7 +431,7 @@ def test_export_phase_data_unwritable_target(tmp_path, injected_reports):
     blocker.write_text("file, not a directory")
     pg = injected_reports["ai_physical"].phase
     with pytest.raises(IoError):
-        export_phase_data(pg, [], blocker / "sub")
+        export_phase_data(pg, None, None, blocker / "sub")
 
 
 def test_reports_are_byte_identical_across_runs(tmp_path):
@@ -547,6 +569,14 @@ def test_cli_report_rejects_non_report(tmp_path, capsys, content):
     assert "error:" in capsys.readouterr().err
 
 
+def test_cli_report_rejects_deeply_nested_json(tmp_path, capsys):
+    # json.loads raises RecursionError, not ValueError, on deep nesting.
+    p = tmp_path / "report.json"
+    p.write_bytes(b"[" * 200000 + b"]" * 200000)
+    assert main(["report", "--report", str(p)]) == 2
+    assert f"error: cannot parse {p}" in capsys.readouterr().err
+
+
 def test_cli_seed_env_fallback(tmp_path, monkeypatch):
     out = tmp_path / "out"
     monkeypatch.setenv("LVDYN_SEED", "777")
@@ -643,3 +673,22 @@ def test_cli_csv_format(tmp_path):
     lines = (out / "report.csv").read_text().splitlines()
     assert lines[0] == "key,value"
     assert any(line.startswith("equilibria.interior,") for line in lines)
+
+
+# ---------------------------------------------------------------------------
+# Public names
+# ---------------------------------------------------------------------------
+
+def test_public_names_are_the_imported_api():
+    import types
+
+    import lvdyn
+
+    assert not [n for n in lvdyn.__all__ if isinstance(getattr(lvdyn, n), types.ModuleType)]
+    assert all(hasattr(lvdyn, n) for n in lvdyn.__all__)
+    assert len(set(lvdyn.__all__)) == len(lvdyn.__all__)
+    namespace: dict = {}
+    exec("from lvdyn import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(lvdyn.__all__)
+    assert {"run_pipeline", "evaluate_equilibria", "export_phase_data",
+            "LvdynError", "ContinuousParams"} <= set(lvdyn.__all__)

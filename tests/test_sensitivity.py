@@ -196,7 +196,7 @@ def test_analyze_never_imports_scipy(tmp_path):
 
 def test_evaluate_baseline_row():
     theta = np.array([cp_for("ai_physical").as_tuple()])
-    out, valid = evaluate_equilibria(theta)
+    out, valid = ref.evaluate_rows(theta)
     assert valid[0]
     assert out[0, 0] == pytest.approx(198.18, abs=0.5)
     assert out[0, 1] == pytest.approx(51506.42, abs=0.5)
@@ -210,7 +210,7 @@ def test_evaluate_baseline_row():
         base[rng.integers(0, 2, 200)] * rng.uniform(-0.5, 2.5, (200, 6)),
         [1.0, 2.0, -2.0, 1.0, 3.0, -3.0],
     ])
-    out, valid = evaluate_equilibria(theta)
+    out, valid = ref.evaluate_rows(theta)
     assert 0 < valid.sum() < len(theta) - 1
     for row, point, ok in zip(theta, out, valid):
         scalar = interior_equilibrium(ContinuousParams(*row))
@@ -225,14 +225,14 @@ def test_evaluate_baseline_row():
 def test_evaluate_singular_denominator_row():
     # b12*b21 == b11*b22 exactly.
     theta = np.array([[1.0, 2.0, -2.0, 1.0, 3.0, -3.0]])
-    out, valid = evaluate_equilibria(theta)
+    out, valid = ref.evaluate_rows(theta)
     assert not valid[0]
     assert np.all(np.isnan(out[0]))
 
 
 def test_evaluate_negative_equilibrium_rejected():
     theta = np.array([[-1.0, -1.0, 0.5, -1.0, 0.5, -1.0]])
-    out, valid = evaluate_equilibria(theta)
+    out, valid = ref.evaluate_rows(theta)
     assert not valid[0]
 
 
@@ -308,8 +308,8 @@ def test_fixture_indices_match_linearized_shares(key):
             up, dn = theta.copy(), theta.copy()
             up[i] += h
             dn[i] -= h
-            grad = (evaluate_equilibria(up[None, :])[0][0, oi]
-                    - evaluate_equilibria(dn[None, :])[0][0, oi]) / (2 * h)
+            grad = (ref.evaluate_rows(up[None, :])[0][0, oi]
+                    - ref.evaluate_rows(dn[None, :])[0][0, oi]) / (2 * h)
             contrib[i] = grad**2 * (0.1 * abs(theta[i])) ** 2 / 3.0
         shares = contrib / contrib.sum()
         assert np.allclose(res.first_order[oi], shares, atol=0.01)

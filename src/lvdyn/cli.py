@@ -16,7 +16,7 @@ from pathlib import Path
 from .baselines import BASELINES
 from .errors import IoError, LvdynError, ParseError, ValidationError, exit_code_for
 from .fitting import FitMode
-from .pipeline import AnalysisConfig, run_pipeline
+from .pipeline import REPORT_FORMATS, AnalysisConfig, run_pipeline
 
 _MODES = {"one-step": FitMode.ONE_STEP_AHEAD, "free-running": FitMode.FREE_RUNNING}
 
@@ -57,7 +57,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--baseline", dest="baseline_key", choices=list(BASELINES),
                    help="which published baseline to inject (default: by y label)")
     p.add_argument("--out", dest="out_dir", metavar="OUT", help="output directory")
-    p.add_argument("--format", choices=["json", "csv"], action="append", dest="formats",
+    p.add_argument("--format", choices=REPORT_FORMATS, action="append", dest="formats",
                    help="report format; repeat for both (default: json)")
     p.add_argument("--grid-n", type=int)
 

@@ -18,7 +18,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import InvalidBBox, NegativeState, StepTooLarge, ValidationError
+from .errors import InvalidBBox, NegativeState, StepTooLarge, ValidationError, check
 from .params import ContinuousParams
 
 #: Relative threshold below which the interior-equilibrium denominator is
@@ -143,16 +143,15 @@ class Stability(Enum):
     DEGENERATE = "degenerate"
 
 
-def classify_stability(eigs: tuple[complex, complex], tol: float = 1e-9) -> Stability:
+def classify_stability(eigs: tuple[complex, complex]) -> Stability:
     """Classify an equilibrium from the eigenvalues of its linearization.
 
-    Boundary cases (a real part within tol of zero, or a repeated real pair
-    within tol) are reported as DEGENERATE rather than forced into a named
+    Boundary cases (a real part within 1e-9 of zero, or a repeated real pair
+    within 1e-9) are reported as DEGENERATE rather than forced into a named
     class; a purely imaginary pair is a CENTER, for which the linearization
     is inconclusive about the nonlinear system.
     """
-    if tol < 0:
-        raise ValidationError(f"tol must be >= 0, got {tol}")
+    tol = 1e-9
     lam1, lam2 = eigs
     if abs(lam1.imag) > tol or abs(lam2.imag) > tol:
         re = lam1.real
@@ -226,8 +225,7 @@ class PhaseGeometry:
 
 def phase_geometry(cp: ContinuousParams, bbox: BBox, grid_n: int) -> PhaseGeometry:
     """Sample the vector field and its sign pattern over a grid."""
-    if grid_n < 2:
-        raise ValidationError(f"grid_n must be >= 2, got {grid_n}")
+    check("grid_n", grid_n)
     xs = np.linspace(bbox.x_min, bbox.x_max, grid_n)
     ys = np.linspace(bbox.y_min, bbox.y_max, grid_n)
     dx, dy = vector_field(cp, *np.meshgrid(xs, ys, indexing="ij"))

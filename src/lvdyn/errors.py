@@ -7,6 +7,8 @@ I/O failures (exit 4).
 
 from __future__ import annotations
 
+import numpy as np
+
 
 class LvdynError(Exception):
     """Base class for all package errors."""
@@ -49,11 +51,37 @@ class ZeroBaseline(ValidationError):
 
 
 class InvalidN(ValidationError):
-    """Sample size is not a power of two >= 64."""
+    """Sample size breaks the ``sobol_n`` rule."""
 
 
 class ParseError(ValidationError):
     """Malformed input file; message carries the row/column location."""
+
+
+#: The two value types a setting may have; a bool is neither.
+_INTEGER = ("an integer", (int, np.integer))
+_REAL = ("a real number", (int, float, np.integer, np.floating))
+
+#: The one rule of each scalar setting, in the order AnalysisConfig.validate
+#: applies them: (value type, test, requirement, error class).  NaN fails
+#: every test.
+RULES = {
+    "sobol_n": (_INTEGER, lambda n: n >= 64 and n & (n - 1) == 0, "a power of two >= 64",
+                InvalidN),
+    "fraction": (_REAL, lambda f: 0 < f < 1, "in (0, 1)", ValidationError),
+    "classify_tol": (_REAL, lambda t: t >= 0, ">= 0", ValidationError),
+    "grid_n": (_INTEGER, lambda n: n >= 2, ">= 2", ValidationError),
+    "seed": (_INTEGER, lambda s: s >= 0, "a non-negative integer", ValidationError),
+}
+
+
+def check(name: str, value) -> None:
+    """Raise the error class of setting ``name`` unless ``value`` obeys its rule."""
+    (kind, types), test, requirement, error = RULES[name]
+    if not isinstance(value, types) or isinstance(value, bool):
+        raise error(f"{name} must be {kind}, got {value!r}")
+    if not test(value):
+        raise error(f"{name} must be {requirement}, got {value}")
 
 
 # --------------------------------------------------------------------------

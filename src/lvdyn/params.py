@@ -30,7 +30,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import DomainError, ValidationError
+from .errors import DomainError, ValidationError, check
 
 
 def _require_finite(obj, fields: tuple[str, ...]) -> None:
@@ -236,8 +236,7 @@ def classify_interaction(cp: ContinuousParams, tol: float = 0.0) -> InteractionT
         predator-prey; one + and one 0 amensalism; one - and one 0
         commensalism; (0,0) neutralism.
     """
-    if tol < 0:
-        raise ValidationError(f"tol must be >= 0, got {tol}")
+    check("classify_tol", tol)
     s12 = _sign(cp.b12, tol)
     s21 = _sign(cp.b21, tol)
     if s12 == 0 and s21 == 0:

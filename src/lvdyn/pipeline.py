@@ -35,10 +35,12 @@ from .dynamics import (
     vector_field,
 )
 from .errors import (
+    RULES,
     IoError,
     ParseError,
     PipelineStageError,
     ValidationError,
+    check,
 )
 from .fitting import (
     FitDiagnostics,
@@ -64,6 +66,9 @@ from .params import (
 from .sensitivity import OUTPUT_NAMES, SobolResult, analyze_sensitivity
 
 _DATA_DIR = Path(__file__).parent / "data"
+
+#: Report formats ``write_report`` can write, in ``--format``'s order.
+REPORT_FORMATS = ("json", "csv")
 
 
 def fixture_path(name: str) -> Path:
@@ -92,32 +97,14 @@ class AnalysisConfig:
     grid_n: int = 41
 
     def validate(self) -> None:
-        for name in ("sobol_n", "grid_n", "seed"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
-                raise ValidationError(f"{name} must be an integer, got {value!r}")
-        for name in ("fraction", "classify_tol"):
-            value = getattr(self, name)
-            if (not isinstance(value, (int, float, np.integer, np.floating))
-                    or isinstance(value, bool)):
-                raise ValidationError(f"{name} must be a real number, got {value!r}")
-        if self.sobol_n < 64 or self.sobol_n & (self.sobol_n - 1) != 0:
-            raise ValidationError(
-                f"sobol_n must be a power of two >= 64, got {self.sobol_n}")
-        if not 0 < self.fraction < 1:
-            raise ValidationError(f"fraction must be in (0, 1), got {self.fraction}")
-        if not self.classify_tol >= 0:   # also rejects NaN
-            raise ValidationError(f"classify_tol must be >= 0, got {self.classify_tol}")
+        for name in RULES:
+            check(name, getattr(self, name))
         for fmt in self.formats:
-            if fmt not in ("json", "csv"):
+            if fmt not in REPORT_FORMATS:
                 raise ValidationError(f"unknown report format {fmt!r}")
         if self.baseline_key is not None and self.baseline_key not in BASELINES:
             raise ValidationError(
                 f"unknown baseline {self.baseline_key!r}; choose from {sorted(BASELINES)}")
-        if self.grid_n < 2:
-            raise ValidationError(f"grid_n must be >= 2, got {self.grid_n}")
-        if self.seed < 0:
-            raise ValidationError(f"seed must be a non-negative integer, got {self.seed!r}")
 
 
 def load_series(path: str | Path, mapping: dict[str, str] | None = None,
@@ -188,7 +175,6 @@ class Report:
 
     config: AnalysisConfig
     series: TimeSeries | None = None
-    input_sha256: str | None = None
     regression: RegressionCoeffs | None = None
     discrete: DiscreteParams | None = None
     continuous: ContinuousParams | None = None
@@ -340,7 +326,7 @@ def _report_dict(r: Report) -> dict:
     out["provenance"] = {
         "package": "lvdyn",
         "version": __version__,
-        "input_sha256": r.input_sha256,
+        "input_sha256": None if r.series is None else r.series.source_sha256,
         "seed": r.config.seed,
     }
     if r.warnings:
@@ -456,7 +442,6 @@ def run_pipeline(cfg: AnalysisConfig, stages: set[str] | None = None) -> Report:
         ts = load_series(cfg.input_path,
                          {"year": cfg.year_col, "x": cfg.x_col, "y": cfg.y_col}, unit=cfg.unit)
         report.series = ts
-        report.input_sha256 = ts.source_sha256
 
     run_stage("load", stage_load)
     ts = report.series

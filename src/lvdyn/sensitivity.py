@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DegenerateVariance, InvalidN, TooManyRejections, ValidationError,
-                     ZeroBaseline)
+from .errors import (DegenerateVariance, TooManyRejections, ValidationError, ZeroBaseline,
+                     check)
 from .params import PARAM_NAMES, ContinuousParams
 from .dynamics import interior_equilibria
 
@@ -126,8 +126,7 @@ def bounds_from_baseline(cp: ContinuousParams, fraction: float) -> ParamBounds:
     baseline sign.  An exactly-zero baseline collapses the interval and is
     rejected.
     """
-    if not 0 < fraction < 1:
-        raise ValidationError(f"fraction must be in (0, 1), got {fraction}")
+    check("fraction", fraction)
     theta = np.array(cp.as_tuple())
     if np.any(theta == 0):
         zero = [PARAM_NAMES[i] for i in range(N_PARAMS) if theta[i] == 0]
@@ -170,10 +169,10 @@ def saltelli_sample(bounds: ParamBounds, n_base: int, seed: int) -> SaltelliDesi
 
     The base matrices A and B are the first and last six columns of a
     12-dimensional low-discrepancy sample of size n_base, mapped affinely
-    into the bounds; n_base must be a power of two >= 64.
+    into the bounds; n_base obeys the ``sobol_n`` rule and seed the ``seed`` rule.
     """
-    if n_base < 64 or n_base & (n_base - 1) != 0:
-        raise InvalidN(f"base sample size must be a power of two >= 64, got {n_base}")
+    check("sobol_n", n_base)
+    check("seed", seed)
     # (A, B) as (2, D, n_base), scaled in place: p * 2**-30 is exact, so this
     # is lower + unit * width bit for bit.
     ab = np.multiply(_sobol_points(n_base, seed), 2.0 ** -_SOBOL_BITS).reshape(2, N_PARAMS, -1)

@@ -236,11 +236,6 @@ def test_classify_stability(eigs, want):
     assert classify_stability(eigs) is want
 
 
-def test_classify_stability_rejects_negative_tol():
-    with pytest.raises(ValidationError):
-        classify_stability((1 + 0j, 2 + 0j), tol=-1.0)
-
-
 @pytest.mark.parametrize("key", ["ai_physical", "ai_labor"])
 def test_fitted_interiors_are_stable_nodes(key):
     cp = cp_for(key)

@@ -13,23 +13,29 @@ from lvdyn import (
     AnalysisConfig,
     BBox,
     ContinuousParams,
+    InvalidN,
     IoError,
+    LvdynError,
     NonPositiveValue,
+    ParamBounds,
     ParseError,
     PipelineStageError,
     Report,
     ValidationError,
+    bounds_from_baseline,
+    classify_interaction,
     export_phase_data,
     fixture_path,
     load_series,
     phase_geometry,
     run_pipeline,
+    saltelli_sample,
     write_report,
 )
 from lvdyn import pipeline
 from lvdyn.baselines import BASELINES
 from lvdyn.cli import main
-from lvdyn.errors import exit_code_for
+from lvdyn.errors import RULES, check, exit_code_for
 from lvdyn.params import PARAM_NAMES
 from lvdyn.pipeline import report_json_text
 from lvdyn.sensitivity import OUTPUT_NAMES
@@ -116,7 +122,7 @@ def test_load_hashes_the_parsed_bytes(tmp_path):
     digest = hashlib.sha256(p.read_bytes()).hexdigest()
     assert load_series(p).source_sha256 == digest
     report = run_pipeline(AnalysisConfig(input_path=p), stages={"classify"})
-    assert report.input_sha256 == digest
+    assert report.series.source_sha256 == digest
     assert report.series == load_series(PHYS_FIXTURE)
 
 
@@ -153,11 +159,19 @@ def test_config_rejects_bad_seed(seed):
         config_for("ai_physical", seed=seed).validate()
 
 
-@pytest.mark.parametrize("name,value", [
+WRONG_TYPES = [
     ("sobol_n", 1024.0), ("sobol_n", "1024"), ("sobol_n", True),
     ("grid_n", 41.5), ("grid_n", "41"), ("seed", True),
     ("fraction", "0.1"), ("fraction", None), ("classify_tol", "0"),
-])
+]
+OUT_OF_RANGE = [
+    ("sobol_n", 100), ("sobol_n", 32), ("fraction", 0.0), ("fraction", 1.0),
+    ("fraction", float("nan")), ("classify_tol", -1e-9), ("classify_tol", float("nan")),
+    ("grid_n", 1), ("seed", -1),
+]
+
+
+@pytest.mark.parametrize("name,value", WRONG_TYPES)
 def test_config_rejects_values_of_the_wrong_type(name, value):
     # A typed error before any work: no bare TypeError from a comparison,
     # and no grid_n=41.5 failing later at stage 'phase'.
@@ -170,6 +184,79 @@ def test_config_rejects_nan_classify_tol():
     with pytest.raises(ValidationError, match="classify_tol"):
         config_for("ai_physical", classify_tol=float("nan")).validate()
     assert main(["fit", "--input", str(PHYS_FIXTURE), "--classify-tol", "nan"]) == 2
+
+
+def call_owning_kernel(name: str, value) -> None:
+    """Pass ``value`` to the library function that applies setting ``name``'s rule."""
+    cp = ContinuousParams(a1=1.0, b11=-1.0, b12=-0.5, a2=1.0, b21=0.5, b22=-1.0)
+    unit = ParamBounds(lower=np.zeros(6), upper=np.ones(6))
+    {
+        "sobol_n": lambda: saltelli_sample(unit, value, 1),
+        "seed": lambda: saltelli_sample(unit, 64, value),
+        "fraction": lambda: bounds_from_baseline(cp, value),
+        "classify_tol": lambda: classify_interaction(cp, value),
+        "grid_n": lambda: phase_geometry(cp, BBox(1.0, 2.0, 1.0, 2.0), value),
+    }[name]()
+
+
+@pytest.mark.parametrize("name,value", WRONG_TYPES + OUT_OF_RANGE)
+def test_owning_kernel_raises_what_validate_raises(name, value):
+    # Each rule has one owner: a direct library call fails with the same
+    # typed error as the config, not a bare TypeError or a message of its own.
+    with pytest.raises(ValidationError) as by_config:
+        config_for("ai_physical", **{name: value}).validate()
+    with pytest.raises(ValidationError) as by_kernel:
+        call_owning_kernel(name, value)
+    assert type(by_kernel.value) is type(by_config.value)
+    assert str(by_kernel.value) == str(by_config.value)
+    assert isinstance(by_config.value, InvalidN) == (name == "sobol_n")
+
+
+def test_validate_and_check_agree_property():
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    values = st.one_of(
+        st.integers(), st.floats(), st.booleans(), st.none(), st.text(max_size=5),
+        st.integers(-2**63, 2**63 - 1).map(np.int64), st.integers(0, 2**64 - 1).map(np.uint64),
+        st.floats().map(np.float64), st.floats(width=32).map(np.float32))
+
+    def outcome(fn):
+        try:
+            fn()
+        except Exception as exc:
+            assert isinstance(exc, LvdynError), repr(exc)
+            return type(exc), str(exc)
+        return None
+
+    @hyp.settings(max_examples=400, deadline=None)
+    @hyp.given(name=st.sampled_from(list(RULES)), value=values)
+    def agree(name, value):
+        by_config = outcome(lambda: config_for("ai_physical", **{name: value}).validate())
+        assert by_config == outcome(lambda: check(name, value))
+
+    agree()
+
+
+@pytest.mark.parametrize("flags,env_seed,message", [
+    (["--sobol-n", "100"], None, "sobol_n must be a power of two >= 64, got 100"),
+    (["--fraction", "2"], None, "fraction must be in (0, 1), got 2.0"),
+    (["--fraction", "nan"], None, "fraction must be in (0, 1), got nan"),
+    (["--grid-n", "1"], None, "grid_n must be >= 2, got 1"),
+    (["--classify-tol", "-1"], None, "classify_tol must be >= 0, got -1.0"),
+    (["--classify-tol", "nan"], None, "classify_tol must be >= 0, got nan"),
+    (["--seed", "-1"], None, "seed must be a non-negative integer, got -1"),
+    ([], "-3", "seed must be a non-negative integer, got -3"),
+    (["--sobol-n", "100", "--fraction", "3", "--grid-n", "0"], None,
+     "sobol_n must be a power of two >= 64, got 100"),
+], ids=["sobol-n", "fraction", "fraction-nan", "grid-n", "classify-tol", "classify-tol-nan",
+        "seed", "seed-env", "first-of-three"])
+def test_cli_invalid_setting_error_bytes(monkeypatch, capsys, flags, env_seed, message):
+    if env_seed is None:
+        monkeypatch.delenv("LVDYN_SEED", raising=False)
+    else:
+        monkeypatch.setenv("LVDYN_SEED", env_seed)
+    assert main(["fit", "--input", str(PHYS_FIXTURE), *flags]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_injected_run_reproduces_published_state(injected_reports):

@@ -290,13 +290,15 @@ def integrate_ode(
     pass, with the same floating-point operations in the same order.  A
     flagged step raises StepTooLarge even when a later step went negative.
     """
-    if dt <= 0:
+    if not dt > 0:
         raise ValidationError(f"dt must be > 0, got {dt}")
-    if t_end < 0:
-        raise ValidationError(f"t_end must be >= 0, got {t_end}")
+    if not 0 <= t_end < np.inf:
+        raise ValidationError(f"t_end must be finite and >= 0, got {t_end}")
     if not (0 <= x0[0] < np.inf and 0 <= x0[1] < np.inf):
         raise ValidationError(
             f"x0 must be finite and lie in the closed first quadrant, got {x0}")
+    if not float(t_end) / float(dt) < np.inf:
+        raise ValidationError(f"t_end / dt overflows: {t_end} / {dt}")
 
     n_steps = int(round(t_end / dt))
     t = np.linspace(0.0, n_steps * dt, n_steps + 1)

@@ -81,7 +81,15 @@ def check(name: str, value) -> None:
     if not isinstance(value, types) or isinstance(value, bool):
         raise error(f"{name} must be {kind}, got {value!r}")
     if not test(value):
-        raise error(f"{name} must be {requirement}, got {value}")
+        raise error(f"{name} must be {requirement}, got {_shown(value)}")
+
+
+def _shown(value) -> str:
+    """str(value), or the size of an int too long for str (sys.get_int_max_str_digits)."""
+    try:
+        return str(value)
+    except ValueError:
+        return f"a {'negative' if value < 0 else 'positive'} integer of {value.bit_length()} bits"
 
 
 # --------------------------------------------------------------------------

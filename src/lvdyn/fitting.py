@@ -224,8 +224,8 @@ def free_run(dp: DiscreteParams, x0: tuple[float, float], steps: int) -> np.ndar
 
     Returns an array of shape (steps+1, 2) whose first row is x0.
     """
-    if steps < 0:
-        raise ValidationError(f"steps must be >= 0, got {steps}")
+    if not isinstance(steps, (int, np.integer)) or isinstance(steps, bool) or steps < 0:
+        raise ValidationError(f"steps must be a non-negative integer, got {steps!r}")
     traj = np.empty((steps + 1, 2))
     traj[0] = x0
     x, y = float(x0[0]), float(x0[1])

@@ -13,10 +13,20 @@ rejection removes the whole base-index triple so estimator pairings stay
 aligned.  Every estimator mean and variance is numpy's pairwise sum along a
 C-contiguous row of base indices, whose rounding error grows with log N
 rather than N (Higham 1993), whatever the memory order of the outputs.
+
+From N = 2 * MIN_PART on, each kernel splits its work into parts, one per
+usable CPU, and runs every part beyond the first in a thread of its own:
+sampling by rows of A and B, evaluation by ranges of base indices, the
+estimators by output.  Each part applies the same elementwise operations
+and full-row sums to its own slice, so every result is bit-identical
+whatever the number of parts.
 """
 
 from __future__ import annotations
 
+import contextvars
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +43,11 @@ OUTPUT_NAMES = ("x_star", "y_star")
 
 #: Minimum fraction of base-sample triples that must survive rejection.
 MIN_RETAINED_FRACTION = 0.5
+
+#: Fewest base indices per part: below 2 * MIN_PART base indices each kernel
+#: runs in the calling thread alone, where starting a thread costs more than
+#: it saves.
+MIN_PART = 1 << 15
 
 #: Bits per Sobol' coordinate: every point is a multiple of 2**-_SOBOL_BITS.
 _SOBOL_BITS = 30
@@ -96,6 +111,53 @@ def _sobol_points(n: int, seed: int) -> np.ndarray:
         np.bitwise_xor(points[:, (1 << j) - 1::-1], scrambled[:, j, None],
                        out=points[:, 1 << j:2 << j])
     return points
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:             # no CPU affinity on this platform
+        return os.cpu_count() or 1
+
+
+def _part_count(n_base: int) -> int:
+    """Parts a kernel splits into: one per usable CPU, each of at least MIN_PART base indices."""
+    return max(1, min(_usable_cpus(), n_base // MIN_PART))
+
+
+def _run_parts(work, count: int, parts: int) -> None:
+    """Call ``work(lo, hi)`` on ``parts`` contiguous ranges that cover range(count).
+
+    The first range runs in the calling thread, each other one in a thread
+    of its own, started in a copy of the caller's context so that numpy's
+    error state (``np.errstate``) holds there too.  numpy releases the GIL
+    inside the ufuncs and reductions the kernels call, so the parts run at
+    once.  Every thread is joined before the first part's error, in range
+    order, is raised again in the caller with its own class.
+    """
+    parts = min(parts, count)
+    edges = [count * p // parts for p in range(parts + 1)]
+    errors = [None] * parts
+
+    def run(p: int, context: contextvars.Context) -> None:
+        try:
+            context.run(work, edges[p], edges[p + 1])
+        except BaseException as exc:   # raised again in the caller
+            errors[p] = exc
+
+    threads = [threading.Thread(target=run, args=(p, contextvars.copy_context()))
+               for p in range(1, parts)]
+    for thread in threads:
+        thread.start()
+    try:
+        work(edges[0], edges[1])
+    finally:
+        for thread in threads:
+            thread.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
 
 
 @dataclass(frozen=True)
@@ -170,16 +232,24 @@ def saltelli_sample(bounds: ParamBounds, n_base: int, seed: int) -> SaltelliDesi
     The base matrices A and B are the first and last six columns of a
     12-dimensional low-discrepancy sample of size n_base, mapped affinely
     into the bounds; n_base obeys the ``sobol_n`` rule and seed the ``seed`` rule.
+    Large designs scale a range of rows of A and B per part, at once.
     """
     check("sobol_n", n_base)
     check("seed", seed)
-    # (A, B) as (2, D, n_base), scaled in place: p * 2**-30 is exact, so this
-    # is lower + unit * width bit for bit.
-    ab = np.multiply(_sobol_points(n_base, seed), 2.0 ** -_SOBOL_BITS).reshape(2, N_PARAMS, -1)
-    lower = bounds.lower[:, None]
-    ab *= bounds.upper[:, None] - lower
-    ab += lower
-    return SaltelliDesign(a=ab[0], b=ab[1], n_base=n_base, seed=seed)
+    points = _sobol_points(n_base, seed)
+    # Rows 0..D-1 of ab are A, rows D..2D-1 are B, each scaled in place:
+    # p * 2**-30 is exact, so this is lower + unit * width bit for bit.
+    ab = np.empty(points.shape)
+    lower = np.tile(bounds.lower, 2)[:, None]
+    width = np.tile(bounds.upper - bounds.lower, 2)[:, None]
+
+    def scale(lo: int, hi: int) -> None:
+        rows = np.multiply(points[lo:hi], 2.0 ** -_SOBOL_BITS, out=ab[lo:hi])
+        rows *= width[lo:hi]
+        rows += lower[lo:hi]
+
+    _run_parts(scale, 2 * N_PARAMS, _part_count(n_base))
+    return SaltelliDesign(a=ab[:N_PARAMS], b=ab[N_PARAMS:], n_base=n_base, seed=seed)
 
 
 def evaluate_equilibria(design: SaltelliDesign) -> tuple[np.ndarray, np.ndarray]:
@@ -189,18 +259,25 @@ def evaluate_equilibria(design: SaltelliDesign) -> tuple[np.ndarray, np.ndarray]
     columns of A and B: outputs is (2, BLOCK, n_base), indexed (output, block
     row, base index), and valid is (BLOCK, n_base).  A point is valid when
     its nullclines cross and it is finite and in the closed first quadrant;
-    invalid points carry NaN outputs.
+    invalid points carry NaN outputs.  Large designs are split into
+    contiguous ranges of base indices, evaluated at once.
     """
-    outputs = np.empty((2, BLOCK, design.n_base))
-    valid = np.empty((BLOCK, design.n_base), dtype=bool)
-    for k in range(BLOCK):
-        (x, y), ok = interior_equilibria(design.block(k), outputs[:, k])
-        row_valid = np.logical_and(ok, x >= 0, out=valid[k])
-        row_valid &= y >= 0
-        row_valid &= x < np.inf
-        row_valid &= y < np.inf
-        if not row_valid.all():
-            outputs[:, k, ~row_valid] = np.nan
+    n = design.n_base
+    outputs = np.empty((2, BLOCK, n))
+    valid = np.empty((BLOCK, n), dtype=bool)
+
+    def evaluate(lo: int, hi: int) -> None:
+        for k in range(BLOCK):
+            points = outputs[:, k, lo:hi]
+            (x, y), ok = interior_equilibria([c[lo:hi] for c in design.block(k)], points)
+            row_valid = np.logical_and(ok, x >= 0, out=valid[k, lo:hi])
+            row_valid &= y >= 0
+            row_valid &= x < np.inf
+            row_valid &= y < np.inf
+            if not row_valid.all():
+                points[:, ~row_valid] = np.nan
+
+    _run_parts(evaluate, n, _part_count(n))
     return outputs, valid
 
 
@@ -242,7 +319,8 @@ def sobol_indices(
 
     Summation: each mean, and the pooled ``np.var`` of the A and B outputs,
     is numpy's pairwise sum over one C-contiguous (retained,) row per
-    output, whatever the memory order of ``outputs``.
+    output, whatever the memory order of ``outputs``.  Large designs
+    estimate the two outputs at once.
     """
     n = design.n_base
     if outputs.shape != (2, BLOCK, n) or valid.shape != (BLOCK, n):
@@ -270,11 +348,17 @@ def sobol_indices(
     # A tiny positive variance can still overflow a ratio; checked below.
     first, total = np.empty((2, 2, N_PARAMS))
     diff, prod = np.empty((2, 2, retained))      # reused for every parameter
+
+    def estimate(lo: int, hi: int) -> None:      # outputs lo..hi-1
+        d, p = diff[lo:hi], prod[lo:hi]
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i in range(N_PARAMS):
+                np.subtract(blocks[lo:hi, 1 + i], f_a[lo:hi], out=d)   # f(A_B^i) - f(A)
+                first[lo:hi, i] = np.multiply(f_b[lo:hi], d, out=p).mean(axis=-1)
+                total[lo:hi, i] = np.multiply(d, d, out=p).mean(axis=-1)
+
+    _run_parts(estimate, len(OUTPUT_NAMES), _part_count(n))
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(N_PARAMS):
-            np.subtract(blocks[:, 1 + i], f_a, out=diff)       # f(A_B^i) - f(A)
-            first[:, i] = np.multiply(f_b, diff, out=prod).mean(axis=-1)
-            total[:, i] = np.multiply(diff, diff, out=prod).mean(axis=-1)
         first /= variance[:, None]
         total /= 2.0 * variance[:, None]
     if not (np.all(np.isfinite(first)) and np.all(np.isfinite(total))):

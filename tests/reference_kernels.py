@@ -126,13 +126,15 @@ def sobol_indices(n_base: int, outputs: np.ndarray, valid: np.ndarray):
 
 def integrate_ode(cp, x0, t_end, dt=0.001, error_tol=RK4_ERROR_TOL) -> Trajectory:
     """RK4 with the step-doubling check made inside the loop, step by step."""
-    if dt <= 0:
+    if not dt > 0:
         raise ValidationError(f"dt must be > 0, got {dt}")
-    if t_end < 0:
-        raise ValidationError(f"t_end must be >= 0, got {t_end}")
+    if not 0 <= t_end < np.inf:
+        raise ValidationError(f"t_end must be finite and >= 0, got {t_end}")
     if not (0 <= x0[0] < np.inf and 0 <= x0[1] < np.inf):
         raise ValidationError(
             f"x0 must be finite and lie in the closed first quadrant, got {x0}")
+    if not float(t_end) / float(dt) < np.inf:
+        raise ValidationError(f"t_end / dt overflows: {t_end} / {dt}")
 
     n_steps = int(round(t_end / dt))
     t = np.linspace(0.0, n_steps * dt, n_steps + 1)

@@ -501,6 +501,19 @@ def test_integrate_validates_arguments():
         integrate_ode(cp, (-1.0, 1.0), 1.0, 0.1)
 
 
+@pytest.mark.parametrize("t_end,dt", [
+    (1.0, np.nan), (1.0, -np.inf), (np.nan, 0.1), (np.inf, 0.1), (-np.inf, 0.1),
+    (1e300, 1e-300), (np.float64(1e300), np.float64(1e-300)),
+])
+def test_integrate_rejects_non_finite_span(t_end, dt):
+    # NaN and inf reached int(round(t_end / dt)) as a bare ValueError or
+    # OverflowError; a finite t_end / dt that overflows did too.
+    with pytest.raises(ValidationError):
+        integrate_ode(cp_for("ai_physical"), (1.0, 1.0), t_end, dt)
+    with pytest.raises(ValidationError):
+        ref.integrate_ode(cp_for("ai_physical"), (1.0, 1.0), t_end, dt)
+
+
 @pytest.mark.parametrize("x0", [(np.nan, 1.0), (1.0, np.nan), (np.inf, 1.0), (1.0, np.inf)])
 def test_integrate_rejects_non_finite_start(x0):
     # Such a start would give a path that ends in NaN.

@@ -260,6 +260,19 @@ def test_free_run_rejects_negative_steps():
         free_run(_plain(), (1.0, 1.0), -1)
 
 
+@pytest.mark.parametrize("steps", [np.int64(-1), 2.5, 3.0, True, "3", None])
+def test_free_run_rejects_steps_that_are_not_a_non_negative_integer(steps):
+    # 2.5 and "3" used to end in a bare TypeError from np.empty or range,
+    # and True ran one step.
+    with pytest.raises(ValidationError, match="steps must be a non-negative integer"):
+        free_run(_plain(), (1.0, 1.0), steps)
+
+
+def test_free_run_takes_numpy_integer_steps():
+    assert np.array_equal(free_run(_plain(), (1.0, 1.0), np.int64(3)),
+                          free_run(_plain(), (1.0, 1.0), 3))
+
+
 def test_one_step_and_free_run_agree_on_first_step(physical_series):
     dp = DiscreteParams(**PUBLISHED["ai_physical"]["discrete"])
     fx, fy = one_step_predictions(dp, physical_series)

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import sys
+import threading
 from functools import cache
 from pathlib import Path
 
@@ -13,6 +15,7 @@ from lvdyn import (
     ContinuousParams,
     DegenerateVariance,
     ParamBounds,
+    TooManyRejections,
     analyze_sensitivity,
     bounds_from_baseline,
     discrete_to_continuous,
@@ -24,6 +27,7 @@ from lvdyn import (
     saltelli_sample,
     sobol_indices,
 )
+from lvdyn import sensitivity
 from lvdyn.dynamics import interior_equilibria
 from lvdyn.sensitivity import BLOCK
 
@@ -270,3 +274,169 @@ def test_indices_overflowing_on_a_tiny_variance_raise():
     assert np.all(variance > 0) and np.isinf(total[1, 0])
     with pytest.raises(DegenerateVariance, match="not finite"):
         sobol_indices(design, ref.block_major(outputs, n), ref.block_major(valid, n))
+
+
+# ---------------------------------------------------------------------------
+# Large designs split into parts, one thread each beyond the first
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def started_threads(monkeypatch):
+    """Record every thread the kernels start."""
+    started = []
+
+    class Recorded(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(sensitivity.threading, "Thread", Recorded)
+    return started
+
+
+def force_parts(monkeypatch, parts: int) -> None:
+    """Split every design of at least 64 * parts base indices into ``parts`` parts."""
+    monkeypatch.setattr(sensitivity, "_usable_cpus", lambda: parts)
+    monkeypatch.setattr(sensitivity, "MIN_PART", 64)
+
+
+def test_part_count_follows_usable_cpus_and_min_part(monkeypatch):
+    monkeypatch.setattr(sensitivity, "_usable_cpus", lambda: 3)
+    min_part = sensitivity.MIN_PART
+    assert [sensitivity._part_count(n) for n in
+            (64, 1024, 2 * min_part - 1, 2 * min_part, 3 * min_part, 2**30)] == [1, 1, 1, 2, 3, 3]
+    monkeypatch.setattr(sensitivity, "_usable_cpus", lambda: 1)
+    assert sensitivity._part_count(2**30) == 1
+
+
+def test_cli_default_size_starts_no_thread(monkeypatch, started_threads):
+    # N = 1024, the CLI default, stays in the calling thread however many
+    # CPUs there are; N = 2^16 on two CPUs starts one thread per kernel.
+    monkeypatch.setattr(sensitivity, "_usable_cpus", lambda: 64)
+    analyze_sensitivity(params_for("published:ai_physical"), 0.1, 1024, 1)
+    assert started_threads == []
+    monkeypatch.setattr(sensitivity, "_usable_cpus", lambda: 2)
+    analyze_sensitivity(params_for("published:ai_physical"), 0.1, 2**16, 1)
+    assert len(started_threads) == 3
+    assert not any(t.is_alive() for t in started_threads)
+
+
+def split_run(monkeypatch, parts: int, bounds: ParamBounds, n_base: int, seed: int):
+    force_parts(monkeypatch, parts)
+    design = saltelli_sample(bounds, n_base, seed)
+    outputs, valid = evaluate_equilibria(design)
+    return design, outputs, valid, sobol_indices(design, outputs, valid)
+
+
+@pytest.mark.parametrize("case,fraction,n_base", [
+    ("published:ai_physical", 0.1, 256),
+    ("fitted:ai_labor", 0.5, 1024),         # rejects whole triples
+    ("fitted:ai_physical", 0.1, 2**15),
+    ("fitted:ai_labor", 0.5, 2**16),
+])
+def test_split_kernels_are_bit_identical_to_one_part(monkeypatch, started_threads, case,
+                                                      fraction, n_base):
+    bounds = bounds_from_baseline(params_for(case), fraction)
+    one = split_run(monkeypatch, 1, bounds, n_base, 5)
+    assert started_threads == []
+    for parts in (2, 3):
+        started_threads.clear()
+        design, outputs, valid, res = split_run(monkeypatch, parts, bounds, n_base, 5)
+        # Sampling and evaluation start parts - 1 threads each; the
+        # estimators split by output, into at most two parts.
+        assert len(started_threads) == 2 * (parts - 1) + 1
+        assert_same(design.a, one[0].a)
+        assert_same(design.b, one[0].b)
+        assert_same(outputs, one[1])
+        assert np.array_equal(valid, one[2])
+        want = one[3]
+        assert_same(res.first_order, want.first_order)
+        assert_same(res.total_order, want.total_order)
+        assert_same(res.total_variance, want.total_variance)
+        assert (res.accepted_count, res.rejected_count, res.retained_triples) == (
+            want.accepted_count, want.rejected_count, want.retained_triples)
+        assert (res.retained_triples < n_base) == (fraction == 0.5)
+
+
+def test_many_parts_with_fast_thread_switches_lose_no_write(monkeypatch):
+    # More parts than cores, switching threads every microsecond: a write
+    # lost between parts would change a result.
+    bounds = bounds_from_baseline(params_for("fitted:ai_labor"), 0.5)
+    want = split_run(monkeypatch, 1, bounds, 1024, 9)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            got = split_run(monkeypatch, 8, bounds, 1024, 9)
+            assert_same(np.concatenate([got[0].a, got[0].b]),
+                        np.concatenate([want[0].a, want[0].b]))
+            assert_same(got[1], want[1])
+            assert np.array_equal(got[2], want[2])
+            assert_same(got[3].first_order, want[3].first_order)
+            assert_same(got[3].total_order, want[3].total_order)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_error_in_a_helper_thread_keeps_its_class(monkeypatch, started_threads):
+    # The second range of base indices is evaluated in a helper thread; its
+    # typed error reaches the caller unchanged, after every thread is joined.
+    def failing(columns, out=None):
+        if threading.current_thread() is not threading.main_thread():
+            raise TooManyRejections("raised in a helper thread")
+        return interior_equilibria(columns, out)
+
+    monkeypatch.setattr(sensitivity, "interior_equilibria", failing)
+    force_parts(monkeypatch, 2)
+    with pytest.raises(TooManyRejections, match="raised in a helper thread"):
+        analyze_sensitivity(params_for("published:ai_physical"), 0.1, 256, 1)
+    assert len(started_threads) == 2       # sampling, then the failed evaluation
+    assert not any(t.is_alive() for t in started_threads)
+
+
+def test_run_parts_raises_the_first_failing_part():
+    done = []
+
+    def work(lo, hi):
+        if lo:
+            raise KeyError(lo)
+        done.append((lo, hi))
+
+    with pytest.raises(KeyError) as err:
+        sensitivity._run_parts(work, 9, 3)
+    assert err.value.args == (3,)
+    assert done == [(0, 3)]
+
+
+def test_parts_keep_the_callers_error_state():
+    def overflow(lo, hi):
+        np.float64(1e308) * np.float64(10.0)
+
+    with np.errstate(over="raise"):
+        with pytest.raises(FloatingPointError):
+            sensitivity._run_parts(overflow, 2, 2)
+    with np.errstate(over="ignore"):
+        sensitivity._run_parts(overflow, 2, 2)
+
+
+@pytest.mark.parametrize("parts", [2, 3])
+def test_overflow_in_a_helper_thread_emits_no_warning(monkeypatch, parts):
+    # y* is 1e160 everywhere but on the B-row and the A_B^1 row of base
+    # index 0, so its pooled variance is finite (near 1e297) while f(B) *
+    # (f(A_B^1) - f(A)) overflows.  The estimators of y* run in a helper
+    # thread, where pytest's error::RuntimeWarning would turn an overflow
+    # warning into an error.  The evaluation of a box whose
+    # coefficient products overflow runs in helper threads too.
+    force_parts(monkeypatch, parts)
+    n = 256
+    design = saltelli_sample(ParamBounds(lower=np.zeros(6), upper=np.ones(6)), n, 1)
+    outputs = np.full((n * BLOCK, 2), 1e160)
+    outputs[:, 0] = np.arange(n * BLOCK)
+    outputs[1, 1] += 1e151                  # A_B^1 row of base index 0
+    outputs[BLOCK - 1, 1] += 1e150          # its B-row
+    valid = np.ones(n * BLOCK, dtype=bool)
+    with pytest.raises(DegenerateVariance, match="not finite"):
+        sobol_indices(design, ref.block_major(outputs, n), ref.block_major(valid, n))
+    huge = ParamBounds(lower=np.full(6, 1e200), upper=np.full(6, 2e200))
+    _, valid = evaluate_equilibria(saltelli_sample(huge, n, 1))
+    assert not valid.any()

@@ -212,6 +212,28 @@ def test_owning_kernel_raises_what_validate_raises(name, value):
     assert isinstance(by_config.value, InvalidN) == (name == "sobol_n")
 
 
+HUGE = [("sobol_n", 10 ** 5000), ("fraction", 10 ** 5000), ("classify_tol", -10 ** 5000),
+        ("grid_n", -10 ** 5000), ("seed", -10 ** 5000)]
+
+
+@pytest.mark.parametrize("name,value", HUGE, ids=[name for name, _ in HUGE])
+def test_int_too_long_for_str_fails_typed_with_a_bounded_message(name, value):
+    # str() of an int over sys.get_int_max_str_digits() digits raises a bare
+    # ValueError, which formatting the rejected value used to let out.
+    with pytest.raises(ValidationError) as by_check:
+        check(name, value)
+    with pytest.raises(ValidationError) as by_config:
+        config_for("ai_physical", **{name: value}).validate()
+    with pytest.raises(ValidationError) as by_kernel:
+        call_owning_kernel(name, value)
+    assert type(by_check.value) is type(by_config.value) is type(by_kernel.value)
+    assert type(by_check.value) is RULES[name][3]
+    assert str(by_check.value) == str(by_config.value) == str(by_kernel.value)
+    assert str(by_check.value).startswith(f"{name} must be ")
+    assert str(by_check.value).endswith(" integer of 16610 bits")
+    assert len(str(by_check.value)) < 100
+
+
 def test_validate_and_check_agree_property():
     hyp = pytest.importorskip("hypothesis")
     st = hyp.strategies

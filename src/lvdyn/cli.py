@@ -47,7 +47,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--classify-tol", type=float,
                    help="treat cross-coefficients within this of zero as zero")
     p.add_argument("--sobol-n", type=int,
-                   help="base sample size (power of two >= 64)")
+                   help="base sample size (power of two from 64 to 2**30)")
     p.add_argument("--fraction", type=float,
                    help="relative half-width of the sensitivity box")
     p.add_argument("--seed", type=int,

@@ -31,6 +31,10 @@ RK4_ERROR_TOL = 1e-3
 #: States below this are considered to have left the meaningful domain.
 NEGATIVE_STATE_TOL = -1e-9
 
+#: Most RK4 steps integrate_ode takes: its path holds about 0.2 GB of
+#: states and takes seconds to step at this length.
+MAX_RK4_STEPS = 10**6
+
 
 def vector_field(cp: ContinuousParams, x: float | np.ndarray,
                  y: float | np.ndarray) -> tuple:
@@ -289,6 +293,7 @@ def integrate_ode(
     path is stepped first and every step is checked afterwards in one array
     pass, with the same floating-point operations in the same order.  A
     flagged step raises StepTooLarge even when a later step went negative.
+    A span of more than MAX_RK4_STEPS steps raises ValidationError.
     """
     if not dt > 0:
         raise ValidationError(f"dt must be > 0, got {dt}")
@@ -301,6 +306,9 @@ def integrate_ode(
         raise ValidationError(f"t_end / dt overflows: {t_end} / {dt}")
 
     n_steps = int(round(t_end / dt))
+    if n_steps > MAX_RK4_STEPS:
+        raise ValidationError(
+            f"t_end / dt asks for {n_steps:.3g} RK4 steps, more than {MAX_RK4_STEPS:.0e}")
     t = np.linspace(0.0, n_steps * dt, n_steps + 1)
     x, y = float(x0[0]), float(x0[1])
     path = [(x, y)]

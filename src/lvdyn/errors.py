@@ -64,10 +64,11 @@ _REAL = ("a real number", (int, float, np.integer, np.floating))
 
 #: The one rule of each scalar setting, in the order AnalysisConfig.validate
 #: applies them: (value type, test, requirement, error class).  NaN fails
-#: every test.
+#: every test.  sobol_n stops at 2**30, the length of the Sobol' sequence
+#: with the 30 direction numbers per coordinate that lvdyn.sensitivity has.
 RULES = {
-    "sobol_n": (_INTEGER, lambda n: n >= 64 and n & (n - 1) == 0, "a power of two >= 64",
-                InvalidN),
+    "sobol_n": (_INTEGER, lambda n: 64 <= n <= 2**30 and n & (n - 1) == 0,
+                "a power of two from 64 to 2**30", InvalidN),
     "fraction": (_REAL, lambda f: 0 < f < 1, "in (0, 1)", ValidationError),
     "classify_tol": (_REAL, lambda t: t >= 0, ">= 0", ValidationError),
     "grid_n": (_INTEGER, lambda n: n >= 2, ">= 2", ValidationError),

@@ -20,6 +20,16 @@ sampling by rows of A and B, evaluation by ranges of base indices, the
 estimators by output.  Each part applies the same elementwise operations
 and full-row sums to its own slice, so every result is bit-identical
 whatever the number of parts.
+
+The kernels allocate their arrays afresh unless given buffers through their
+keyword-only ``out=`` and ``scratch=``.  Only :func:`analyze_sensitivity`
+passes them, because nothing it builds leaves the call but the small
+:class:`SobolResult` arrays: it keeps one workspace per thread, sized for
+the last ``n_base`` that thread analysed, and reuses it on the next call of
+the same size.  The workspace holds A|B, the outputs and their validity,
+and one scratch buffer shared by temporaries that are never alive at once:
+the Sobol' digits while sampling, then the pooled A|B outputs the variance
+reads and the difference/product pair of the estimators.
 """
 
 from __future__ import annotations
@@ -80,15 +90,15 @@ def _direction_numbers() -> np.ndarray:
 _DIRECTIONS = _direction_numbers()
 
 
-def _sobol_points(n: int, seed: int) -> np.ndarray:
+def _sobol_points(n: int, seed: int, out: np.ndarray | None = None) -> np.ndarray:
     """Digits of the first n points of the scrambled 2*N_PARAMS-dim Sobol' sequence.
 
-    Returns (2*N_PARAMS, n) uint32: coordinate d of point j is
-    ``points[d, j] * 2**-_SOBOL_BITS``.  Linear matrix scrambling (Matousek
-    1998) plus a digital shift, drawn from ``np.random.default_rng(seed)`` in
-    the order scipy.stats.qmc.Sobol draws them, so the scaled, transposed
-    points equal ``Sobol(d=12, scramble=True, seed=seed).random(n)`` bit for
-    bit.  n must be a power of two.
+    Returns (2*N_PARAMS, n) uint32, written into ``out`` when given:
+    coordinate d of point j is ``points[d, j] * 2**-_SOBOL_BITS``.  Linear
+    matrix scrambling (Matousek 1998) plus a digital shift, drawn from
+    ``np.random.default_rng(seed)`` in the order scipy.stats.qmc.Sobol draws
+    them, so the scaled, transposed points equal ``Sobol(d=12, scramble=True,
+    seed=seed).random(n)`` bit for bit.  n must be a power of two.
     """
     rng = np.random.default_rng(seed)
     dims = len(_DIRECTIONS)
@@ -105,7 +115,7 @@ def _sobol_points(n: int, seed: int) -> np.ndarray:
 
     # Gray-code order: point 2^j + i is point 2^j - 1 - i with direction j
     # flipped, so each doubling of the prefix is one vectorised XOR.
-    points = np.empty((dims, n), dtype=np.uint32)
+    points = np.empty((dims, n), dtype=np.uint32) if out is None else out
     points[:, 0] = shift
     for j in range(n.bit_length() - 1):
         np.bitwise_xor(points[:, (1 << j) - 1::-1], scrambled[:, j, None],
@@ -158,6 +168,34 @@ def _run_parts(work, count: int, parts: int) -> None:
     for exc in errors:
         if exc is not None:
             raise exc
+
+
+def _array(given: np.ndarray | None, shape: tuple[int, ...], dtype=float) -> np.ndarray:
+    """``given`` once checked to be a writable C-contiguous array of shape and dtype,
+    or a new such array when it is None."""
+    if given is None:
+        return np.empty(shape, dtype)
+    if not (isinstance(given, np.ndarray) and given.shape == shape and given.dtype == dtype
+            and given.flags.c_contiguous and given.flags.writeable):
+        raise ValidationError(
+            f"buffer must be a writable C-contiguous {np.dtype(dtype)} array of shape {shape}")
+    return given
+
+
+#: The arrays of the last design each thread analysed, reused by its next
+#: call of analyze_sensitivity on a design of the same size.
+_WORKSPACE = threading.local()
+
+
+def _workspace(n_base: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The calling thread's (A|B, outputs, valid, scratch) for n_base base indices."""
+    arrays = getattr(_WORKSPACE, "arrays", None)
+    if arrays is None or arrays[0].shape[1] != n_base:
+        arrays = _WORKSPACE.arrays = None      # the last size's arrays go first
+        arrays = _WORKSPACE.arrays = (
+            np.empty((2 * N_PARAMS, n_base)), np.empty((2, BLOCK, n_base)),
+            np.empty((BLOCK, n_base), dtype=bool), np.empty((N_PARAMS, n_base)))
+    return arrays
 
 
 @dataclass(frozen=True)
@@ -226,20 +264,29 @@ class SaltelliDesign:
         return columns
 
 
-def saltelli_sample(bounds: ParamBounds, n_base: int, seed: int) -> SaltelliDesign:
+def saltelli_sample(bounds: ParamBounds, n_base: int, seed: int, *,
+                    out: np.ndarray | None = None,
+                    scratch: np.ndarray | None = None) -> SaltelliDesign:
     """Draw the Saltelli design from a scrambled Sobol' sequence.
 
     The base matrices A and B are the first and last six columns of a
     12-dimensional low-discrepancy sample of size n_base, mapped affinely
     into the bounds; n_base obeys the ``sobol_n`` rule and seed the ``seed`` rule.
     Large designs scale a range of rows of A and B per part, at once.
+
+    ``out``, a (2*D, n_base) float array, receives A over B, and the design's
+    ``a`` and ``b`` are views of it.  ``scratch``, a (D, n_base) float array,
+    holds the Sobol' digits and is left overwritten.  Both are allocated when
+    not given.
     """
     check("sobol_n", n_base)
     check("seed", seed)
-    points = _sobol_points(n_base, seed)
+    digits = (None if scratch is None else
+              _array(scratch, (N_PARAMS, n_base)).view(np.uint32).reshape(2 * N_PARAMS, n_base))
+    points = _sobol_points(n_base, seed, digits)
     # Rows 0..D-1 of ab are A, rows D..2D-1 are B, each scaled in place:
     # p * 2**-30 is exact, so this is lower + unit * width bit for bit.
-    ab = np.empty(points.shape)
+    ab = _array(out, points.shape)
     lower = np.tile(bounds.lower, 2)[:, None]
     width = np.tile(bounds.upper - bounds.lower, 2)[:, None]
 
@@ -252,7 +299,9 @@ def saltelli_sample(bounds: ParamBounds, n_base: int, seed: int) -> SaltelliDesi
     return SaltelliDesign(a=ab[:N_PARAMS], b=ab[N_PARAMS:], n_base=n_base, seed=seed)
 
 
-def evaluate_equilibria(design: SaltelliDesign) -> tuple[np.ndarray, np.ndarray]:
+def evaluate_equilibria(design: SaltelliDesign, *,
+                        out: tuple[np.ndarray, np.ndarray] | None = None
+                        ) -> tuple[np.ndarray, np.ndarray]:
     """Closed-form interior equilibrium of every parameter set of a design.
 
     The design is evaluated one block row at a time, straight from the
@@ -260,11 +309,13 @@ def evaluate_equilibria(design: SaltelliDesign) -> tuple[np.ndarray, np.ndarray]
     row, base index), and valid is (BLOCK, n_base).  A point is valid when
     its nullclines cross and it is finite and in the closed first quadrant;
     invalid points carry NaN outputs.  Large designs are split into
-    contiguous ranges of base indices, evaluated at once.
+    contiguous ranges of base indices, evaluated at once.  ``out``, a pair
+    of such arrays, receives the results; without it both are allocated.
     """
     n = design.n_base
-    outputs = np.empty((2, BLOCK, n))
-    valid = np.empty((BLOCK, n), dtype=bool)
+    outputs, valid = out or (None, None)
+    outputs = _array(outputs, (2, BLOCK, n))
+    valid = _array(valid, (BLOCK, n), bool)
 
     def evaluate(lo: int, hi: int) -> None:
         for k in range(BLOCK):
@@ -303,7 +354,8 @@ class SobolResult:
 
 
 def sobol_indices(
-    design: SaltelliDesign, outputs: np.ndarray, valid: np.ndarray
+    design: SaltelliDesign, outputs: np.ndarray, valid: np.ndarray, *,
+    scratch: np.ndarray | None = None
 ) -> SobolResult:
     """Estimate variance shares from an evaluated Saltelli design.
 
@@ -320,11 +372,14 @@ def sobol_indices(
     Summation: each mean, and the pooled ``np.var`` of the A and B outputs,
     is numpy's pairwise sum over one C-contiguous (retained,) row per
     output, whatever the memory order of ``outputs``.  Large designs
-    estimate the two outputs at once.
+    estimate the two outputs at once.  ``scratch``, a (D, n_base) float
+    array, holds the temporaries and is left overwritten; without it they
+    are allocated.
     """
     n = design.n_base
     if outputs.shape != (2, BLOCK, n) or valid.shape != (BLOCK, n):
         raise ValidationError("outputs/valid do not match the design shape")
+    temps = None if scratch is None else _array(scratch, (N_PARAMS, n)).reshape(-1)
 
     accepted = int(np.count_nonzero(valid))
     keep = valid.all(axis=0)
@@ -338,8 +393,13 @@ def sobol_indices(
     blocks = (np.ascontiguousarray(outputs) if retained == n
               else np.compress(keep, outputs, axis=-1))
     f_a, f_b = blocks[:, 0], blocks[:, -1]       # (2, retained)
+    # The pooled A|B outputs, then the diff/prod pair, one after the other.
+    temps = np.empty(4 * retained) if temps is None else temps[:4 * retained]
+    pooled = temps.reshape(2, 2 * retained)
+    pooled[:, :retained] = f_a
+    pooled[:, retained:] = f_b
     with np.errstate(over="ignore", invalid="ignore"):
-        variance = np.concatenate([f_a, f_b], axis=1).var(axis=-1)
+        variance = pooled.var(axis=-1)
     if not np.all((variance > 0) & (variance < np.inf)):
         raise DegenerateVariance(
             f"pooled output variance is {variance.tolist()}; the variance "
@@ -347,7 +407,7 @@ def sobol_indices(
 
     # A tiny positive variance can still overflow a ratio; checked below.
     first, total = np.empty((2, 2, N_PARAMS))
-    diff, prod = np.empty((2, 2, retained))      # reused for every parameter
+    diff, prod = temps.reshape(2, 2, retained)   # reused for every parameter
 
     def estimate(lo: int, hi: int) -> None:      # outputs lo..hi-1
         d, p = diff[lo:hi], prod[lo:hi]
@@ -381,8 +441,15 @@ def sobol_indices(
 def analyze_sensitivity(
     cp: ContinuousParams, fraction: float, n_base: int, seed: int
 ) -> SobolResult:
-    """End-to-end driver: bounds, sampling, evaluation, indices."""
+    """End-to-end analysis: bounds, sampling, evaluation, indices.
+
+    The design, the outputs, the Sobol' digits and the estimators' buffers
+    live in the calling thread's workspace, which the next call of the same
+    size reuses.
+    """
     bounds = bounds_from_baseline(cp, fraction)
-    design = saltelli_sample(bounds, n_base, seed)
-    outputs, valid = evaluate_equilibria(design)
-    return sobol_indices(design, outputs, valid)
+    check("sobol_n", n_base)                     # before the workspace is sized
+    ab, outputs, valid, scratch = _workspace(n_base)
+    design = saltelli_sample(bounds, n_base, seed, out=ab, scratch=scratch)
+    outputs, valid = evaluate_equilibria(design, out=(outputs, valid))
+    return sobol_indices(design, outputs, valid, scratch=scratch)

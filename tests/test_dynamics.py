@@ -22,7 +22,8 @@ from lvdyn import (
     phase_geometry,
     stability_at,
 )
-from lvdyn.dynamics import RK4_ERROR_TOL, interior_equilibria, vector_field
+from lvdyn import dynamics
+from lvdyn.dynamics import MAX_RK4_STEPS, RK4_ERROR_TOL, interior_equilibria, vector_field
 from lvdyn.errors import LvdynError
 
 import reference_kernels as ref
@@ -512,6 +513,21 @@ def test_integrate_rejects_non_finite_span(t_end, dt):
         integrate_ode(cp_for("ai_physical"), (1.0, 1.0), t_end, dt)
     with pytest.raises(ValidationError):
         ref.integrate_ode(cp_for("ai_physical"), (1.0, 1.0), t_end, dt)
+
+
+@pytest.mark.parametrize("t_end,dt", [(1e300, 1.0), ((MAX_RK4_STEPS + 1) * 1e-3, 1e-3)])
+def test_integrate_rejects_a_span_of_too_many_steps(t_end, dt):
+    # np.linspace raised a bare ValueError on 1e300 steps; a count that fits
+    # an index but not memory went on to allocate its path.
+    with pytest.raises(ValidationError, match="RK4 steps"):
+        integrate_ode(cp_for("ai_physical"), (1.0, 1.0), t_end, dt)
+
+
+def test_integrate_takes_up_to_max_rk4_steps(monkeypatch):
+    monkeypatch.setattr(dynamics, "MAX_RK4_STEPS", 10)
+    assert len(integrate_ode(cp_for("ai_physical"), (1.0, 1.0), 0.01, 0.001).t) == 11
+    with pytest.raises(ValidationError, match="11 RK4 steps, more than 1e\\+01"):
+        integrate_ode(cp_for("ai_physical"), (1.0, 1.0), 0.011, 0.001)
 
 
 @pytest.mark.parametrize("x0", [(np.nan, 1.0), (1.0, np.nan), (np.inf, 1.0), (1.0, np.inf)])

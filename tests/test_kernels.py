@@ -28,6 +28,7 @@ from lvdyn import (
     sobol_indices,
 )
 from lvdyn import sensitivity
+from lvdyn.errors import LvdynError, ValidationError
 from lvdyn.dynamics import interior_equilibria
 from lvdyn.sensitivity import BLOCK
 
@@ -440,3 +441,148 @@ def test_overflow_in_a_helper_thread_emits_no_warning(monkeypatch, parts):
     huge = ParamBounds(lower=np.full(6, 1e200), upper=np.full(6, 2e200))
     _, valid = evaluate_equilibria(saltelli_sample(huge, n, 1))
     assert not valid.any()
+
+
+# ---------------------------------------------------------------------------
+# The per-thread workspace that analyze_sensitivity reuses
+# ---------------------------------------------------------------------------
+
+def outcome(case: str, fraction: float, n_base: int, seed: int):
+    """analyze_sensitivity's result, or the class and message of its typed error."""
+    try:
+        return analyze_sensitivity(params_for(case), fraction, n_base, seed)
+    except LvdynError as exc:
+        return type(exc), str(exc)
+
+
+def in_fresh_thread(fn, *args):
+    """fn(*args) in a new thread, whose workspace no earlier call has used."""
+    result = []
+    thread = threading.Thread(target=lambda: result.append(fn(*args)))
+    thread.start()
+    thread.join(timeout=120)
+    assert not thread.is_alive()
+    return result[0]
+
+
+def assert_same_outcome(got, want) -> None:
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    assert_same(got.first_order, want.first_order)
+    assert_same(got.total_order, want.total_order)
+    assert_same(got.total_variance, want.total_variance)
+    assert (got.accepted_count, got.rejected_count, got.retained_triples, got.n_base,
+            got.seed) == (want.accepted_count, want.rejected_count, want.retained_triples,
+                          want.n_base, want.seed)
+
+
+def test_public_kernel_results_are_never_written_by_a_later_call():
+    bounds = bounds_from_baseline(params_for("published:ai_physical"), 0.1)
+    design = saltelli_sample(bounds, 1024, 3)
+    outputs, valid = evaluate_equilibria(design)
+    res = analyze_sensitivity(params_for("published:ai_physical"), 0.1, 1024, 3)
+    kept = [design.a, design.b, outputs, valid, res.first_order, res.total_order,
+            res.total_variance]
+    want = [a.copy() for a in kept]
+    # Same size, so the workspace is reused; the public calls allocate anew.
+    analyze_sensitivity(params_for("fitted:ai_labor"), 0.5, 1024, 4)
+    other = saltelli_sample(bounds_from_baseline(params_for("fitted:ai_labor"), 0.5), 1024, 4)
+    sobol_indices(other, *evaluate_equilibria(other))
+    for got, expected in zip(kept, want):
+        if got.dtype == bool:
+            assert np.array_equal(got, expected)
+        else:
+            assert_same(got, expected)
+    assert not any(np.shares_memory(got, buffer)
+                   for got in kept for buffer in sensitivity._workspace(1024))
+
+
+def test_kernels_write_into_the_buffers_they_are_given():
+    bounds = bounds_from_baseline(params_for("fitted:ai_physical"), 0.5)
+    want_design = saltelli_sample(bounds, 256, 8)
+    want_out, want_valid = evaluate_equilibria(want_design)
+    want = sobol_indices(want_design, want_out, want_valid)
+    ab, outputs, valid = np.full((12, 256), 7.0), np.full((2, BLOCK, 256), 7.0), np.ones(
+        (BLOCK, 256), dtype=bool)
+    scratch = np.full((6, 256), 7.0)
+    design = saltelli_sample(bounds, 256, 8, out=ab, scratch=scratch)
+    assert design.a.base is ab and design.b.base is ab
+    assert evaluate_equilibria(design, out=(outputs, valid)) == (outputs, valid)
+    assert_same(ab, np.concatenate([want_design.a, want_design.b]))
+    assert_same(outputs, want_out)
+    assert np.array_equal(valid, want_valid)
+    assert_same_outcome(sobol_indices(design, outputs, valid, scratch=scratch), want)
+
+
+@pytest.mark.parametrize("kernel", ["sample-out", "sample-scratch", "outputs", "valid",
+                                    "indices-scratch"])
+@pytest.mark.parametrize("buffer", [np.empty((12, 128)), np.empty((6, 64), dtype=np.float32),
+                                    np.empty((64, 6)).T, np.zeros(0), [[0.0]]],
+                         ids=["wrong-shape", "wrong-dtype", "not-contiguous", "empty", "list"])
+def test_kernels_reject_a_buffer_they_cannot_use(kernel, buffer):
+    bounds = bounds_from_baseline(params_for("published:ai_physical"), 0.1)
+    design = saltelli_sample(bounds, 64, 1)
+    outputs, valid = evaluate_equilibria(design)
+    call = {
+        "sample-out": lambda: saltelli_sample(bounds, 64, 1, out=buffer),
+        "sample-scratch": lambda: saltelli_sample(bounds, 64, 1, scratch=buffer),
+        "outputs": lambda: evaluate_equilibria(design, out=(buffer, valid)),
+        "valid": lambda: evaluate_equilibria(design, out=(outputs, buffer)),
+        "indices-scratch": lambda: sobol_indices(design, outputs, valid, scratch=buffer),
+    }[kernel]
+    with pytest.raises(ValidationError, match="buffer must be"):
+        call()
+
+
+#: N changes at every call, so the workspace is sized anew each time.
+CALL_SEQUENCE = [("published:ai_physical", 0.1, 64, 1), ("fitted:ai_labor", 0.5, 2**16, 2),
+                 ("fitted:ai_physical", 0.5, 1024, 3), ("published:ai_labor", 0.1, 2**16, 4),
+                 ("published:ai_labor", 0.1, 2**16, 5), ("fitted:ai_labor", 0.9, 2**16, 5)]
+
+
+def test_a_call_sequence_equals_each_call_in_a_fresh_thread():
+    serial = [outcome(*call) for call in CALL_SEQUENCE]
+    assert serial[-1][0] is TooManyRejections
+    for call, got in zip(CALL_SEQUENCE, serial):
+        assert_same_outcome(got, in_fresh_thread(outcome, *call))
+
+
+@pytest.mark.parametrize("n_base", [1024, 2**16])
+def test_a_rejected_call_leaves_the_next_call_intact(n_base):
+    want = in_fresh_thread(outcome, "fitted:ai_physical", 0.5, n_base, 7)
+    # Every triple is rejected at 0.9, after the design and outputs were written.
+    with pytest.raises(TooManyRejections):
+        analyze_sensitivity(params_for("fitted:ai_physical"), 0.9, n_base, 7)
+    assert_same_outcome(outcome("fitted:ai_physical", 0.5, n_base, 7), want)
+
+
+def test_threads_at_once_equal_their_serial_results():
+    # More threads than cores, switching often: a workspace shared between
+    # threads would mix the designs or outputs of their calls.
+    calls = [("published:ai_physical", 0.1, 2**16, 5), ("fitted:ai_labor", 0.5, 2**16, 6),
+             ("fitted:ai_physical", 0.5, 1024, 7)]
+    want = [outcome(*call) for call in calls]
+    barrier = threading.Barrier(len(calls))
+    got = [[] for _ in calls]
+
+    def run(i: int) -> None:
+        barrier.wait()
+        for _ in range(3):
+            got[i].append(outcome(*calls[i]))
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(len(calls))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for results, expected in zip(got, want):
+        assert len(results) == 3
+        for res in results:
+            assert_same_outcome(res, expected)

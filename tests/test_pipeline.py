@@ -38,7 +38,7 @@ from lvdyn.cli import main
 from lvdyn.errors import RULES, check, exit_code_for
 from lvdyn.params import PARAM_NAMES
 from lvdyn.pipeline import report_json_text
-from lvdyn.sensitivity import OUTPUT_NAMES
+from lvdyn.sensitivity import _SOBOL_BITS, OUTPUT_NAMES
 
 from conftest import config_for
 
@@ -165,7 +165,8 @@ WRONG_TYPES = [
     ("fraction", "0.1"), ("fraction", None), ("classify_tol", "0"),
 ]
 OUT_OF_RANGE = [
-    ("sobol_n", 100), ("sobol_n", 32), ("fraction", 0.0), ("fraction", 1.0),
+    ("sobol_n", 100), ("sobol_n", 32), ("sobol_n", 2**31), ("sobol_n", 2**62),
+    ("fraction", 0.0), ("fraction", 1.0),
     ("fraction", float("nan")), ("classify_tol", -1e-9), ("classify_tol", float("nan")),
     ("grid_n", 1), ("seed", -1),
 ]
@@ -260,7 +261,11 @@ def test_validate_and_check_agree_property():
 
 
 @pytest.mark.parametrize("flags,env_seed,message", [
-    (["--sobol-n", "100"], None, "sobol_n must be a power of two >= 64, got 100"),
+    (["--sobol-n", "100"], None, "sobol_n must be a power of two from 64 to 2**30, got 100"),
+    (["--sobol-n", "2147483648"], None,
+     "sobol_n must be a power of two from 64 to 2**30, got 2147483648"),
+    (["--sobol-n", str(2**62)], None,
+     f"sobol_n must be a power of two from 64 to 2**30, got {2**62}"),
     (["--fraction", "2"], None, "fraction must be in (0, 1), got 2.0"),
     (["--fraction", "nan"], None, "fraction must be in (0, 1), got nan"),
     (["--grid-n", "1"], None, "grid_n must be >= 2, got 1"),
@@ -269,9 +274,9 @@ def test_validate_and_check_agree_property():
     (["--seed", "-1"], None, "seed must be a non-negative integer, got -1"),
     ([], "-3", "seed must be a non-negative integer, got -3"),
     (["--sobol-n", "100", "--fraction", "3", "--grid-n", "0"], None,
-     "sobol_n must be a power of two >= 64, got 100"),
-], ids=["sobol-n", "fraction", "fraction-nan", "grid-n", "classify-tol", "classify-tol-nan",
-        "seed", "seed-env", "first-of-three"])
+     "sobol_n must be a power of two from 64 to 2**30, got 100"),
+], ids=["sobol-n", "sobol-n-2^31", "sobol-n-2^62", "fraction", "fraction-nan", "grid-n",
+        "classify-tol", "classify-tol-nan", "seed", "seed-env", "first-of-three"])
 def test_cli_invalid_setting_error_bytes(monkeypatch, capsys, flags, env_seed, message):
     if env_seed is None:
         monkeypatch.delenv("LVDYN_SEED", raising=False)
@@ -640,6 +645,14 @@ def test_cli_phase_subcommand(tmp_path):
     assert code == 0
     assert (out / "phase" / "nullclines.csv").is_file()
     assert not (out / "sobol.csv").exists()
+
+
+def test_sobol_n_rule_ends_at_the_sequence_length():
+    # The Sobol' generator has 2**_SOBOL_BITS points per coordinate; a larger
+    # N used to pass validation and reach the (12, N) allocation of its digits.
+    check("sobol_n", 2**_SOBOL_BITS)
+    with pytest.raises(InvalidN):
+        check("sobol_n", 2**(_SOBOL_BITS + 1))
 
 
 def test_cli_validation_exit_code(capsys):

@@ -45,7 +45,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--mode", choices=sorted(_MODES),
                    help="fitted-trajectory mode reported as primary")
     p.add_argument("--classify-tol", type=float,
-                   help="treat cross-coefficients within this of zero as zero")
+                   help="treat cross-coefficients within this of zero as zero (finite, >= 0)")
     p.add_argument("--sobol-n", type=int,
                    help="base sample size (power of two from 64 to 2**30)")
     p.add_argument("--fraction", type=float,
@@ -59,7 +59,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", dest="out_dir", metavar="OUT", help="output directory")
     p.add_argument("--format", choices=REPORT_FORMATS, action="append", dest="formats",
                    help="report format; repeat for both (default: json)")
-    p.add_argument("--grid-n", type=int)
+    p.add_argument("--grid-n", type=int, help="phase-plane grid points per axis (2 to 1024)")
 
 
 def _config(args: argparse.Namespace) -> AnalysisConfig:

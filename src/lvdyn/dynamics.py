@@ -18,7 +18,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import InvalidBBox, NegativeState, StepTooLarge, ValidationError, check
+from .errors import InvalidBBox, NegativeState, StepTooLarge, ValidationError, check, check_start
 from .params import ContinuousParams
 
 #: Relative threshold below which the interior-equilibrium denominator is
@@ -287,7 +287,8 @@ def integrate_ode(
     Each step is checked by step doubling: the full step is compared with
     two half steps and the run aborts with StepTooLarge when the relative
     discrepancy exceeds ``error_tol`` (the estimate never adapts the step).
-    A state component falling below -1e-9 aborts with NegativeState.
+    A state component falling below -1e-9 aborts with NegativeState.  x0
+    obeys :func:`~lvdyn.errors.check_start`.
 
     The check of step k depends only on the state it starts from, so the
     path is stepped first and every step is checked afterwards in one array
@@ -299,9 +300,7 @@ def integrate_ode(
         raise ValidationError(f"dt must be > 0, got {dt}")
     if not 0 <= t_end < np.inf:
         raise ValidationError(f"t_end must be finite and >= 0, got {t_end}")
-    if not (0 <= x0[0] < np.inf and 0 <= x0[1] < np.inf):
-        raise ValidationError(
-            f"x0 must be finite and lie in the closed first quadrant, got {x0}")
+    x, y = check_start(x0)
     if not float(t_end) / float(dt) < np.inf:
         raise ValidationError(f"t_end / dt overflows: {t_end} / {dt}")
 
@@ -310,7 +309,6 @@ def integrate_ode(
         raise ValidationError(
             f"t_end / dt asks for {n_steps:.3g} RK4 steps, more than {MAX_RK4_STEPS:.0e}")
     t = np.linspace(0.0, n_steps * dt, n_steps + 1)
-    x, y = float(x0[0]), float(x0[1])
     path = [(x, y)]
     for _ in range(n_steps):
         x, y = _rk4_step(cp, x, y, dt)

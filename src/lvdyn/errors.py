@@ -7,6 +7,8 @@ I/O failures (exit 4).
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 
 
@@ -62,23 +64,32 @@ class ParseError(ValidationError):
 _INTEGER = ("an integer", (int, np.integer))
 _REAL = ("a real number", (int, float, np.integer, np.floating))
 
+#: The rule of classify_tol and of each coordinate of a start x0.  An int
+#: beyond the largest float is not finite as a float.
+_FINITE_NON_NEGATIVE = (
+    _REAL, lambda v: 0 <= v < np.inf and not (isinstance(v, int) and v > sys.float_info.max),
+    "finite and >= 0", ValidationError)
+
 #: The one rule of each scalar setting, in the order AnalysisConfig.validate
 #: applies them: (value type, test, requirement, error class).  NaN fails
 #: every test.  sobol_n stops at 2**30, the length of the Sobol' sequence
 #: with the 30 direction numbers per coordinate that lvdyn.sensitivity has.
+#: grid_n stops at 1024: a grid of 1024 x 1024 points keeps four 8 MB arrays
+#: of field values and signs, and writes a million rows to each grid CSV.
 RULES = {
     "sobol_n": (_INTEGER, lambda n: 64 <= n <= 2**30 and n & (n - 1) == 0,
                 "a power of two from 64 to 2**30", InvalidN),
     "fraction": (_REAL, lambda f: 0 < f < 1, "in (0, 1)", ValidationError),
-    "classify_tol": (_REAL, lambda t: t >= 0, ">= 0", ValidationError),
-    "grid_n": (_INTEGER, lambda n: n >= 2, ">= 2", ValidationError),
+    "classify_tol": _FINITE_NON_NEGATIVE,
+    "grid_n": (_INTEGER, lambda n: 2 <= n <= 1024, "from 2 to 1024", ValidationError),
     "seed": (_INTEGER, lambda s: s >= 0, "a non-negative integer", ValidationError),
 }
 
 
-def check(name: str, value) -> None:
-    """Raise the error class of setting ``name`` unless ``value`` obeys its rule."""
-    (kind, types), test, requirement, error = RULES[name]
+def check(name: str, value, rule=None) -> None:
+    """Raise the error class of ``rule``, by default setting ``name``'s rule
+    in RULES, unless ``value`` obeys it."""
+    (kind, types), test, requirement, error = rule or RULES[name]
     if not isinstance(value, types) or isinstance(value, bool):
         raise error(f"{name} must be {kind}, got {value!r}")
     if not test(value):
@@ -91,6 +102,18 @@ def _shown(value) -> str:
         return str(value)
     except ValueError:
         return f"a {'negative' if value < 0 else 'positive'} integer of {value.bit_length()} bits"
+
+
+def check_start(x0) -> tuple[float, float]:
+    """The start (x, y) of a trajectory as floats, once x0 is a pair of real
+    numbers that are finite and >= 0; otherwise ValidationError."""
+    try:
+        x, y = x0
+    except (TypeError, ValueError):
+        raise ValidationError(f"x0 must be a pair of real numbers, got {type(x0)}") from None
+    for v in (x, y):
+        check("x0", v, _FINITE_NON_NEGATIVE)
+    return float(x), float(y)
 
 
 # --------------------------------------------------------------------------

@@ -27,6 +27,7 @@ from .errors import (
     TrajectoryOverflow,
     ValidationError,
     ZeroObserved,
+    check_start,
 )
 from .params import DiscreteParams, RegressionCoeffs
 
@@ -222,13 +223,14 @@ def one_step_predictions(dp: DiscreteParams, ts: TimeSeries) -> tuple[np.ndarray
 def free_run(dp: DiscreteParams, x0: tuple[float, float], steps: int) -> np.ndarray:
     """Iterate the map from x0, feeding each output back in.
 
-    Returns an array of shape (steps+1, 2) whose first row is x0.
+    Returns an array of shape (steps+1, 2) whose first row is x0, which
+    obeys :func:`~lvdyn.errors.check_start`.
     """
     if not isinstance(steps, (int, np.integer)) or isinstance(steps, bool) or steps < 0:
         raise ValidationError(f"steps must be a non-negative integer, got {steps!r}")
+    x, y = check_start(x0)
     traj = np.empty((steps + 1, 2))
-    traj[0] = x0
-    x, y = float(x0[0]), float(x0[1])
+    traj[0] = x, y
     for k in range(steps):
         x, y = _map_step(dp, x, y)
         if abs(x) > OVERFLOW_LIMIT or abs(y) > OVERFLOW_LIMIT:

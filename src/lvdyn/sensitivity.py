@@ -21,15 +21,15 @@ estimators by output.  Each part applies the same elementwise operations
 and full-row sums to its own slice, so every result is bit-identical
 whatever the number of parts.
 
-The kernels allocate their arrays afresh unless given buffers through their
-keyword-only ``out=`` and ``scratch=``.  Only :func:`analyze_sensitivity`
-passes them, because nothing it builds leaves the call but the small
-:class:`SobolResult` arrays: it keeps one workspace per thread, sized for
-the last ``n_base`` that thread analysed, and reuses it on the next call of
-the same size.  The workspace holds A|B, the outputs and their validity,
-and one scratch buffer shared by temporaries that are never alive at once:
-the Sobol' digits while sampling, then the pooled A|B outputs the variance
-reads and the difference/product pair of the estimators.
+A public call of a kernel allocates its arrays afresh, so nothing it
+returns is written by a later call.  Only :func:`analyze_sensitivity`, from
+which nothing leaves but the small :class:`SobolResult` arrays, hands the
+kernels the calling thread's workspace through their private ``_ws``.  The
+workspace is sized for the last ``n_base`` that thread analysed and reused
+on its next call of the same size.  It holds A|B, the outputs and their
+validity, and one scratch buffer shared by temporaries that are never alive
+at once: the Sobol' digits while sampling, then the pooled A|B outputs the
+variance reads and the difference/product pair of the estimators.
 """
 
 from __future__ import annotations
@@ -170,18 +170,6 @@ def _run_parts(work, count: int, parts: int) -> None:
             raise exc
 
 
-def _array(given: np.ndarray | None, shape: tuple[int, ...], dtype=float) -> np.ndarray:
-    """``given`` once checked to be a writable C-contiguous array of shape and dtype,
-    or a new such array when it is None."""
-    if given is None:
-        return np.empty(shape, dtype)
-    if not (isinstance(given, np.ndarray) and given.shape == shape and given.dtype == dtype
-            and given.flags.c_contiguous and given.flags.writeable):
-        raise ValidationError(
-            f"buffer must be a writable C-contiguous {np.dtype(dtype)} array of shape {shape}")
-    return given
-
-
 #: The arrays of the last design each thread analysed, reused by its next
 #: call of analyze_sensitivity on a design of the same size.
 _WORKSPACE = threading.local()
@@ -264,29 +252,21 @@ class SaltelliDesign:
         return columns
 
 
-def saltelli_sample(bounds: ParamBounds, n_base: int, seed: int, *,
-                    out: np.ndarray | None = None,
-                    scratch: np.ndarray | None = None) -> SaltelliDesign:
+def saltelli_sample(bounds: ParamBounds, n_base: int, seed: int, *, _ws=None) -> SaltelliDesign:
     """Draw the Saltelli design from a scrambled Sobol' sequence.
 
     The base matrices A and B are the first and last six columns of a
     12-dimensional low-discrepancy sample of size n_base, mapped affinely
     into the bounds; n_base obeys the ``sobol_n`` rule and seed the ``seed`` rule.
     Large designs scale a range of rows of A and B per part, at once.
-
-    ``out``, a (2*D, n_base) float array, receives A over B, and the design's
-    ``a`` and ``b`` are views of it.  ``scratch``, a (D, n_base) float array,
-    holds the Sobol' digits and is left overwritten.  Both are allocated when
-    not given.
     """
     check("sobol_n", n_base)
     check("seed", seed)
-    digits = (None if scratch is None else
-              _array(scratch, (N_PARAMS, n_base)).view(np.uint32).reshape(2 * N_PARAMS, n_base))
-    points = _sobol_points(n_base, seed, digits)
     # Rows 0..D-1 of ab are A, rows D..2D-1 are B, each scaled in place:
     # p * 2**-30 is exact, so this is lower + unit * width bit for bit.
-    ab = _array(out, points.shape)
+    ab = np.empty((2 * N_PARAMS, n_base)) if _ws is None else _ws[0]
+    digits = None if _ws is None else _ws[3].view(np.uint32).reshape(ab.shape)
+    points = _sobol_points(n_base, seed, digits)
     lower = np.tile(bounds.lower, 2)[:, None]
     width = np.tile(bounds.upper - bounds.lower, 2)[:, None]
 
@@ -299,9 +279,7 @@ def saltelli_sample(bounds: ParamBounds, n_base: int, seed: int, *,
     return SaltelliDesign(a=ab[:N_PARAMS], b=ab[N_PARAMS:], n_base=n_base, seed=seed)
 
 
-def evaluate_equilibria(design: SaltelliDesign, *,
-                        out: tuple[np.ndarray, np.ndarray] | None = None
-                        ) -> tuple[np.ndarray, np.ndarray]:
+def evaluate_equilibria(design: SaltelliDesign, *, _ws=None) -> tuple[np.ndarray, np.ndarray]:
     """Closed-form interior equilibrium of every parameter set of a design.
 
     The design is evaluated one block row at a time, straight from the
@@ -309,13 +287,13 @@ def evaluate_equilibria(design: SaltelliDesign, *,
     row, base index), and valid is (BLOCK, n_base).  A point is valid when
     its nullclines cross and it is finite and in the closed first quadrant;
     invalid points carry NaN outputs.  Large designs are split into
-    contiguous ranges of base indices, evaluated at once.  ``out``, a pair
-    of such arrays, receives the results; without it both are allocated.
+    contiguous ranges of base indices, evaluated at once.
     """
     n = design.n_base
-    outputs, valid = out or (None, None)
-    outputs = _array(outputs, (2, BLOCK, n))
-    valid = _array(valid, (BLOCK, n), bool)
+    if _ws is None:
+        outputs, valid = np.empty((2, BLOCK, n)), np.empty((BLOCK, n), dtype=bool)
+    else:
+        outputs, valid = _ws[1:3]
 
     def evaluate(lo: int, hi: int) -> None:
         for k in range(BLOCK):
@@ -354,8 +332,7 @@ class SobolResult:
 
 
 def sobol_indices(
-    design: SaltelliDesign, outputs: np.ndarray, valid: np.ndarray, *,
-    scratch: np.ndarray | None = None
+    design: SaltelliDesign, outputs: np.ndarray, valid: np.ndarray, *, _ws=None
 ) -> SobolResult:
     """Estimate variance shares from an evaluated Saltelli design.
 
@@ -372,14 +349,11 @@ def sobol_indices(
     Summation: each mean, and the pooled ``np.var`` of the A and B outputs,
     is numpy's pairwise sum over one C-contiguous (retained,) row per
     output, whatever the memory order of ``outputs``.  Large designs
-    estimate the two outputs at once.  ``scratch``, a (D, n_base) float
-    array, holds the temporaries and is left overwritten; without it they
-    are allocated.
+    estimate the two outputs at once.
     """
     n = design.n_base
     if outputs.shape != (2, BLOCK, n) or valid.shape != (BLOCK, n):
         raise ValidationError("outputs/valid do not match the design shape")
-    temps = None if scratch is None else _array(scratch, (N_PARAMS, n)).reshape(-1)
 
     accepted = int(np.count_nonzero(valid))
     keep = valid.all(axis=0)
@@ -394,7 +368,7 @@ def sobol_indices(
               else np.compress(keep, outputs, axis=-1))
     f_a, f_b = blocks[:, 0], blocks[:, -1]       # (2, retained)
     # The pooled A|B outputs, then the diff/prod pair, one after the other.
-    temps = np.empty(4 * retained) if temps is None else temps[:4 * retained]
+    temps = np.empty(4 * retained) if _ws is None else _ws[3].reshape(-1)[:4 * retained]
     pooled = temps.reshape(2, 2 * retained)
     pooled[:, :retained] = f_a
     pooled[:, retained:] = f_b
@@ -449,7 +423,7 @@ def analyze_sensitivity(
     """
     bounds = bounds_from_baseline(cp, fraction)
     check("sobol_n", n_base)                     # before the workspace is sized
-    ab, outputs, valid, scratch = _workspace(n_base)
-    design = saltelli_sample(bounds, n_base, seed, out=ab, scratch=scratch)
-    outputs, valid = evaluate_equilibria(design, out=(outputs, valid))
-    return sobol_indices(design, outputs, valid, scratch=scratch)
+    ws = _workspace(n_base)
+    design = saltelli_sample(bounds, n_base, seed, _ws=ws)
+    outputs, valid = evaluate_equilibria(design, _ws=ws)
+    return sobol_indices(design, outputs, valid, _ws=ws)

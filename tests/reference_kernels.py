@@ -10,7 +10,9 @@ RK4 step.  The tests require the package kernels to equal them bit for bit,
 after :func:`block_major` puts the row-major results in the package's (...,
 block row, base index) order.  The one thing the references share with the
 package is the summation order of the Sobol' estimators: each sum is numpy's
-pairwise sum over a contiguous row of one output's values.
+pairwise sum over a contiguous row of one output's values.  The reference
+``integrate_ode`` checks its start with the package's ``check_start``, so
+both integrators take the same starts and reject the rest alike.
 
 The package's ``evaluate_equilibria`` takes only a design; tests reach it on
 (n, 6) parameter rows through :func:`evaluate_rows`.
@@ -22,7 +24,7 @@ import numpy as np
 
 from lvdyn.dynamics import (INTERIOR_DENOM_EPS, NEGATIVE_STATE_TOL, RK4_ERROR_TOL,
                            Trajectory, _rk4_step)
-from lvdyn.errors import NegativeState, StepTooLarge, ValidationError
+from lvdyn.errors import NegativeState, StepTooLarge, ValidationError, check_start
 from lvdyn.sensitivity import (_SOBOL_BITS, BLOCK, N_PARAMS, SaltelliDesign, _sobol_points,
                                evaluate_equilibria as evaluate_design)
 
@@ -130,15 +132,12 @@ def integrate_ode(cp, x0, t_end, dt=0.001, error_tol=RK4_ERROR_TOL) -> Trajector
         raise ValidationError(f"dt must be > 0, got {dt}")
     if not 0 <= t_end < np.inf:
         raise ValidationError(f"t_end must be finite and >= 0, got {t_end}")
-    if not (0 <= x0[0] < np.inf and 0 <= x0[1] < np.inf):
-        raise ValidationError(
-            f"x0 must be finite and lie in the closed first quadrant, got {x0}")
+    x, y = check_start(x0)
     if not float(t_end) / float(dt) < np.inf:
         raise ValidationError(f"t_end / dt overflows: {t_end} / {dt}")
 
     n_steps = int(round(t_end / dt))
     t = np.linspace(0.0, n_steps * dt, n_steps + 1)
-    x, y = float(x0[0]), float(x0[1])
     path = [(x, y)]
     half_dt = dt / 2.0
     for k in range(n_steps):

@@ -8,6 +8,7 @@ import pytest
 from lvdyn import (
     BBox,
     ContinuousParams,
+    DiscreteParams,
     InvalidBBox,
     NegativeState,
     Stability,
@@ -16,6 +17,7 @@ from lvdyn import (
     classify_stability,
     eigenvalues,
     equilibrium_set,
+    free_run,
     integrate_ode,
     interior_equilibrium,
     jacobian_at,
@@ -535,3 +537,41 @@ def test_integrate_rejects_non_finite_start(x0):
     # Such a start would give a path that ends in NaN.
     with pytest.raises(ValidationError, match="finite"):
         integrate_ode(cp_for("ai_physical"), x0, 1.0, 0.1)
+
+
+#: Starts that integrate_ode and free_run both reject.  Before they shared a
+#: rule, (1.0,) raised IndexError, "ab" and 5.0 a bare TypeError or
+#: ValueError, and an int beyond the largest float OverflowError; both took a
+#: bool, integrate_ode three values, and free_run a negative start, and a NaN
+#: or inf one that it iterated into NaN rows.
+BAD_STARTS = {
+    "one-value": (1.0,), "str": "ab", "three-values": (1.0, 1.0, 1.0), "scalar": 5.0,
+    "bool": (True, 1.0), "int-beyond-float": (10**400, 1.0), "nan": (np.nan, 1.0),
+    "inf": (1.0, np.inf), "negative": (-1.0, 1.0),
+    "int-too-long-for-str": (1.0, 10**5000),
+}
+
+
+@pytest.mark.parametrize("x0", BAD_STARTS.values(), ids=BAD_STARTS.keys())
+def test_integrate_and_free_run_reject_a_bad_start(x0):
+    got = assert_same_outcome(cp_for("ai_physical"), x0, 1.0, 0.1)   # and the reference
+    assert got[0] is ValidationError
+    assert got[1].startswith("x0 must be ")
+    with pytest.raises(ValidationError) as err:
+        free_run(DiscreteParams(2.0, 0.0, 0.0, 2.0, 0.0, 0.0), x0, 3)
+    assert str(err.value) == got[1]
+
+
+def test_start_message_shows_an_int_too_long_for_str_by_its_size():
+    with pytest.raises(ValidationError) as err:
+        integrate_ode(cp_for("ai_physical"), (1.0, 10**5000), 1.0, 0.1)
+    assert str(err.value) == "x0 must be finite and >= 0, got a positive integer of 16610 bits"
+
+
+def test_a_start_may_be_any_pair_of_real_numbers():
+    dp = DiscreteParams(2.0, 0.0, 0.0, 2.0, 0.0, 0.0)
+    want = free_run(dp, (1.0, 2.0), 3)
+    for x0 in ([1, 2], np.array([1.0, 2.0]), (np.float32(1.0), np.int64(2))):
+        assert np.array_equal(free_run(dp, x0, 3), want)
+        assert np.array_equal(integrate_ode(cp_for("ai_physical"), x0, 0.1, 0.01).states,
+                              integrate_ode(cp_for("ai_physical"), (1.0, 2.0), 0.1, 0.01).states)

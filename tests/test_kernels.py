@@ -28,7 +28,7 @@ from lvdyn import (
     sobol_indices,
 )
 from lvdyn import sensitivity
-from lvdyn.errors import LvdynError, ValidationError
+from lvdyn.errors import LvdynError
 from lvdyn.dynamics import interior_equilibria
 from lvdyn.sensitivity import BLOCK
 
@@ -498,41 +498,27 @@ def test_public_kernel_results_are_never_written_by_a_later_call():
                    for got in kept for buffer in sensitivity._workspace(1024))
 
 
-def test_kernels_write_into_the_buffers_they_are_given():
+def test_kernels_write_into_the_buffers_they_are_given(monkeypatch):
+    # The private _ws path of analyze_sensitivity against the public path,
+    # which allocates.  The workspace starts full of 7.0 (valid all True), so
+    # anything the kernels leave unwritten shows.
     bounds = bounds_from_baseline(params_for("fitted:ai_physical"), 0.5)
-    want_design = saltelli_sample(bounds, 256, 8)
-    want_out, want_valid = evaluate_equilibria(want_design)
-    want = sobol_indices(want_design, want_out, want_valid)
-    ab, outputs, valid = np.full((12, 256), 7.0), np.full((2, BLOCK, 256), 7.0), np.ones(
-        (BLOCK, 256), dtype=bool)
-    scratch = np.full((6, 256), 7.0)
-    design = saltelli_sample(bounds, 256, 8, out=ab, scratch=scratch)
-    assert design.a.base is ab and design.b.base is ab
-    assert evaluate_equilibria(design, out=(outputs, valid)) == (outputs, valid)
-    assert_same(ab, np.concatenate([want_design.a, want_design.b]))
-    assert_same(outputs, want_out)
-    assert np.array_equal(valid, want_valid)
-    assert_same_outcome(sobol_indices(design, outputs, valid, scratch=scratch), want)
-
-
-@pytest.mark.parametrize("kernel", ["sample-out", "sample-scratch", "outputs", "valid",
-                                    "indices-scratch"])
-@pytest.mark.parametrize("buffer", [np.empty((12, 128)), np.empty((6, 64), dtype=np.float32),
-                                    np.empty((64, 6)).T, np.zeros(0), [[0.0]]],
-                         ids=["wrong-shape", "wrong-dtype", "not-contiguous", "empty", "list"])
-def test_kernels_reject_a_buffer_they_cannot_use(kernel, buffer):
-    bounds = bounds_from_baseline(params_for("published:ai_physical"), 0.1)
-    design = saltelli_sample(bounds, 64, 1)
-    outputs, valid = evaluate_equilibria(design)
-    call = {
-        "sample-out": lambda: saltelli_sample(bounds, 64, 1, out=buffer),
-        "sample-scratch": lambda: saltelli_sample(bounds, 64, 1, scratch=buffer),
-        "outputs": lambda: evaluate_equilibria(design, out=(buffer, valid)),
-        "valid": lambda: evaluate_equilibria(design, out=(outputs, buffer)),
-        "indices-scratch": lambda: sobol_indices(design, outputs, valid, scratch=buffer),
-    }[kernel]
-    with pytest.raises(ValidationError, match="buffer must be"):
-        call()
+    for n_base, parts in ((256, 1), (2**16, 2)):
+        force_parts(monkeypatch, parts)
+        want_design = saltelli_sample(bounds, n_base, 8)
+        want_out, want_valid = evaluate_equilibria(want_design)
+        want = sobol_indices(want_design, want_out, want_valid)
+        ws = sensitivity._workspace(n_base)
+        for buffer in ws:
+            buffer[...] = 7.0
+        design = saltelli_sample(bounds, n_base, 8, _ws=ws)
+        assert design.a.base is ws[0] and design.b.base is ws[0]
+        outputs, valid = evaluate_equilibria(design, _ws=ws)
+        assert outputs is ws[1] and valid is ws[2]
+        assert_same(ws[0], np.concatenate([want_design.a, want_design.b]))
+        assert_same(outputs, want_out)
+        assert np.array_equal(valid, want_valid)
+        assert_same_outcome(sobol_indices(design, outputs, valid, _ws=ws), want)
 
 
 #: N changes at every call, so the workspace is sized anew each time.

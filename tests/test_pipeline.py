@@ -168,7 +168,11 @@ OUT_OF_RANGE = [
     ("sobol_n", 100), ("sobol_n", 32), ("sobol_n", 2**31), ("sobol_n", 2**62),
     ("fraction", 0.0), ("fraction", 1.0),
     ("fraction", float("nan")), ("classify_tol", -1e-9), ("classify_tol", float("nan")),
-    ("grid_n", 1), ("seed", -1),
+    ("classify_tol", float("inf")),
+    # 10**400 has no float: it passed the rule, then run_pipeline raised a
+    # bare OverflowError.
+    pytest.param("classify_tol", 10**400, id="classify_tol-10**400"),
+    ("grid_n", 1), ("grid_n", 1025), ("seed", -1),
 ]
 
 
@@ -268,15 +272,18 @@ def test_validate_and_check_agree_property():
      f"sobol_n must be a power of two from 64 to 2**30, got {2**62}"),
     (["--fraction", "2"], None, "fraction must be in (0, 1), got 2.0"),
     (["--fraction", "nan"], None, "fraction must be in (0, 1), got nan"),
-    (["--grid-n", "1"], None, "grid_n must be >= 2, got 1"),
-    (["--classify-tol", "-1"], None, "classify_tol must be >= 0, got -1.0"),
-    (["--classify-tol", "nan"], None, "classify_tol must be >= 0, got nan"),
+    (["--grid-n", "1"], None, "grid_n must be from 2 to 1024, got 1"),
+    (["--grid-n", "1025"], None, "grid_n must be from 2 to 1024, got 1025"),
+    (["--classify-tol", "-1"], None, "classify_tol must be finite and >= 0, got -1.0"),
+    (["--classify-tol", "nan"], None, "classify_tol must be finite and >= 0, got nan"),
+    (["--classify-tol", "inf"], None, "classify_tol must be finite and >= 0, got inf"),
     (["--seed", "-1"], None, "seed must be a non-negative integer, got -1"),
     ([], "-3", "seed must be a non-negative integer, got -3"),
     (["--sobol-n", "100", "--fraction", "3", "--grid-n", "0"], None,
      "sobol_n must be a power of two from 64 to 2**30, got 100"),
 ], ids=["sobol-n", "sobol-n-2^31", "sobol-n-2^62", "fraction", "fraction-nan", "grid-n",
-        "classify-tol", "classify-tol-nan", "seed", "seed-env", "first-of-three"])
+        "grid-n-1025", "classify-tol", "classify-tol-nan", "classify-tol-inf", "seed",
+        "seed-env", "first-of-three"])
 def test_cli_invalid_setting_error_bytes(monkeypatch, capsys, flags, env_seed, message):
     if env_seed is None:
         monkeypatch.delenv("LVDYN_SEED", raising=False)
@@ -653,6 +660,33 @@ def test_sobol_n_rule_ends_at_the_sequence_length():
     check("sobol_n", 2**_SOBOL_BITS)
     with pytest.raises(InvalidN):
         check("sobol_n", 2**(_SOBOL_BITS + 1))
+
+
+def test_cli_infinite_classify_tol_is_a_validation_error(tmp_path, capsys):
+    # inf passed validation and reached stage 'write', where JSON has no inf:
+    # exit 3 through the untyped fallback.
+    out = tmp_path / "out"
+    code = main(["fit", "--input", str(PHYS_FIXTURE), "--classify-tol", "inf", "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr() == ("", "error: classify_tol must be finite and >= 0, got inf\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("grid_n", [1025, 10**6])
+def test_grid_n_rule_ends_at_1024(capsys, grid_n):
+    # --grid-n 1000000 passed validation and asked phase_geometry for a grid
+    # of 10**12 points.  Every call below fails before a grid is built.
+    message = f"grid_n must be from 2 to 1024, got {grid_n}"
+    check("grid_n", 1024)
+    cp = ContinuousParams(a1=1.0, b11=-1.0, b12=-0.5, a2=1.0, b21=0.5, b22=-1.0)
+    for call in (lambda: check("grid_n", grid_n),
+                 lambda: config_for("ai_physical", grid_n=grid_n).validate(),
+                 lambda: phase_geometry(cp, BBox(1.0, 2.0, 1.0, 2.0), grid_n)):
+        with pytest.raises(ValidationError) as err:
+            call()
+        assert str(err.value) == message
+    assert main(["phase", "--input", str(PHYS_FIXTURE), "--grid-n", str(grid_n)]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_cli_validation_exit_code(capsys):

@@ -1,8 +1,8 @@
 """Command-line surface: ``lvdyn fit|analyze|phase|sobol|report``.
 
-Exit codes: 0 success, 2 validation error, 3 numerical failure, 4 I/O
-failure.  The sampling seed falls back to the LVDYN_SEED environment
-variable when --seed is not given.
+Exit codes: 0 success, else the error family's ``exit_code``: 2 validation
+error, 3 numerical failure, 4 I/O failure.  Any other exception is a bug in
+lvdyn (a traceback, exit 1).  --seed falls back to $LVDYN_SEED.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from .baselines import BASELINES
-from .errors import IoError, LvdynError, ParseError, ValidationError, exit_code_for
+from .errors import IoError, LvdynError, ParseError, ValidationError
 from .fitting import FitMode
 from .pipeline import REPORT_FORMATS, AnalysisConfig, run_pipeline
 
@@ -140,12 +140,15 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
 
 def _cmd_report(args: argparse.Namespace) -> int:
     path = Path(args.report)
-    if not path.is_file():
-        raise IoError(f"report file not found: {path}")
     try:
-        d = json.loads(path.read_text(encoding="utf-8"))
+        found = path.is_file()     # raises too, on a name too long for one
+        d = json.loads(path.read_text(encoding="utf-8")) if found else None
+    except OSError as exc:
+        raise IoError(f"cannot read {path}: {exc}") from exc
     except (ValueError, RecursionError) as exc:   # not UTF-8, not JSON, or nested too deep
         raise ParseError(f"cannot parse {path}: {exc}") from exc
+    if not found:
+        raise IoError(f"report file not found: {path}")
     if not (isinstance(d, dict) and isinstance(d.get("provenance"), dict)
             and d["provenance"].get("package") == "lvdyn"):
         raise ParseError(f"{path} is not an lvdyn report")
@@ -188,10 +191,7 @@ def main(argv: list[str] | None = None) -> int:
         return args.fn(args)
     except LvdynError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return exit_code_for(exc)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+        return exc.exit_code
 
 
 if __name__ == "__main__":

@@ -18,7 +18,8 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import InvalidBBox, NegativeState, StepTooLarge, ValidationError, check, check_start
+from .errors import (FINITE_NON_NEGATIVE, REAL, InvalidBBox, NegativeState, NumericalError,
+                     StepTooLarge, TrajectoryOverflow, ValidationError, check, check_start, finite)
 from .params import ContinuousParams
 
 #: Relative threshold below which the interior-equilibrium denominator is
@@ -117,6 +118,7 @@ def jacobian_at(cp: ContinuousParams, point: tuple[float, float]) -> np.ndarray:
     ])
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def eigenvalues(m: np.ndarray) -> tuple[complex, complex]:
     """Roots of the characteristic polynomial of a 2x2 matrix.
 
@@ -128,6 +130,8 @@ def eigenvalues(m: np.ndarray) -> tuple[complex, complex]:
     tr = m[0, 0] + m[1, 1]
     det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
     disc = tr * tr - 4.0 * det
+    if not np.isfinite(disc):
+        raise NumericalError(f"eigenvalues overflow: trace {tr:g}, determinant {det:g}")
     if disc >= 0:
         root = np.sqrt(disc)
         lam = (complex((tr + root) / 2.0), complex((tr - root) / 2.0))
@@ -287,8 +291,8 @@ def integrate_ode(
     Each step is checked by step doubling: the full step is compared with
     two half steps and the run aborts with StepTooLarge when the relative
     discrepancy exceeds ``error_tol`` (the estimate never adapts the step).
-    A state component falling below -1e-9 aborts with NegativeState.  x0
-    obeys :func:`~lvdyn.errors.check_start`.
+    A state below -1e-9 aborts with NegativeState, an overflowing state with
+    TrajectoryOverflow.  x0 obeys :func:`~lvdyn.errors.check_start`.
 
     The check of step k depends only on the state it starts from, so the
     path is stepped first and every step is checked afterwards in one array
@@ -296,10 +300,10 @@ def integrate_ode(
     flagged step raises StepTooLarge even when a later step went negative.
     A span of more than MAX_RK4_STEPS steps raises ValidationError.
     """
-    if not dt > 0:
-        raise ValidationError(f"dt must be > 0, got {dt}")
-    if not 0 <= t_end < np.inf:
-        raise ValidationError(f"t_end must be finite and >= 0, got {t_end}")
+    check("dt", dt, (REAL, lambda v: v > 0 and finite(v), "finite and > 0", ValidationError))
+    check("t_end", t_end, FINITE_NON_NEGATIVE)
+    check("error_tol", error_tol, (REAL, lambda v: v >= 0 and (finite(v) or v == np.inf),
+                                   "finite and >= 0, or inf", ValidationError))
     x, y = check_start(x0)
     if not float(t_end) / float(dt) < np.inf:
         raise ValidationError(f"t_end / dt overflows: {t_end} / {dt}")
@@ -333,4 +337,8 @@ def integrate_ode(
     if min(x, y) < NEGATIVE_STATE_TOL:
         raise NegativeState(
             f"state left the first quadrant at t={t[len(path) - 1]:g}: {np.array((x, y))}")
+    # A NaN or inf state stays one, so the last state shows any overflow.
+    if not np.isfinite(states[-1]).all():
+        k = np.isfinite(states).all(axis=1).argmin()
+        raise TrajectoryOverflow(f"state overflowed at t={t[k]:g}: {states[k]}")
     return Trajectory(t=t, states=states)

@@ -1,8 +1,8 @@
 """Exception hierarchy for the lvdyn package.
 
-Errors fall into three families that the CLI maps onto exit codes:
-input/validation problems (exit 2), numerical failures (exit 3) and
-I/O failures (exit 4).
+Errors fall into three families, each carrying its CLI ``exit_code``:
+validation (2), numerical (3) and I/O (4) failures.  Any other exception is a
+bug in lvdyn: the CLI shows its traceback and exits 1.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ class LvdynError(Exception):
 
 class ValidationError(LvdynError, ValueError):
     """Input data or configuration violates a documented contract."""
+    exit_code = 2
 
 
 class DomainError(ValidationError):
@@ -62,13 +63,17 @@ class ParseError(ValidationError):
 
 #: The two value types a setting may have; a bool is neither.
 _INTEGER = ("an integer", (int, np.integer))
-_REAL = ("a real number", (int, float, np.integer, np.floating))
+REAL = ("a real number", (int, float, np.integer, np.floating))
 
-#: The rule of classify_tol and of each coordinate of a start x0.  An int
-#: beyond the largest float is not finite as a float.
-_FINITE_NON_NEGATIVE = (
-    _REAL, lambda v: 0 <= v < np.inf and not (isinstance(v, int) and v > sys.float_info.max),
-    "finite and >= 0", ValidationError)
+
+def finite(v) -> bool:
+    """Whether real v has a finite float value (an int beyond the largest has none)."""
+    return -np.inf < v < np.inf and not (isinstance(v, int) and abs(v) > sys.float_info.max)
+
+
+#: Rules of a finite real number, and of one >= 0 (classify_tol, a start x0).
+FINITE = (REAL, finite, "finite", ValidationError)
+FINITE_NON_NEGATIVE = (REAL, lambda v: v >= 0 and finite(v), "finite and >= 0", ValidationError)
 
 #: The one rule of each scalar setting, in the order AnalysisConfig.validate
 #: applies them: (value type, test, requirement, error class).  NaN fails
@@ -79,8 +84,8 @@ _FINITE_NON_NEGATIVE = (
 RULES = {
     "sobol_n": (_INTEGER, lambda n: 64 <= n <= 2**30 and n & (n - 1) == 0,
                 "a power of two from 64 to 2**30", InvalidN),
-    "fraction": (_REAL, lambda f: 0 < f < 1, "in (0, 1)", ValidationError),
-    "classify_tol": _FINITE_NON_NEGATIVE,
+    "fraction": (REAL, lambda f: 0 < f < 1, "in (0, 1)", ValidationError),
+    "classify_tol": FINITE_NON_NEGATIVE,
     "grid_n": (_INTEGER, lambda n: 2 <= n <= 1024, "from 2 to 1024", ValidationError),
     "seed": (_INTEGER, lambda s: s >= 0, "a non-negative integer", ValidationError),
 }
@@ -112,7 +117,7 @@ def check_start(x0) -> tuple[float, float]:
     except (TypeError, ValueError):
         raise ValidationError(f"x0 must be a pair of real numbers, got {type(x0)}") from None
     for v in (x, y):
-        check("x0", v, _FINITE_NON_NEGATIVE)
+        check("x0", v, FINITE_NON_NEGATIVE)
     return float(x), float(y)
 
 
@@ -122,6 +127,7 @@ def check_start(x0) -> tuple[float, float]:
 
 class NumericalError(LvdynError, ArithmeticError):
     """Base class for numerical failures."""
+    exit_code = 3
 
 
 class SingularDesign(NumericalError):
@@ -164,25 +170,14 @@ class DegenerateVariance(NumericalError):
 
 class IoError(LvdynError, OSError):
     """Filesystem failure while reading inputs or writing outputs."""
+    exit_code = 4
 
 
 class PipelineStageError(LvdynError):
-    """Wraps an error raised inside a pipeline stage with its stage name."""
+    """Wraps a stage's error with the stage name; the exit code is the cause's."""
 
-    def __init__(self, stage: str, cause: BaseException):
+    def __init__(self, stage: str, cause: LvdynError):
         super().__init__(f"stage '{stage}': {cause}")
         self.stage = stage
         self.cause = cause
-
-
-def exit_code_for(err: BaseException) -> int:
-    """Map an exception to the documented CLI exit code."""
-    if isinstance(err, PipelineStageError):
-        return exit_code_for(err.cause)
-    if isinstance(err, ValidationError):
-        return 2
-    if isinstance(err, NumericalError):
-        return 3
-    if isinstance(err, OSError):   # IoError is an OSError
-        return 4
-    return 3
+        self.exit_code = cause.exit_code

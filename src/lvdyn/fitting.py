@@ -18,15 +18,18 @@ from enum import Enum
 import numpy as np
 
 from .errors import (
+    FINITE,
     DenominatorNearZero,
     IllConditioned,
     InsufficientData,
     LengthMismatch,
     NonPositiveValue,
+    NumericalError,
     SingularDesign,
     TrajectoryOverflow,
     ValidationError,
     ZeroObserved,
+    check,
     check_start,
 )
 from .params import DiscreteParams, RegressionCoeffs
@@ -40,6 +43,11 @@ DENOM_EPS = 1e-12
 
 #: Iterated states larger than this abort a free run.
 OVERFLOW_LIMIT = 1e300
+
+#: Most steps free_run takes (its states then hold 16 MB).
+MAX_MAP_STEPS = 10**6
+_STEPS = (("a non-negative integer", (int, np.integer)), lambda n: 0 <= n <= MAX_MAP_STEPS,
+          f"a non-negative integer up to {MAX_MAP_STEPS:.0e}", ValidationError)
 
 
 @dataclass(frozen=True)
@@ -82,6 +90,7 @@ class TimeSeries:
         return len(self.years)
 
 
+@np.errstate(over="ignore")
 def build_ratio_rows(ts: TimeSeries) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The two ratio-regression problems as (regressors, response_x, response_y).
 
@@ -90,7 +99,10 @@ def build_ratio_rows(ts: TimeSeries) -> tuple[np.ndarray, np.ndarray, np.ndarray
     """
     xs = np.asarray(ts.xs, dtype=float)
     ys = np.asarray(ts.ys, dtype=float)
-    return np.column_stack([xs[:-1], ys[:-1]]), xs[:-1] / xs[1:], ys[:-1] / ys[1:]
+    ratios = xs[:-1] / xs[1:], ys[:-1] / ys[1:]
+    if not np.isfinite(ratios).all():
+        raise SingularDesign("a growth ratio overflows")
+    return np.column_stack([xs[:-1], ys[:-1]]), *ratios
 
 
 def _solve_through_origin(X: np.ndarray, resp: np.ndarray) -> np.ndarray:
@@ -138,25 +150,28 @@ def _fit_equation(X: np.ndarray, resp: np.ndarray, self_col: int) -> EquationFit
         raise InsufficientData(
             f"fitting needs at least 5 annual observations (4 ratio rows), got {n + 1}")
     slopes = _solve_through_origin(X, resp)
-    residuals = resp - X @ slopes
-    p = 2
+    with np.errstate(all="ignore"):
+        residuals = resp - X @ slopes
+        p = 2
 
-    intercept = float(np.mean(np.abs(residuals)) / 2.0)
-    mean_residual = float(np.mean(residuals))
+        intercept = float(np.mean(np.abs(residuals)) / 2.0)
+        mean_residual = float(np.mean(residuals))
 
-    # Through-origin convention: uncentered total SS, df_total = n.
-    r2_origin = 1.0 - float(np.sum(residuals**2) / np.sum(resp**2))
-    adj_origin = 1.0 - (1.0 - r2_origin) * n / (n - p)
+        # Through-origin convention: uncentered total SS, df_total = n.
+        r2_origin = 1.0 - float(np.sum(residuals**2) / np.sum(resp**2))
+        adj_origin = 1.0 - (1.0 - r2_origin) * n / (n - p)
 
-    # Centered convention for the full three-term model.
-    full_res = residuals - intercept
-    ss_tot = float(np.sum((resp - resp.mean()) ** 2))
-    if ss_tot == 0:
-        raise SingularDesign(
-            "growth ratio is constant (exact geometric series); "
-            "the centered R^2 is undefined")
-    r2_full = 1.0 - float(np.sum(full_res**2)) / ss_tot
-    adj_full = 1.0 - (1.0 - r2_full) * (n - 1) / (n - 3)
+        # Centered convention for the full three-term model.
+        full_res = residuals - intercept
+        ss_tot = float(np.sum((resp - resp.mean()) ** 2))
+        if ss_tot == 0:
+            raise SingularDesign(
+                "growth ratio is constant (exact geometric series); "
+                "the centered R^2 is undefined")
+        r2_full = 1.0 - float(np.sum(full_res**2)) / ss_tot
+        adj_full = 1.0 - (1.0 - r2_full) * (n - 1) / (n - 3)
+        if not np.isfinite([intercept, mean_residual, adj_origin, adj_full]).all():
+            raise SingularDesign("the residuals or sums of squares overflow or vanish")
 
     return EquationFit(
         self_slope=float(slopes[self_col]),
@@ -196,15 +211,19 @@ def fit_details(ts: TimeSeries) -> FitDiagnostics:
     return FitDiagnostics(eq_x=eq_x, eq_y=eq_y, coeffs=coeffs)
 
 
-def _map_step(dp: DiscreteParams, x: float, y: float) -> tuple[float, float]:
+def _map_step(dp: DiscreteParams, x: float, y: float, step: int) -> tuple[float, float]:
     d1 = 1.0 - dp.self1 * x - dp.cross1 * y
     d2 = 1.0 - dp.self2 * y - dp.cross2 * x
     if abs(d1) < DENOM_EPS or abs(d2) < DENOM_EPS:
         raise DenominatorNearZero(
             f"map denominator vanished at state ({x:g}, {y:g})")
-    return dp.alpha1 * x / d1, dp.alpha2 * y / d2
+    x, y = dp.alpha1 * x / d1, dp.alpha2 * y / d2
+    if not (abs(x) <= OVERFLOW_LIMIT and abs(y) <= OVERFLOW_LIMIT):
+        raise TrajectoryOverflow(f"state exceeded {OVERFLOW_LIMIT:g} at step {step}")
+    return x, y
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def one_step_predictions(dp: DiscreteParams, ts: TimeSeries) -> tuple[np.ndarray, np.ndarray]:
     """Fitted trajectories driven by the empirical states.
 
@@ -216,38 +235,43 @@ def one_step_predictions(dp: DiscreteParams, ts: TimeSeries) -> tuple[np.ndarray
     fy = np.empty(n)
     fx[0], fy[0] = ts.xs[0], ts.ys[0]
     for k in range(n - 1):
-        fx[k + 1], fy[k + 1] = _map_step(dp, ts.xs[k], ts.ys[k])
+        fx[k + 1], fy[k + 1] = _map_step(dp, ts.xs[k], ts.ys[k], k + 1)
     return fx, fy
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def free_run(dp: DiscreteParams, x0: tuple[float, float], steps: int) -> np.ndarray:
     """Iterate the map from x0, feeding each output back in.
 
     Returns an array of shape (steps+1, 2) whose first row is x0, which
-    obeys :func:`~lvdyn.errors.check_start`.
+    obeys :func:`~lvdyn.errors.check_start`; steps ends at MAX_MAP_STEPS.
     """
-    if not isinstance(steps, (int, np.integer)) or isinstance(steps, bool) or steps < 0:
-        raise ValidationError(f"steps must be a non-negative integer, got {steps!r}")
+    check("steps", steps, _STEPS)
     x, y = check_start(x0)
     traj = np.empty((steps + 1, 2))
     traj[0] = x, y
     for k in range(steps):
-        x, y = _map_step(dp, x, y)
-        if abs(x) > OVERFLOW_LIMIT or abs(y) > OVERFLOW_LIMIT:
-            raise TrajectoryOverflow(f"state exceeded {OVERFLOW_LIMIT:g} at step {k + 1}")
+        x, y = _map_step(dp, x, y, k + 1)
         traj[k + 1] = (x, y)
     return traj
 
 
+@np.errstate(over="ignore")
 def mape(observed, fitted) -> float:
-    """Mean absolute percentage error, in percent."""
+    """Mean absolute percentage error, in percent, of series of finite reals."""
+    for name, series in (("observed", observed), ("fitted", fitted)):
+        for v in np.asarray(series, dtype=object).ravel():
+            check(name, v, FINITE)
     obs = np.asarray(observed, dtype=float)
     fit = np.asarray(fitted, dtype=float)
     if obs.shape != fit.shape:
         raise LengthMismatch(f"series lengths differ: {obs.shape} vs {fit.shape}")
     if np.any(obs == 0):
         raise ZeroObserved("observed series contains zero; relative error undefined")
-    return float(np.mean(np.abs((obs - fit) / obs)) * 100.0)
+    value = float(np.mean(np.abs((obs - fit) / obs)) * 100.0)
+    if not value < np.inf:
+        raise NumericalError(f"the relative error overflows: mape is {value}")
+    return value
 
 
 class FitMode(Enum):

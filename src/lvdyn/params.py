@@ -30,14 +30,12 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import DomainError, ValidationError, check
+from .errors import FINITE, DomainError, check
 
 
 def _require_finite(obj, fields: tuple[str, ...]) -> None:
     for name in fields:
-        v = getattr(obj, name)
-        if not isinstance(v, (int, float)) or not math.isfinite(v):
-            raise ValidationError(f"{type(obj).__name__}.{name} must be finite, got {v!r}")
+        check(f"{type(obj).__name__}.{name}", getattr(obj, name), FINITE)
 
 
 @dataclass(frozen=True)

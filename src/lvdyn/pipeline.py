@@ -37,6 +37,7 @@ from .dynamics import (
 from .errors import (
     RULES,
     IoError,
+    LvdynError,
     ParseError,
     PipelineStageError,
     ValidationError,
@@ -123,12 +124,12 @@ def load_series(path: str | Path, mapping: dict[str, str] | None = None,
     y_col = mapping.get("y", AnalysisConfig.y_col)
 
     path = Path(path)
-    if not path.is_file():
-        raise IoError(f"input file not found: {path}")
     try:
-        data = path.read_bytes()
-    except OSError as exc:
+        data = path.read_bytes() if path.is_file() else None
+    except OSError as exc:     # is_file raises too, on a name too long for one
         raise IoError(f"cannot read {path}: {exc}") from exc
+    if data is None:
+        raise IoError(f"input file not found: {path}")
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -406,10 +407,10 @@ def run_pipeline(cfg: AnalysisConfig, stages: set[str] | None = None) -> Report:
     """Execute the analysis chain and (optionally) write output files.
 
     ``stages`` restricts which analysis stages run (loading and parameter
-    resolution are unconditional); None runs everything.  Stage failures are
-    wrapped in PipelineStageError carrying the stage name; when an output
-    directory is configured, the partially filled report is still written
-    with an explicit ``incomplete`` marker before the error propagates.
+    resolution are unconditional); None runs everything.  A stage's LvdynError
+    is wrapped in PipelineStageError carrying the stage name; with an output
+    directory, the partial report is still written, marked ``incomplete``,
+    before the error propagates.  Any other exception is a bug, not wrapped.
     """
     cfg.validate()
     if stages is None:
@@ -427,14 +428,14 @@ def run_pipeline(cfg: AnalysisConfig, stages: set[str] | None = None) -> Report:
     def run_stage(name: str, fn):
         try:
             return fn()
-        except Exception as exc:
+        except LvdynError as exc:
             report.incomplete = True
             report.failed_stage = name
             report.error = f"{type(exc).__name__}: {exc}"
             if cfg.out_dir is not None:
                 try:
                     write_report(report, cfg.out_dir)
-                except Exception:
+                except LvdynError:
                     pass
             raise PipelineStageError(name, exc) from exc
 
@@ -536,8 +537,6 @@ def _ensure_dir(path: Path) -> Path:
         path.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise IoError(f"cannot create output directory {path}: {exc}") from exc
-    if not path.is_dir():
-        raise IoError(f"output path is not a directory: {path}")
     return path
 
 

@@ -24,7 +24,8 @@ import numpy as np
 
 from lvdyn.dynamics import (INTERIOR_DENOM_EPS, NEGATIVE_STATE_TOL, RK4_ERROR_TOL,
                            Trajectory, _rk4_step)
-from lvdyn.errors import NegativeState, StepTooLarge, ValidationError, check_start
+from lvdyn.errors import (NegativeState, StepTooLarge, TrajectoryOverflow, ValidationError,
+                          check_start)
 from lvdyn.sensitivity import (_SOBOL_BITS, BLOCK, N_PARAMS, SaltelliDesign, _sobol_points,
                                evaluate_equilibria as evaluate_design)
 
@@ -152,4 +153,8 @@ def integrate_ode(cp, x0, t_end, dt=0.001, error_tol=RK4_ERROR_TOL) -> Trajector
             raise NegativeState(
                 f"state left the first quadrant at t={t[k + 1]:g}: {np.array((x, y))}")
         path.append((x, y))
-    return Trajectory(t=t, states=np.array(path))
+    states = np.array(path)
+    if not np.isfinite(states[-1]).all():
+        k = np.isfinite(states).all(axis=1).argmin()
+        raise TrajectoryOverflow(f"state overflowed at t={t[k]:g}: {states[k]}")
+    return Trajectory(t=t, states=states)

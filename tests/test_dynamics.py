@@ -6,13 +6,16 @@ import numpy as np
 import pytest
 
 from lvdyn import (
+    BASELINES,
     BBox,
     ContinuousParams,
     DiscreteParams,
     InvalidBBox,
     NegativeState,
+    NumericalError,
     Stability,
     StepTooLarge,
+    TrajectoryOverflow,
     ValidationError,
     classify_stability,
     eigenvalues,
@@ -575,3 +578,46 @@ def test_a_start_may_be_any_pair_of_real_numbers():
         assert np.array_equal(free_run(dp, x0, 3), want)
         assert np.array_equal(integrate_ode(cp_for("ai_physical"), x0, 0.1, 0.01).states,
                               integrate_ode(cp_for("ai_physical"), (1.0, 2.0), 0.1, 0.01).states)
+
+
+def test_integrate_overflow_to_nan_is_a_typed_error():
+    # The first step takes 1e195 to inf - inf = NaN, which the step-doubling
+    # check passes over (err > tol is False for NaN); the path ran on to
+    # [nan, nan], and that NaN reached report.json.
+    cp = BASELINES["ai_physical"].params
+    got = assert_same_outcome(cp, (1e195, 3.0), 10.0, 0.001)
+    assert got == (TrajectoryOverflow, "state overflowed at t=0.001: [nan nan]")
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(dt="a"), dict(dt=None), dict(dt=10**400), dict(dt=np.inf), dict(t_end=None),
+    dict(t_end="1"), dict(t_end=10**400), dict(error_tol="a"), dict(error_tol=np.nan),
+    dict(error_tol=-1e-3), dict(error_tol=10**400),
+], ids=["dt-str", "dt-None", "dt-int-beyond-float", "dt-inf", "t_end-None", "t_end-str",
+        "t_end-int-beyond-float", "error_tol-str", "error_tol-nan", "error_tol-negative",
+        "error_tol-int-beyond-float"])
+def test_integrate_rejects_arguments_that_are_not_numbers_in_range(kwargs):
+    # "a" and None raised a bare TypeError from a comparison, error_tol="a"
+    # a bare UFuncTypeError, and an int beyond the largest float a bare
+    # OverflowError; a NaN error_tol turned the check off.
+    args = dict(t_end=1.0, dt=0.1, error_tol=RK4_ERROR_TOL) | kwargs
+    with pytest.raises(ValidationError, match=next(iter(kwargs))):
+        integrate_ode(cp_for("ai_physical"), (1.0, 1.0), **args)
+
+
+def test_integrate_takes_an_infinite_error_tol_and_numpy_numbers():
+    cp = cp_for("ai_physical")
+    want = integrate_ode(cp, (10.0, 100.0), 0.5, 0.01)
+    got = integrate_ode(cp, (10.0, 100.0), np.float64(0.5), np.float64(0.01),
+                        np.float64(RK4_ERROR_TOL))
+    assert np.array_equal(got.states, want.states)
+    assert len(integrate_ode(cp, (10.0, 100.0), 1, 0.5, error_tol=np.inf).t) == 3
+
+
+def test_eigenvalues_that_overflow_are_a_typed_error():
+    # The trace squared and the determinant overflow to inf, their difference
+    # to NaN: the eigenvalues came back as (1e200+nanj) twice.
+    with pytest.raises(NumericalError, match="eigenvalues overflow"):
+        eigenvalues(np.array([[1e200, 0.0], [0.0, 1e200]]))
+    with pytest.raises(NumericalError):
+        eigenvalues(np.array([[1.0, 1e300], [-1e300, 1.0]]))

@@ -12,6 +12,7 @@ from lvdyn import (
     InsufficientData,
     LengthMismatch,
     NonPositiveValue,
+    NumericalError,
     SingularDesign,
     TimeSeries,
     TrajectoryOverflow,
@@ -28,6 +29,7 @@ from lvdyn import (
     regression_to_discrete,
 )
 from lvdyn.errors import IllConditioned
+from lvdyn.fitting import MAX_MAP_STEPS
 
 from conftest import PUBLISHED
 
@@ -323,3 +325,63 @@ def test_fitted_trajectory_modes(physical_series):
         assert mape(obs_x[1:], fx[1:]) >= 0 and mape(obs_y[1:], fy[1:]) >= 0
     # First predicted step is mode independent.
     assert one[0][1] == pytest.approx(free[0][1], rel=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# Non-finite values stop where they are made
+# ---------------------------------------------------------------------------
+
+def test_ratio_that_overflows_is_a_singular_design():
+    # 1e308 / 1e-5 overflowed to inf with a RuntimeWarning.
+    ts = series([3.14, 13.6, 1e-160, 11.5, 12.97], [418.0, 1e308, 1e-5, 828.0, 1e308])
+    with pytest.raises(SingularDesign, match="growth ratio overflows"):
+        build_ratio_rows(ts)
+
+
+def test_sums_of_squares_that_overflow_are_a_singular_design():
+    # The ratios are finite, but their squares overflow: the adjusted R^2
+    # came out NaN, and NaN reached report.json.
+    ts = series([3.14, 13.6, 1e-160, 11.5, 12.97], [418.0, 1e-5, 1e-5, 828.0, 1e308])
+    with pytest.raises(SingularDesign, match="sums of squares"):
+        fit_details(ts)
+
+
+def test_one_step_prediction_that_overflows_is_a_typed_error():
+    # The map of the observed 1e308 is inf; free_run had the guard, this did not.
+    dp = DiscreteParams(**PUBLISHED["ai_physical"]["discrete"])
+    ts = series([3.0, 1e308, 3.0, 3.0], [3.0, 3.0, 3.0, 3.0])
+    with pytest.raises(TrajectoryOverflow, match="exceeded 1e\\+300 at step 2"):
+        one_step_predictions(dp, ts)
+
+
+def test_map_state_that_is_nan_is_a_typed_error():
+    # 1 - inf + inf is a NaN denominator, which passed both guards, so the
+    # map returned NaN states.
+    dp = _plain(self1=1e300, cross1=-1e300)
+    with pytest.raises(TrajectoryOverflow):
+        free_run(dp, (1e10, 1e10), 3)
+    with pytest.raises(TrajectoryOverflow):
+        one_step_predictions(dp, series([1e10] * 4, [1e10] * 4))
+
+
+def test_mape_that_overflows_is_a_typed_error():
+    with pytest.raises(NumericalError, match="overflows"):
+        mape([1.0, 1e-300], [1.0, 1e300])
+
+
+@pytest.mark.parametrize("observed,fitted", [
+    ([1.0, 2.0], [1.0, "a"]), ([1.0, 2.0], [1.0, np.nan]), ([1.0, np.inf], [1.0, 2.0]),
+    ([1.0, 2.0], [1.0, 10**400]), ([[1.0], [1.0, 2.0]], [1.0, 2.0]), ([1.0, None], [1.0, 2.0]),
+])
+def test_mape_rejects_values_that_are_not_finite_numbers(observed, fitted):
+    # "a" raised a bare ValueError from np.asarray, and NaN gave a NaN MAPE.
+    with pytest.raises(ValidationError, match="must be"):
+        mape(observed, fitted)
+
+
+@pytest.mark.parametrize("steps", [MAX_MAP_STEPS + 1, 2**62, 10**30])
+def test_free_run_rejects_steps_beyond_its_cap(steps):
+    # 10**30 raised a bare ValueError from np.empty, 2**62 another; a count
+    # that fits an index but not memory allocated its array first.
+    with pytest.raises(ValidationError, match="steps must be a non-negative integer up to"):
+        free_run(_plain(), (1.0, 1.0), steps)

@@ -166,6 +166,14 @@ def test_constructors_reject_non_finite():
                        alpha2=2, self2=0, cross2=0)
 
 
+@pytest.mark.parametrize("value", [10**400, "1.0", None], ids=["int-beyond-float", "str", "None"])
+def test_constructors_reject_values_that_are_not_finite_numbers(value):
+    # An int beyond the largest float raised a bare OverflowError from
+    # math.isfinite.
+    with pytest.raises(ValidationError, match="ContinuousParams.b12 must be"):
+        ContinuousParams(a1=1.0, b11=0, b12=value, a2=1, b21=0, b22=0)
+
+
 # ---------------------------------------------------------------------------
 # Interaction classification
 # ---------------------------------------------------------------------------

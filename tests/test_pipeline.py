@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import lvdyn
 from lvdyn import (
     AnalysisConfig,
     BBox,
@@ -17,10 +18,12 @@ from lvdyn import (
     IoError,
     LvdynError,
     NonPositiveValue,
+    NumericalError,
     ParamBounds,
     ParseError,
     PipelineStageError,
     Report,
+    SingularDesign,
     ValidationError,
     bounds_from_baseline,
     classify_interaction,
@@ -35,7 +38,7 @@ from lvdyn import (
 from lvdyn import pipeline
 from lvdyn.baselines import BASELINES
 from lvdyn.cli import main
-from lvdyn.errors import RULES, check, exit_code_for
+from lvdyn.errors import RULES, check
 from lvdyn.params import PARAM_NAMES
 from lvdyn.pipeline import report_json_text
 from lvdyn.sensitivity import _SOBOL_BITS, OUTPUT_NAMES
@@ -182,7 +185,7 @@ def test_config_rejects_values_of_the_wrong_type(name, value):
     # and no grid_n=41.5 failing later at stage 'phase'.
     with pytest.raises(ValidationError, match=name) as err:
         config_for("ai_physical", **{name: value}).validate()
-    assert exit_code_for(err.value) == 2
+    assert err.value.exit_code == 2
 
 
 def test_config_rejects_nan_classify_tol():
@@ -698,6 +701,38 @@ def test_cli_validation_exit_code(capsys):
 def test_cli_io_exit_code(tmp_path, capsys):
     code = main(["analyze", "--input", str(tmp_path / "missing.csv")])
     assert code == 4
+
+
+def test_error_families_carry_their_exit_codes():
+    classes = [c for c in (getattr(lvdyn, n) for n in lvdyn.__all__)
+               if isinstance(c, type) and issubclass(c, LvdynError)]
+    assert len(classes) > 10
+    for cls in classes:
+        if cls not in (LvdynError, PipelineStageError):
+            assert cls.exit_code in (2, 3, 4), cls
+    assert (ValidationError.exit_code, NumericalError.exit_code, IoError.exit_code) == (2, 3, 4)
+    for cause in (ParseError("p"), SingularDesign("s"), IoError("i")):
+        assert PipelineStageError("fit", cause).exit_code == cause.exit_code
+
+
+@pytest.mark.parametrize("args", [
+    ["analyze", "--input", "n" * 5000], ["report", "--report", "n" * 5000]])
+def test_cli_name_too_long_is_an_io_error(capsys, args):
+    # Path.is_file raises OSError (ENAMETOOLONG) rather than return False.
+    assert main(args) == 4
+    assert "File name too long" in capsys.readouterr().err
+
+
+def test_bug_in_a_stage_is_not_reported_as_a_typed_failure(tmp_path, monkeypatch, capsys):
+    # A Python error that is not an LvdynError used to leave the stage as a
+    # PipelineStageError, which the CLI mapped to exit 3.
+    def broken(cp):
+        raise ZeroDivisionError("a bug")
+    monkeypatch.setattr(pipeline, "equilibrium_set", broken)
+    out = tmp_path / "out"
+    with pytest.raises(ZeroDivisionError, match="a bug"):
+        main(["analyze", "--input", str(PHYS_FIXTURE), "--out", str(out)])
+    assert not out.exists()
 
 
 def test_cli_report_subcommand(tmp_path, capsys):

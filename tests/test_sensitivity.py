@@ -30,7 +30,6 @@ from lvdyn import (
     sobol_indices,
 )
 from lvdyn import sensitivity
-from lvdyn.errors import exit_code_for
 from lvdyn.params import PARAM_NAMES
 from lvdyn.sensitivity import BLOCK
 
@@ -368,7 +367,7 @@ def test_degenerate_variance_is_a_typed_error(f):
     # Indices would be 0/0 or x/inf; NaN must never reach the report.
     with pytest.raises(DegenerateVariance) as err:
         indices_for(f, unit_bounds(), n_base=64)
-    assert exit_code_for(err.value) == 3
+    assert err.value.exit_code == 3
 
 
 def test_indices_reject_mismatched_shapes():

@@ -45,31 +45,45 @@ def vector_field(cp: ContinuousParams, x: float | np.ndarray,
     return f1, f2
 
 
-def interior_equilibria(columns, out: np.ndarray | None = None
-                        ) -> tuple[np.ndarray, np.ndarray]:
+def nullclines_cross(cross, own, den, ok, spare) -> bool:
+    """den = b12*b21 - b11*b22 = cross - own; ok where |den| >= INTERIOR_DENOM_EPS
+    * max(|cross|, |own|, 1e-300) and den is finite.  True, ``ok`` unwritten,
+    when the extremes show every element ok (exact: rounding is monotone, and
+    NaN fails); else False, ``ok`` written and the pair ``spare`` spent."""
+    np.subtract(cross, own, out=den)
+    lo, hi = den.min(initial=np.inf), den.max(initial=-np.inf)
+    if -np.inf < lo <= hi < np.inf and (lo > 0 or hi < 0):       # finite, one sign
+        largest = max(-cross.min(), cross.max(), -own.min(), own.max(), 1e-300)
+        if (lo if lo > 0 else -hi) >= largest * INTERIOR_DENOM_EPS:
+            return True
+    scale, abs_den = spare
+    np.maximum(np.abs(cross, out=scale), np.abs(own, out=abs_den), out=scale)
+    np.maximum(scale, 1e-300, out=scale)
+    np.multiply(scale, INTERIOR_DENOM_EPS, out=scale)
+    # A finite den implies finite products, hence a finite scale.
+    np.abs(den, out=abs_den)
+    np.logical_and(abs_den >= scale, abs_den < np.inf, out=ok)
+    return False
+
+
+def interior_equilibria(columns) -> tuple[np.ndarray, np.ndarray]:
     """Closed-form intersection of the two interior nullclines, elementwise.
 
     ``columns`` holds six coefficient arrays of one length n in PARAM_NAMES
     order, such as the transpose of an (n, 6) array of parameter rows.
-    Returns (points, ok): points is (2, n) with rows (x*, y*), written into
-    ``out`` when given, and ok is False, with NaN in points, where the
-    nullclines are (numerically) parallel, judged against the magnitude of
-    the coefficient products involved, or where those products overflow.
+    Returns (points, ok): points is (2, n) with rows (x*, y*), and ok is
+    False, with NaN in points, where the nullclines are (numerically)
+    parallel by :func:`nullclines_cross`.
     """
     a1, b11, b12, a2, b21, b22 = (np.asarray(c, dtype=float) for c in columns)
-    points = np.empty((2, len(a1))) if out is None else out
+    points, ok = np.empty((2, len(a1))), np.ones(len(a1), dtype=bool)
     # Every element is computed unmasked, the ones that are not ok are
     # overwritten last, and the two product buffers are reused throughout.
     with np.errstate(all="ignore"):
         cross, own = b12 * b21, b11 * b22
-        den = cross - own
-        scale = np.maximum(np.abs(cross, out=cross), np.abs(own, out=own), out=cross)
-        np.maximum(scale, 1e-300, out=scale)
-        np.multiply(scale, INTERIOR_DENOM_EPS, out=scale)
-        abs_den = np.abs(den, out=own)
-        # A finite den implies finite products, hence a finite scale.
-        ok = (abs_den >= scale) & (abs_den < np.inf)
-        num, tmp = scale, abs_den                 # both spent: reuse for the numerators
+        den = np.empty_like(cross)
+        nullclines_cross(cross, own, den, ok, points)
+        num, tmp = cross, own                     # both spent: reuse for the numerators
         np.subtract(np.multiply(a1, b22, out=num), np.multiply(b12, a2, out=tmp), out=num)
         np.divide(num, den, out=points[0])
         np.subtract(np.multiply(b11, a2, out=num), np.multiply(a1, b21, out=tmp), out=num)
@@ -99,14 +113,14 @@ class EquilibriumSet:
 
 
 def equilibrium_set(cp: ContinuousParams) -> EquilibriumSet:
-    axial_x = (-cp.a1 / cp.b11, 0.0) if cp.b11 != 0 else None
-    axial_y = (0.0, -cp.a2 / cp.b22) if cp.b22 != 0 else None
-    return EquilibriumSet(
-        origin=(0.0, 0.0),
-        axial_x=axial_x,
-        axial_y=axial_y,
-        interior=interior_equilibrium(cp),
-    )
+    """Every equilibrium of cp; NumericalError when one of them overflows."""
+    points = {"axial_x": (-cp.a1 / cp.b11, 0.0) if cp.b11 != 0 else None,
+              "axial_y": (0.0, -cp.a2 / cp.b22) if cp.b22 != 0 else None,
+              "interior": interior_equilibrium(cp)}
+    for name, point in points.items():
+        if point is not None and not np.isfinite(point).all():
+            raise NumericalError(f"the {name} equilibrium is not finite: {point}")
+    return EquilibriumSet(origin=(0.0, 0.0), **points)
 
 
 def jacobian_at(cp: ContinuousParams, point: tuple[float, float]) -> np.ndarray:

@@ -266,6 +266,8 @@ def mape(observed, fitted) -> float:
     fit = np.asarray(fitted, dtype=float)
     if obs.shape != fit.shape:
         raise LengthMismatch(f"series lengths differ: {obs.shape} vs {fit.shape}")
+    if not obs.size:
+        raise ValidationError("observed and fitted are empty; mape needs at least one value")
     if np.any(obs == 0):
         raise ZeroObserved("observed series contains zero; relative error undefined")
     value = float(np.mean(np.abs((obs - fit) / obs)) * 100.0)

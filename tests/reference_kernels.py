@@ -55,13 +55,26 @@ def block_major(rows: np.ndarray, n_base: int) -> np.ndarray:
 
 
 def design_rows(design) -> np.ndarray:
-    """(BLOCK, n_base, D): the parameter rows of every block row of a design."""
-    return np.stack([np.column_stack(design.block(k)) for k in range(BLOCK)])
+    """(BLOCK, n_base, D): the parameter rows of every block row of a design,
+    A, then A_B^i taking column i from B, then B."""
+    rows = np.repeat(design.a.T[None], BLOCK, axis=0)
+    rows[-1] = design.b.T
+    for i in range(N_PARAMS):
+        rows[1 + i, :, i] = design.b[i]
+    return rows
 
 
 def block_values(f, design) -> np.ndarray:
     """f of every parameter row of a design, as (BLOCK, n_base)."""
     return f(design_rows(design).reshape(-1, N_PARAMS)).reshape(BLOCK, design.n_base)
+
+
+def design_equilibria(design) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`evaluate_equilibria` of every parameter row of a design, as the
+    package lays them out: outputs (2, BLOCK, n_base), valid (BLOCK, n_base)."""
+    out, valid = evaluate_equilibria(design_rows(design).reshape(-1, N_PARAMS))
+    return (np.moveaxis(out.reshape(BLOCK, design.n_base, 2), -1, 0),
+            valid.reshape(BLOCK, design.n_base))
 
 
 def evaluate_rows(theta) -> tuple[np.ndarray, np.ndarray]:

@@ -120,6 +120,17 @@ def test_axial_equilibria_are_carrying_capacities():
     assert eqs.axial_y == pytest.approx((0.0, 2.0))
 
 
+@pytest.mark.parametrize("coefficients,name", [
+    ((1.0, -1e-320, 0.1, 1.0, 0.1, -1.0), "axial_x"),        # was (inf, 0.0)
+    ((1e300, -1e-10, 1e-10, 1.0, 1e-10, -1.0), "axial_x"),   # interior was (inf, 1e300)
+    ((1e304, -1.0, 1.0, 1.0, 1.0 - 1e-6, -1.0), "interior"),  # axial points finite
+    ((1.0, -1.0, 0.1, 1e300, 0.1, -1e-10), "axial_y"),
+])
+def test_equilibrium_that_overflows_is_a_numerical_error(coefficients, name):
+    with pytest.raises(NumericalError, match=f"the {name} equilibrium is not finite"):
+        equilibrium_set(ContinuousParams(*coefficients))
+
+
 # ---------------------------------------------------------------------------
 # Jacobian and eigenvalues
 # ---------------------------------------------------------------------------

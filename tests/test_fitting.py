@@ -312,6 +312,14 @@ def test_mape_errors():
         mape([1.0, 0.0], [1.0, 1.0])
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("observed,fitted", [([], []), ([[]], [[]])])
+def test_mape_of_empty_series_is_a_validation_error(observed, fitted):
+    # The mean of an empty slice warned and returned NaN.
+    with pytest.raises(ValidationError, match="observed and fitted are empty"):
+        mape(observed, fitted)
+
+
 def test_fitted_trajectory_modes(physical_series):
     dp = regression_to_discrete(fit_details(physical_series).coeffs)
     one = fitted_trajectories(dp, physical_series, FitMode.ONE_STEP_AHEAD)

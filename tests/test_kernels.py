@@ -15,6 +15,7 @@ from lvdyn import (
     ContinuousParams,
     DegenerateVariance,
     ParamBounds,
+    SaltelliDesign,
     TooManyRejections,
     analyze_sensitivity,
     bounds_from_baseline,
@@ -29,7 +30,7 @@ from lvdyn import (
 )
 from lvdyn import sensitivity
 from lvdyn.errors import LvdynError
-from lvdyn.dynamics import interior_equilibria
+from lvdyn.dynamics import interior_equilibria, nullclines_cross
 from lvdyn.sensitivity import BLOCK
 
 import reference_kernels as ref
@@ -382,12 +383,12 @@ def test_many_parts_with_fast_thread_switches_lose_no_write(monkeypatch):
 def test_error_in_a_helper_thread_keeps_its_class(monkeypatch, started_threads):
     # The second range of base indices is evaluated in a helper thread; its
     # typed error reaches the caller unchanged, after every thread is joined.
-    def failing(columns, out=None):
+    def failing(*args):
         if threading.current_thread() is not threading.main_thread():
             raise TooManyRejections("raised in a helper thread")
-        return interior_equilibria(columns, out)
+        return nullclines_cross(*args)
 
-    monkeypatch.setattr(sensitivity, "interior_equilibria", failing)
+    monkeypatch.setattr(sensitivity, "nullclines_cross", failing)
     force_parts(monkeypatch, 2)
     with pytest.raises(TooManyRejections, match="raised in a helper thread"):
         analyze_sensitivity(params_for("published:ai_physical"), 0.1, 256, 1)
@@ -441,6 +442,149 @@ def test_overflow_in_a_helper_thread_emits_no_warning(monkeypatch, parts):
     huge = ParamBounds(lower=np.full(6, 1e200), upper=np.full(6, 2e200))
     _, valid = evaluate_equilibria(saltelli_sample(huge, n, 1))
     assert not valid.any()
+
+
+# ---------------------------------------------------------------------------
+# The evaluation's shortcuts and the elementwise paths they skip
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def denominator_calls(monkeypatch):
+    """What every nullclines_cross call of the evaluation returned:
+    True where its extremes showed every point ok."""
+    calls = []
+
+    def recorded(*args):
+        calls.append(nullclines_cross(*args))
+        return calls[-1]
+
+    monkeypatch.setattr(sensitivity, "nullclines_cross", recorded)
+    return calls
+
+
+def uniform(rng, lo, hi, n: int) -> np.ndarray:
+    """(6, n) columns, parameter i uniform in [lo[i], hi[i])."""
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    return lo[:, None] + rng.random((6, n)) * (hi - lo)[:, None]
+
+
+#: Base indices of the near-parallel A rows of the "denominator" design.
+NEAR_PARALLEL = np.array([i for i in range(0, 2**16, 89) if i % 97])
+
+
+def slow_path_design(case: str) -> SaltelliDesign:
+    """A design of N = 2^16 built directly from A and B that takes one slow path."""
+    rng, n = np.random.default_rng(11), 2**16
+    if case == "denominator":
+        # b12*b21 - b11*b22 changes sign, and every 97th A row is exactly
+        # parallel.
+        lo, hi = [0.5] * 6, [1.5] * 6
+        a, b = uniform(rng, lo, hi, n), uniform(rng, lo, hi, n)
+        a[2, ::97], a[5, ::97] = 2.0 * a[1, ::97], 2.0 * a[4, ::97]
+        # Near-parallel A rows with x* = y* = 0.5, which A_B^1 and A_B^4
+        # repeat: den = -e for e of 4 (not ok) or 6 units of 2^-52 against a
+        # threshold of 1e-15.
+        near = NEAR_PARALLEL
+        e = (4 + 2 * (near % 2)) * 2.0**-52
+        a[:, near] = 1.0
+        a[0, near], a[3, near], a[5, near] = -1.0, -(1.0 + e / 2), 1.0 + e
+        b[0, near], b[3, near] = a[0, near], a[3, near]
+    elif case == "negative":
+        # The denominator is near -1 everywhere; a1 and a2 change sign.
+        lo, hi = [-0.2, -1.5, -0.1, -0.2, -0.1, -1.5], [1.0, -0.5, 0.1, 1.0, 0.1, -0.5]
+        a, b = uniform(rng, lo, hi, n), uniform(rng, lo, hi, n)
+    else:
+        # The denominator is near -1e-20, so x* = a1 * 1e10 overflows for
+        # a1 past 1.8e298.
+        lo = [1e280, -1.5e-10, -1e-12, 1e280, -1e-12, -1.5e-10]
+        hi = [1e300, -0.5e-10, 1e-12, 1e300, 1e-12, -0.5e-10]
+        a, b = uniform(rng, lo, hi, n), uniform(rng, lo, hi, n)
+    return SaltelliDesign(a=a, b=b, n_base=n, seed=0)
+
+
+@pytest.mark.parametrize("parts", [1, 2])
+@pytest.mark.parametrize("case", ["denominator", "negative", "overflow"])
+def test_slow_paths_match_reference_large_n(monkeypatch, denominator_calls, case, parts):
+    force_parts(monkeypatch, parts)
+    design = slow_path_design(case)
+    want_out, want_valid = ref.design_equilibria(design)
+    # The workspace starts all valid, then all invalid, so a validity the
+    # evaluation does not write shows.
+    ws = sensitivity._workspace(design.n_base)
+    for fill in (True, False):
+        for buffer in ws[1:]:
+            buffer[...] = fill
+        outputs, valid = evaluate_equilibria(design, _ws=ws)
+        assert_same(outputs, want_out)
+        assert np.array_equal(valid, want_valid)
+    # Six denominators per part and call; every case rejects some rows, so
+    # the validity tests run elementwise.
+    assert len(denominator_calls) == 2 * 6 * parts
+    assert not valid.all()
+    points, ok = ref.interior_equilibria(ref.design_rows(design).reshape(-1, 6))
+    if case == "denominator":
+        assert not any(denominator_calls)
+        assert not ok.all() and ok.any()
+        # A_B^1 and A_B^4 take the A row's nullcline rule.
+        assert not valid[[0, 1, 4], ::97].any()
+        assert np.array_equal(valid[[0, 1, 4]][:, NEAR_PARALLEL],
+                              np.tile(NEAR_PARALLEL % 2 == 1, (3, 1)))
+    else:
+        assert all(denominator_calls) and ok.all()
+        if case == "negative":
+            assert (points < 0).any() and np.isfinite(points).all()
+        else:
+            assert np.isinf(points).any()
+
+
+def test_clean_design_takes_both_shortcuts(monkeypatch, denominator_calls):
+    force_parts(monkeypatch, 2)
+    design = saltelli_sample(bounds_from_baseline(params_for("published:ai_physical"), 0.1),
+                             2**16, 3)
+    outputs, valid = evaluate_equilibria(design)
+    want_out, want_valid = ref.design_equilibria(design)
+    assert_same(outputs, want_out)
+    assert np.array_equal(valid, want_valid)
+    assert len(denominator_calls) == 12 and all(denominator_calls)
+    assert valid.all()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 64])
+def test_small_direct_designs_in_parts_match_reference(monkeypatch, n):
+    # Every base index may be its own part: no range of a part is empty.
+    monkeypatch.setattr(sensitivity, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(sensitivity, "MIN_PART", 1)
+    for case in ("denominator", "negative", "overflow"):
+        full = slow_path_design(case)
+        design = SaltelliDesign(a=full.a[:, :n].copy(), b=full.b[:, :n].copy(), n_base=n, seed=0)
+        outputs, valid = evaluate_equilibria(design)
+        want_out, want_valid = ref.design_equilibria(design)
+        assert_same(outputs, want_out)
+        assert np.array_equal(valid, want_valid)
+        out, row_valid = ref.evaluate_rows(design.a.T)
+        want_out, want_valid = ref.evaluate_equilibria(design.a.T)
+        assert_same(out, want_out)
+        assert np.array_equal(row_valid, want_valid)
+
+
+def test_denominator_shortcut_is_exact_at_the_threshold():
+    # |den| of 9 units of 2^-53 is just under 1e-15 * max(|cross|, |own|):
+    # one such row among ok rows must fail the shortcut and be not ok.
+    # Both signs of the products: the largest magnitude may be a minimum.
+    k = np.array([10.0, 9.0, 12.0, 10.0])
+    den, ok, spare = np.empty(4), np.empty(4, dtype=bool), np.empty((2, 4))
+    for sign in (1.0, -1.0):
+        cross, own = sign * np.ones(4), sign * (1.0 - k * 2.0**-53)
+        assert not nullclines_cross(cross, own, den, ok, spare)
+        assert ok.tolist() == [True, False, True, True]
+        assert nullclines_cross(cross[[0, 2]], own[[0, 2]], den[:2], ok[:2], spare[:, :2])
+    assert not nullclines_cross(np.array([1.0, np.nan]), np.array([0.5, 0.5]), den[:2],
+                                ok[:2], spare[:, :2])
+    assert ok[:2].tolist() == [True, False]
+    # No elements: nothing to reduce, and nothing ok to report.
+    assert not nullclines_cross(den[:0], den[:0], den[:0], ok[:0], spare[:, :0])
+    points, ok = interior_equilibria([[]] * 6)
+    assert points.shape == (2, 0) and ok.shape == (0,)
 
 
 # ---------------------------------------------------------------------------

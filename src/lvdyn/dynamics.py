@@ -246,11 +246,17 @@ class PhaseGeometry:
 
 
 def phase_geometry(cp: ContinuousParams, bbox: BBox, grid_n: int) -> PhaseGeometry:
-    """Sample the vector field and its sign pattern over a grid."""
+    """Sample the vector field and its sign pattern over a grid.
+
+    Raises NumericalError when the field overflows somewhere on the grid.
+    """
     check("grid_n", grid_n)
     xs = np.linspace(bbox.x_min, bbox.x_max, grid_n)
     ys = np.linspace(bbox.y_min, bbox.y_max, grid_n)
-    dx, dy = vector_field(cp, *np.meshgrid(xs, ys, indexing="ij"))
+    with np.errstate(over="ignore", invalid="ignore"):
+        dx, dy = vector_field(cp, *np.meshgrid(xs, ys, indexing="ij"))
+    if not (np.isfinite(dx).all() and np.isfinite(dy).all()):
+        raise NumericalError(f"the vector field overflows on the phase grid over {bbox}")
     return PhaseGeometry(
         nullcline_x=(cp.a1, cp.b11, cp.b12),
         nullcline_y=(cp.a2, cp.b21, cp.b22),

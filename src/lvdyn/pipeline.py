@@ -38,6 +38,7 @@ from .errors import (
     RULES,
     IoError,
     LvdynError,
+    NumericalError,
     ParseError,
     PipelineStageError,
     ValidationError,
@@ -349,6 +350,7 @@ def _region_signs(cp: ContinuousParams, interior: tuple[float, float]) -> dict |
     The two nullcline gradients are inverted to find displacement directions
     that realize each sign combination of (dx/dt, dy/dt); the four sampled
     points label the quadrants the nullclines cut around the equilibrium.
+    Raises NumericalError when a sampled point or its field overflows.
     """
     grad = np.array([[cp.b11, cp.b12], [cp.b21, cp.b22]])
     try:
@@ -359,11 +361,15 @@ def _region_signs(cp: ContinuousParams, interior: tuple[float, float]) -> dict |
     regions = {}
     labels = {(-1, 1): "I", (-1, -1): "II", (1, -1): "III", (1, 1): "IV"}
     for sig, label in labels.items():
-        d = inv @ (np.array(sig) * eps)
-        px, py = interior[0] + d[0], interior[1] + d[1]
-        if px <= 0 or py <= 0:
-            continue
-        f1, f2 = vector_field(cp, px, py)
+        with np.errstate(over="ignore", invalid="ignore"):
+            d = inv @ (np.array(sig) * eps)
+            px, py = interior[0] + d[0], interior[1] + d[1]
+            if px <= 0 or py <= 0:
+                continue
+            f1, f2 = vector_field(cp, px, py)
+        if not np.isfinite([px, py, f1, f2]).all():
+            raise NumericalError(f"the field off the interior equilibrium overflows "
+                                 f"at ({px}, {py})")
         regions[f"region_{label}"] = {
             "point": [px, py],
             "sign_dx": int(np.sign(f1)),

@@ -76,6 +76,20 @@ def test_non_finite_value_fails_typed_at_the_stage_that_made_it(tmp_path, capsys
     assert (report["incomplete"], report["failed_stage"]) == (True, stage)
 
 
+#: Series whose fitted field overflowed on the phase grid: the stage raised a
+#: RuntimeWarning instead of exiting 3.
+PHASE_OVERFLOW_REPRODUCERS = ["1.700404767895009e+306", "8.859529221920375e+160"]
+
+
+@pytest.mark.parametrize("last_y", PHASE_OVERFLOW_REPRODUCERS)
+def test_phase_grid_overflow_fails_typed_at_stage_phase(tmp_path, capsys, last_y):
+    rows = [(1990, "1.0", "1.0"), (1991, "2.0", "2.0"), (1992, "1.0", "1.0"),
+            (1993, "1.0", "2.0"), (1994, "20.0", last_y)]
+    data = write_series(tmp_path / "data.csv", rows)
+    assert main(["analyze", "--input", str(data), "--sobol-n", "64", "--grid-n", "2"]) == 3
+    assert capsys.readouterr().err.startswith("error: stage 'phase': ")
+
+
 def test_cli_exits_with_a_documented_code_property():
     hyp = pytest.importorskip("hypothesis")
     st = hyp.strategies

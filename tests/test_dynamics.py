@@ -324,6 +324,13 @@ def test_phase_geometry_grid_is_the_vector_field(key):
     assert np.array_equal(pg.dy, dy)
 
 
+def test_phase_geometry_fails_typed_when_the_field_overflows():
+    # x*y of the box's far corner overflows; the field was an inf and a NaN.
+    cp = cp_for("ai_physical")
+    with np.errstate(all="raise"), pytest.raises(NumericalError, match="phase grid"):
+        phase_geometry(cp, BBox(1.0, 30.0, 1.0, 1e306), 2)
+
+
 def test_phase_geometry_invalid_inputs():
     cp = cp_for("ai_physical")
     with pytest.raises(InvalidBBox):

@@ -376,6 +376,13 @@ def test_report_region_signs(injected_reports):
     assert (regions["region_IV"]["sign_dx"], regions["region_IV"]["sign_dy"]) == (1, 1)
 
 
+def test_region_signs_fail_typed_when_the_field_overflows():
+    # The points off (1e300, 1) square to inf; the field was NaN, which int() refused.
+    cp = ContinuousParams(1e300, -1.0, 0.0, 1.0, 0.0, -1.0)
+    with np.errstate(all="raise"), pytest.raises(NumericalError, match="interior equilibrium"):
+        pipeline._region_signs(cp, (1e300, 1.0))
+
+
 def test_sobol_block_accounting(injected_reports):
     d = injected_reports["ai_physical"].to_dict()
     blk = d["sobol"]

@@ -26,7 +26,7 @@ from .params import ContinuousParams
 #: treated as zero (no interior point).
 INTERIOR_DENOM_EPS = 1e-15
 
-#: Default per-step relative error tolerance for the step-doubling estimate.
+#: Per-step relative error tolerance of the step-doubling estimate.
 RK4_ERROR_TOL = 1e-3
 
 #: States below this are considered to have left the meaningful domain.
@@ -66,40 +66,29 @@ def nullclines_cross(cross, own, den, ok, spare) -> bool:
     return False
 
 
-def interior_equilibria(columns) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-form intersection of the two interior nullclines, elementwise.
-
-    ``columns`` holds six coefficient arrays of one length n in PARAM_NAMES
-    order, such as the transpose of an (n, 6) array of parameter rows.
-    Returns (points, ok): points is (2, n) with rows (x*, y*), and ok is
-    False, with NaN in points, where the nullclines are (numerically)
-    parallel by :func:`nullclines_cross`.
-    """
-    a1, b11, b12, a2, b21, b22 = (np.asarray(c, dtype=float) for c in columns)
-    points, ok = np.empty((2, len(a1))), np.ones(len(a1), dtype=bool)
-    # Every element is computed unmasked, the ones that are not ok are
-    # overwritten last, and the two product buffers are reused throughout.
-    with np.errstate(all="ignore"):
-        cross, own = b12 * b21, b11 * b22
-        den = np.empty_like(cross)
-        nullclines_cross(cross, own, den, ok, points)
-        num, tmp = cross, own                     # both spent: reuse for the numerators
-        np.subtract(np.multiply(a1, b22, out=num), np.multiply(b12, a2, out=tmp), out=num)
-        np.divide(num, den, out=points[0])
-        np.subtract(np.multiply(b11, a2, out=num), np.multiply(a1, b21, out=tmp), out=num)
-        np.divide(num, den, out=points[1])
-    if not ok.all():
-        points[:, ~ok] = np.nan
-    return points, ok
+def _finite(name: str, point: tuple[float, float] | None) -> tuple[float, float] | None:
+    """point, unless it is not finite: then NumericalError."""
+    if point is not None and not np.isfinite(point).all():
+        raise NumericalError(f"the {name} equilibrium is not finite: {point}")
+    return point
 
 
 def interior_equilibrium(cp: ContinuousParams) -> tuple[float, float] | None:
-    """Interior equilibrium of one parameter set by :func:`interior_equilibria`.
+    """Closed-form intersection of the two interior nullclines.
 
-    Returns None when the nullclines are (numerically) parallel.
+    Returns None when the nullclines are (numerically) parallel by
+    :func:`nullclines_cross`; raises NumericalError when the point is not
+    finite.
     """
-    points, ok = interior_equilibria([[v] for v in cp.as_tuple()])
-    return tuple(points[:, 0].tolist()) if ok[0] else None
+    a1, b11, b12, a2, b21, b22 = map(float, cp.as_tuple())
+    den, ok = np.empty(1), np.ones(1, dtype=bool)
+    with np.errstate(all="ignore"):
+        crosses = nullclines_cross(np.array([b12 * b21]), np.array([b11 * b22]), den, ok,
+                                   np.empty((2, 1)))
+    if not (crosses or ok[0]):
+        return None
+    den = float(den[0])
+    return _finite("interior", ((a1 * b22 - b12 * a2) / den, (b11 * a2 - a1 * b21) / den))
 
 
 @dataclass(frozen=True)
@@ -114,13 +103,10 @@ class EquilibriumSet:
 
 def equilibrium_set(cp: ContinuousParams) -> EquilibriumSet:
     """Every equilibrium of cp; NumericalError when one of them overflows."""
-    points = {"axial_x": (-cp.a1 / cp.b11, 0.0) if cp.b11 != 0 else None,
-              "axial_y": (0.0, -cp.a2 / cp.b22) if cp.b22 != 0 else None,
-              "interior": interior_equilibrium(cp)}
-    for name, point in points.items():
-        if point is not None and not np.isfinite(point).all():
-            raise NumericalError(f"the {name} equilibrium is not finite: {point}")
-    return EquilibriumSet(origin=(0.0, 0.0), **points)
+    axial_x = _finite("axial_x", (-cp.a1 / cp.b11, 0.0) if cp.b11 != 0 else None)
+    axial_y = _finite("axial_y", (0.0, -cp.a2 / cp.b22) if cp.b22 != 0 else None)
+    return EquilibriumSet(origin=(0.0, 0.0), axial_x=axial_x, axial_y=axial_y,
+                          interior=interior_equilibrium(cp))
 
 
 def jacobian_at(cp: ContinuousParams, point: tuple[float, float]) -> np.ndarray:
@@ -304,13 +290,12 @@ def integrate_ode(
     x0: tuple[float, float],
     t_end: float,
     dt: float = 0.001,
-    error_tol: float = RK4_ERROR_TOL,
 ) -> Trajectory:
     """Classical fixed-step RK4 integration of the system.
 
     Each step is checked by step doubling: the full step is compared with
     two half steps and the run aborts with StepTooLarge when the relative
-    discrepancy exceeds ``error_tol`` (the estimate never adapts the step).
+    discrepancy exceeds RK4_ERROR_TOL (the estimate never adapts the step).
     A state below -1e-9 aborts with NegativeState, an overflowing state with
     TrajectoryOverflow.  x0 obeys :func:`~lvdyn.errors.check_start`.
 
@@ -322,8 +307,6 @@ def integrate_ode(
     """
     check("dt", dt, (REAL, lambda v: v > 0 and finite(v), "finite and > 0", ValidationError))
     check("t_end", t_end, FINITE_NON_NEGATIVE)
-    check("error_tol", error_tol, (REAL, lambda v: v >= 0 and (finite(v) or v == np.inf),
-                                   "finite and >= 0, or inf", ValidationError))
     x, y = check_start(x0)
     if not float(t_end) / float(dt) < np.inf:
         raise ValidationError(f"t_end / dt overflows: {t_end} / {dt}")
@@ -349,11 +332,11 @@ def integrate_ode(
         hx, hy = _rk4_step(cp, *_rk4_step(cp, x_start, y_start, half_dt), half_dt)
         err = (_first_max(abs(x_full - hx), abs(y_full - hy))
                / _first_max(_first_max(abs(hx), abs(hy)), 1.0))
-    flagged = np.flatnonzero(err > error_tol)
+    flagged = np.flatnonzero(err > RK4_ERROR_TOL)
     if flagged.size:
         k = flagged[0]
         raise StepTooLarge(
-            f"step-doubling estimate {err[k]:.3e} exceeds {error_tol:g} at t={t[k]:g}")
+            f"step-doubling estimate {err[k]:.3e} exceeds {RK4_ERROR_TOL:g} at t={t[k]:g}")
     if min(x, y) < NEGATIVE_STATE_TOL:
         raise NegativeState(
             f"state left the first quadrant at t={t[len(path) - 1]:g}: {np.array((x, y))}")

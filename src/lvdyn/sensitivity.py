@@ -287,7 +287,7 @@ def evaluate_equilibria(design: SaltelliDesign, *, _ws=None) -> tuple[np.ndarray
     Row A_B^i recomputes only the two products of the closed form that hold
     parameter i, and the terms that hold those: 24 products in place of 48,
     6 denominators in place of 8, 12 numerators in place of 16.  Operands
-    keep their order, so every bit is that of :func:`~lvdyn.dynamics.interior_equilibria`.
+    keep their order, so every bit is that of :func:`~lvdyn.dynamics.interior_equilibrium`.
     """
     n = design.n_base
     if _ws is None:

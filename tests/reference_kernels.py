@@ -22,8 +22,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from lvdyn.dynamics import (INTERIOR_DENOM_EPS, NEGATIVE_STATE_TOL, RK4_ERROR_TOL,
-                           Trajectory, _rk4_step)
+from lvdyn import dynamics
+from lvdyn.dynamics import INTERIOR_DENOM_EPS, NEGATIVE_STATE_TOL, Trajectory, _rk4_step
 from lvdyn.errors import (NegativeState, StepTooLarge, TrajectoryOverflow, ValidationError,
                           check_start)
 from lvdyn.sensitivity import (_SOBOL_BITS, BLOCK, N_PARAMS, SaltelliDesign, _sobol_points,
@@ -140,8 +140,9 @@ def sobol_indices(n_base: int, outputs: np.ndarray, valid: np.ndarray):
     return first, total, variance, int(np.count_nonzero(keep))
 
 
-def integrate_ode(cp, x0, t_end, dt=0.001, error_tol=RK4_ERROR_TOL) -> Trajectory:
-    """RK4 with the step-doubling check made inside the loop, step by step."""
+def integrate_ode(cp, x0, t_end, dt=0.001) -> Trajectory:
+    """RK4 with the step-doubling check made inside the loop, step by step,
+    against ``dynamics.RK4_ERROR_TOL`` as it is when called."""
     if not dt > 0:
         raise ValidationError(f"dt must be > 0, got {dt}")
     if not 0 <= t_end < np.inf:
@@ -154,6 +155,7 @@ def integrate_ode(cp, x0, t_end, dt=0.001, error_tol=RK4_ERROR_TOL) -> Trajector
     t = np.linspace(0.0, n_steps * dt, n_steps + 1)
     path = [(x, y)]
     half_dt = dt / 2.0
+    error_tol = dynamics.RK4_ERROR_TOL
     for k in range(n_steps):
         fx, fy = _rk4_step(cp, x, y, dt)
         hx, hy = _rk4_step(cp, *_rk4_step(cp, x, y, half_dt), half_dt)

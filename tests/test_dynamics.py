@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -28,7 +30,7 @@ from lvdyn import (
     stability_at,
 )
 from lvdyn import dynamics
-from lvdyn.dynamics import MAX_RK4_STEPS, RK4_ERROR_TOL, interior_equilibria, vector_field
+from lvdyn.dynamics import MAX_RK4_STEPS, RK4_ERROR_TOL, vector_field
 from lvdyn.errors import LvdynError
 
 import reference_kernels as ref
@@ -85,11 +87,10 @@ def test_interior_equilibria_zero_both_nullclines_property():
     @hyp.settings(max_examples=200, deadline=None)
     @hyp.given(rows=rows)
     def check(rows):
-        theta = np.array(rows)
-        points, ok = interior_equilibria(theta.T)
-        assert np.all(np.isnan(points[:, ~ok]))
-        a1, b11, b12, a2, b21, b22 = theta[ok].T
-        x, y = points[:, ok]
+        found = [(row, interior_equilibrium(ContinuousParams(*row))) for row in rows]
+        theta = np.array([row for row, point in found if point is not None]).reshape(-1, 6)
+        a1, b11, b12, a2, b21, b22 = theta.T
+        x, y = np.array([point for _, point in found if point is not None]).reshape(-1, 2).T
         # Relative residual of each nullcline, bounded by the conditioning of
         # the 2x2 solve (near-parallel nullclines amplify rounding).
         cond = np.maximum(np.abs(b12 * b21), np.abs(b11 * b22)) / np.abs(b12 * b21 - b11 * b22)
@@ -129,6 +130,17 @@ def test_axial_equilibria_are_carrying_capacities():
 def test_equilibrium_that_overflows_is_a_numerical_error(coefficients, name):
     with pytest.raises(NumericalError, match=f"the {name} equilibrium is not finite"):
         equilibrium_set(ContinuousParams(*coefficients))
+
+
+def test_interior_equilibrium_that_overflows_is_a_numerical_error():
+    # interior_equilibrium returned (inf, 1e308); only equilibrium_set checked it.
+    cp = ContinuousParams(1e308, -1e-308, 1e-308, 1.0, 1e-308, -1.0)
+    with pytest.raises(NumericalError) as err:
+        interior_equilibrium(cp)
+    assert str(err.value) == "the interior equilibrium is not finite: (inf, 1e+308)"
+    # equilibrium_set checks its axial points first, as it did before.
+    with pytest.raises(NumericalError, match=r"^the axial_x equilibrium is not finite: \(inf, 0.0\)$"):
+        equilibrium_set(cp)
 
 
 # ---------------------------------------------------------------------------
@@ -416,12 +428,13 @@ def test_integrate_step_too_large():
     assert str(info.value) == "step-doubling estimate 5.485e-01 exceeds 0.001 at t=0"
 
 
-def test_integrate_negative_state():
+def test_integrate_negative_state(monkeypatch):
     # With the error estimate disabled, a giant step on strong quadratic
     # decay overshoots straight through the axis.
+    monkeypatch.setattr(dynamics, "RK4_ERROR_TOL", np.inf)
     cp = ContinuousParams(a1=0.0, b11=-1.0, b12=0, a2=0.1, b21=0, b22=0)
     with pytest.raises(NegativeState) as info:
-        integrate_ode(cp, (10.0, 1.0), 1.0, 1.0, error_tol=np.inf)
+        integrate_ode(cp, (10.0, 1.0), 1.0, 1.0)
     assert str(info.value) == (
         "state left the first quadrant at t=1: [-6.49149299e+10  1.10517083e+00]")
 
@@ -455,13 +468,14 @@ def assert_same_outcome(*args) -> tuple:
     return got
 
 
-def test_integrate_flagged_step_wins_over_later_negative_state():
+def test_integrate_flagged_step_wins_over_later_negative_state(monkeypatch):
     # Step 0 fails the step-doubling check; without the check the path goes
     # on and leaves the quadrant at t=0.5.  The earlier failure is raised.
     cp = ContinuousParams(a1=1.7, b11=-0.2, b12=0.1, a2=-1.5, b21=2.0, b22=-0.2)
     assert assert_same_outcome(cp, (8.0, 14.0), 5.0, 0.25) == (
         StepTooLarge, "step-doubling estimate 2.392e-01 exceeds 0.001 at t=0")
-    assert assert_same_outcome(cp, (8.0, 14.0), 5.0, 0.25, np.inf) == (
+    monkeypatch.setattr(dynamics, "RK4_ERROR_TOL", np.inf)
+    assert assert_same_outcome(cp, (8.0, 14.0), 5.0, 0.25) == (
         NegativeState,
         "state left the first quadrant at t=0.5: [ 4.02285356e+07 -5.04432257e+08]")
 
@@ -510,7 +524,8 @@ def test_integrate_matches_per_step_reference_property():
     @hyp.given(cp=params, x0=st.tuples(state, state), t_end=st.floats(0, 3),
                dt=st.floats(1e-3, 0.5), tol=st.sampled_from([RK4_ERROR_TOL, 1e-6, np.inf]))
     def check(cp, x0, t_end, dt, tol):
-        assert_same_outcome(cp, x0, t_end, dt, tol)
+        with mock.patch.object(dynamics, "RK4_ERROR_TOL", tol):
+            assert_same_outcome(cp, x0, t_end, dt)
 
     check()
 
@@ -609,27 +624,25 @@ def test_integrate_overflow_to_nan_is_a_typed_error():
 
 @pytest.mark.parametrize("kwargs", [
     dict(dt="a"), dict(dt=None), dict(dt=10**400), dict(dt=np.inf), dict(t_end=None),
-    dict(t_end="1"), dict(t_end=10**400), dict(error_tol="a"), dict(error_tol=np.nan),
-    dict(error_tol=-1e-3), dict(error_tol=10**400),
+    dict(t_end="1"), dict(t_end=10**400),
 ], ids=["dt-str", "dt-None", "dt-int-beyond-float", "dt-inf", "t_end-None", "t_end-str",
-        "t_end-int-beyond-float", "error_tol-str", "error_tol-nan", "error_tol-negative",
-        "error_tol-int-beyond-float"])
+        "t_end-int-beyond-float"])
 def test_integrate_rejects_arguments_that_are_not_numbers_in_range(kwargs):
-    # "a" and None raised a bare TypeError from a comparison, error_tol="a"
-    # a bare UFuncTypeError, and an int beyond the largest float a bare
-    # OverflowError; a NaN error_tol turned the check off.
-    args = dict(t_end=1.0, dt=0.1, error_tol=RK4_ERROR_TOL) | kwargs
+    # "a" and None raised a bare TypeError from a comparison, and an int
+    # beyond the largest float a bare OverflowError.
+    args = dict(t_end=1.0, dt=0.1) | kwargs
     with pytest.raises(ValidationError, match=next(iter(kwargs))):
         integrate_ode(cp_for("ai_physical"), (1.0, 1.0), **args)
 
 
-def test_integrate_takes_an_infinite_error_tol_and_numpy_numbers():
+def test_integrate_takes_an_infinite_error_tol_and_numpy_numbers(monkeypatch):
     cp = cp_for("ai_physical")
     want = integrate_ode(cp, (10.0, 100.0), 0.5, 0.01)
-    got = integrate_ode(cp, (10.0, 100.0), np.float64(0.5), np.float64(0.01),
-                        np.float64(RK4_ERROR_TOL))
+    got = integrate_ode(cp, (10.0, 100.0), np.float64(0.5), np.float64(0.01))
     assert np.array_equal(got.states, want.states)
-    assert len(integrate_ode(cp, (10.0, 100.0), 1, 0.5, error_tol=np.inf).t) == 3
+    # The tolerance is read when the check runs.
+    monkeypatch.setattr(dynamics, "RK4_ERROR_TOL", np.inf)
+    assert len(integrate_ode(cp, (10.0, 100.0), 1, 0.5).t) == 3
 
 
 def test_eigenvalues_that_overflow_are_a_typed_error():

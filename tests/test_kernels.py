@@ -14,6 +14,7 @@ import pytest
 from lvdyn import (
     ContinuousParams,
     DegenerateVariance,
+    NumericalError,
     ParamBounds,
     SaltelliDesign,
     TooManyRejections,
@@ -23,6 +24,7 @@ from lvdyn import (
     evaluate_equilibria,
     fit_details,
     fixture_path,
+    interior_equilibrium,
     load_series,
     regression_to_discrete,
     saltelli_sample,
@@ -30,7 +32,7 @@ from lvdyn import (
 )
 from lvdyn import sensitivity
 from lvdyn.errors import LvdynError
-from lvdyn.dynamics import interior_equilibria, nullclines_cross
+from lvdyn.dynamics import nullclines_cross
 from lvdyn.sensitivity import BLOCK
 
 import reference_kernels as ref
@@ -220,10 +222,19 @@ def test_equilibria_match_masked_reference_property():
     @hyp.given(rows=rows)
     def check(rows):
         theta = np.array(rows, dtype=float)
-        points, ok = interior_equilibria(theta.T)
-        want_points, want_ok = ref.interior_equilibria(theta)
-        assert np.array_equal(ok, want_ok)
-        assert_same(points, want_points.T)
+        # A finite row is a ContinuousParams: one point, or None, or a typed
+        # error where the reference's point is not finite.
+        for row, want_point, want_ok in zip(theta, *ref.interior_equilibria(theta)):
+            if not np.isfinite(row).all():
+                continue
+            cp = ContinuousParams(*row.tolist())
+            if not want_ok:
+                assert interior_equilibrium(cp) is None
+            elif np.isfinite(want_point).all():
+                assert_same(np.array(interior_equilibrium(cp)), want_point)
+            else:
+                with pytest.raises(NumericalError, match="interior equilibrium is not finite"):
+                    interior_equilibrium(cp)
         out, valid = ref.evaluate_rows(theta)
         want_out, want_valid = ref.evaluate_equilibria(theta)
         assert np.array_equal(valid, want_valid)
@@ -583,8 +594,6 @@ def test_denominator_shortcut_is_exact_at_the_threshold():
     assert ok[:2].tolist() == [True, False]
     # No elements: nothing to reduce, and nothing ok to report.
     assert not nullclines_cross(den[:0], den[:0], den[:0], ok[:0], spare[:, :0])
-    points, ok = interior_equilibria([[]] * 6)
-    assert points.shape == (2, 0) and ok.shape == (0,)
 
 
 # ---------------------------------------------------------------------------

@@ -73,19 +73,15 @@ def _finite(name: str, point: tuple[float, float] | None) -> tuple[float, float]
     return point
 
 
+@np.errstate(all="ignore")
 def interior_equilibrium(cp: ContinuousParams) -> tuple[float, float] | None:
-    """Closed-form intersection of the two interior nullclines.
-
-    Returns None when the nullclines are (numerically) parallel by
-    :func:`nullclines_cross`; raises NumericalError when the point is not
-    finite.
-    """
+    """Closed-form intersection of the two interior nullclines: None when they
+    are (numerically) parallel by :func:`nullclines_cross`, NumericalError
+    when the point is not finite."""
     a1, b11, b12, a2, b21, b22 = map(float, cp.as_tuple())
     den, ok = np.empty(1), np.ones(1, dtype=bool)
-    with np.errstate(all="ignore"):
-        crosses = nullclines_cross(np.array([b12 * b21]), np.array([b11 * b22]), den, ok,
-                                   np.empty((2, 1)))
-    if not (crosses or ok[0]):
+    if not (nullclines_cross(np.array([b12 * b21]), np.array([b11 * b22]), den, ok,
+                             np.empty((2, 1))) or ok[0]):
         return None
     den = float(den[0])
     return _finite("interior", ((a1 * b22 - b12 * a2) / den, (b11 * a2 - a1 * b21) / den))
@@ -109,13 +105,17 @@ def equilibrium_set(cp: ContinuousParams) -> EquilibriumSet:
                           interior=interior_equilibrium(cp))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def jacobian_at(cp: ContinuousParams, point: tuple[float, float]) -> np.ndarray:
-    """Jacobian of the vector field at a point."""
+    """Jacobian of the vector field at a point; NumericalError when an entry overflows."""
     x, y = point
-    return np.array([
+    jac = np.array([
         [cp.a1 + 2.0 * cp.b11 * x + cp.b12 * y, cp.b12 * x],
         [cp.b21 * y, cp.a2 + cp.b21 * x + 2.0 * cp.b22 * y],
     ])
+    if not np.isfinite(jac).all():
+        raise NumericalError(f"the Jacobian at {point} is not finite: {jac.tolist()}")
+    return jac
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -157,8 +157,11 @@ def classify_stability(eigs: tuple[complex, complex]) -> Stability:
     Boundary cases (a real part within 1e-9 of zero, or a repeated real pair
     within 1e-9) are reported as DEGENERATE rather than forced into a named
     class; a purely imaginary pair is a CENTER, for which the linearization
-    is inconclusive about the nonlinear system.
+    is inconclusive about the nonlinear system.  Eigenvalues that are not
+    finite raise ValidationError.
     """
+    if not np.isfinite(eigs).all():
+        raise ValidationError(f"eigenvalues must be finite, got {eigs}")
     tol = 1e-9
     lam1, lam2 = eigs
     if abs(lam1.imag) > tol or abs(lam2.imag) > tol:

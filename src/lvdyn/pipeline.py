@@ -510,12 +510,16 @@ def run_pipeline(cfg: AnalysisConfig, stages: set[str] | None = None) -> Report:
             star = np.array(interior)
             ode_end = report.ode_trajectory.states[-1]
             disc_end = report.discrete_trajectory[-1]
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                rel = np.abs(np.array([ode_end, disc_end]) - star) / np.abs(star)
+            # None where not finite: a zero component of star, or a ratio that overflows.
+            ode_rel, disc_rel = ([v if math.isfinite(v) else None for v in r] for r in rel.tolist())
             report.convergence = {
                 "interior": interior,
                 "ode_terminal": ode_end.tolist(),
                 "discrete_terminal": disc_end.tolist(),
-                "ode_rel_error": (np.abs(ode_end - star) / np.abs(star)).tolist(),
-                "discrete_rel_error": (np.abs(disc_end - star) / np.abs(star)).tolist(),
+                "ode_rel_error": ode_rel,
+                "discrete_rel_error": disc_rel,
             }
 
     def stage_sobol():

@@ -46,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (DegenerateVariance, TooManyRejections, ValidationError, ZeroBaseline,
-                     check)
+                     _shown, check)
 from .params import PARAM_NAMES, ContinuousParams
 from .dynamics import nullclines_cross
 
@@ -238,13 +238,21 @@ class SaltelliDesign:
     the B-row.  These are the only parameter sets the first-order (Saltelli
     2010) and total-order (Jansen 1999) estimators read, and none of them is
     copied into a design matrix.  The layout is deterministic for a given
-    (bounds, n_base, seed).
+    (bounds, n_base, seed).  Other shapes, or n_base < 1, raise
+    ValidationError; the values are not checked.
     """
 
     a: np.ndarray   # (D, n_base)
     b: np.ndarray   # (D, n_base)
     n_base: int
     seed: int
+
+    def __post_init__(self):
+        if not (all(isinstance(m, np.ndarray) and m.shape == (N_PARAMS, self.n_base)
+                    for m in (self.a, self.b)) and self.n_base >= 1):
+            raise ValidationError(f"a and b must be arrays of shape ({N_PARAMS}, n_base) with "
+                                  f"n_base >= 1, got {np.shape(self.a)} and {np.shape(self.b)} "
+                                  f"for n_base {_shown(self.n_base)}")
 
 
 def saltelli_sample(bounds: ParamBounds, n_base: int, seed: int, *, _ws=None) -> SaltelliDesign:

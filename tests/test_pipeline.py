@@ -27,6 +27,7 @@ from lvdyn import (
     ValidationError,
     bounds_from_baseline,
     classify_interaction,
+    continuous_to_discrete,
     export_phase_data,
     fixture_path,
     load_series,
@@ -366,6 +367,20 @@ def test_report_convergence_block(injected_reports):
     conv = d["convergence"]
     assert max(conv["ode_rel_error"]) < 0.01
     assert max(conv["discrete_rel_error"]) < 0.01
+
+
+@pytest.mark.filterwarnings("error")
+def test_convergence_of_a_zero_interior_component_is_null(tmp_path, monkeypatch):
+    # The interior equilibrium is (-0.0, 1000.0): the relative error of x
+    # divided by zero, warned, and the inf failed the write untyped.
+    cp = ContinuousParams(0.1, -0.001, -0.0001, 0.1, 0.0005, -0.0001)
+    monkeypatch.setattr(pipeline, "regression_to_discrete", lambda _: continuous_to_discrete(cp))
+    monkeypatch.setattr(pipeline, "discrete_to_continuous", lambda _: cp)
+    report = run_pipeline(config_for("ai_physical", out_dir=tmp_path), stages={"trajectories"})
+    assert report.equilibria.interior == (-0.0, 1000.0)
+    conv = json.loads((tmp_path / "report.json").read_text())["convergence"]
+    for key in ("ode_rel_error", "discrete_rel_error"):
+        assert conv[key][0] is None and 0 <= conv[key][1] < np.inf
 
 
 def test_report_region_signs(injected_reports):

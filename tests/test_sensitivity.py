@@ -141,6 +141,16 @@ def test_design_rejects_bad_n(n):
         saltelli_sample(unit_bounds(), n, 1)
 
 
+@pytest.mark.parametrize("a,n_base", [(np.empty((6, 0)), 0), (np.empty((6, 3)), 5),
+                                      (np.empty(6), 1), (np.empty((6, 2)).tolist(), 2),
+                                      (np.empty((6, 1)), 10**5000)],
+                         ids=["empty", "3-columns-for-5", "1-D", "list", "int-too-long-for-str"])
+def test_design_built_directly_must_match_its_shape(a, n_base):
+    # The first two raised a bare ZeroDivisionError and ValueError in the evaluation.
+    with pytest.raises(ValidationError, match=r"shape \(6, n_base\) with n_base >= 1"):
+        evaluate_equilibria(sensitivity.SaltelliDesign(a=a, b=a, n_base=n_base, seed=0))
+
+
 # ---------------------------------------------------------------------------
 # Scrambled Sobol' generator
 # ---------------------------------------------------------------------------

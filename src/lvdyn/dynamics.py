@@ -18,7 +18,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import (FINITE_NON_NEGATIVE, REAL, InvalidBBox, NegativeState, NumericalError,
+from .errors import (FINITE, FINITE_NON_NEGATIVE, REAL, InvalidBBox, NegativeState, NumericalError,
                      StepTooLarge, TrajectoryOverflow, ValidationError, check, check_start, finite)
 from .params import ContinuousParams
 
@@ -67,7 +67,6 @@ def nullclines_cross(cross, own, den, ok, spare) -> bool:
 
 
 def _finite(name: str, point: tuple[float, float] | None) -> tuple[float, float] | None:
-    """point, unless it is not finite: then NumericalError."""
     if point is not None and not np.isfinite(point).all():
         raise NumericalError(f"the {name} equilibrium is not finite: {point}")
     return point
@@ -107,7 +106,9 @@ def equilibrium_set(cp: ContinuousParams) -> EquilibriumSet:
 
 @np.errstate(over="ignore", invalid="ignore")
 def jacobian_at(cp: ContinuousParams, point: tuple[float, float]) -> np.ndarray:
-    """Jacobian of the vector field at a point; NumericalError when an entry overflows."""
+    """Jacobian of the vector field at a finite point; NumericalError when an entry overflows."""
+    for v in point:
+        check("point", v, FINITE)
     x, y = point
     jac = np.array([
         [cp.a1 + 2.0 * cp.b11 * x + cp.b12 * y, cp.b12 * x],

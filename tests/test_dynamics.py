@@ -221,6 +221,9 @@ def test_jacobian_that_overflows_is_a_numerical_error():
     for f in (jacobian_at, stability_at):
         with pytest.raises(NumericalError, match="the Jacobian at .* is not finite"):
             f(cp, point)
+        # A point that is not finite is a bad argument, not an overflow.
+        with pytest.raises(ValidationError, match="point must be finite"):
+            f(cp, (np.nan, 1.0))
 
 
 def test_eigenvalue_ordering_complex_pair():

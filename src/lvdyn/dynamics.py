@@ -66,7 +66,7 @@ def nullclines_cross(cross, own, den, ok, spare) -> bool:
     return False
 
 
-def _finite(name: str, point: tuple[float, float] | None) -> tuple[float, float] | None:
+def _finite_point(name: str, point: tuple[float, float] | None) -> tuple[float, float] | None:
     if point is not None and not np.isfinite(point).all():
         raise NumericalError(f"the {name} equilibrium is not finite: {point}")
     return point
@@ -83,7 +83,7 @@ def interior_equilibrium(cp: ContinuousParams) -> tuple[float, float] | None:
                              np.empty((2, 1))) or ok[0]):
         return None
     den = float(den[0])
-    return _finite("interior", ((a1 * b22 - b12 * a2) / den, (b11 * a2 - a1 * b21) / den))
+    return _finite_point("interior", ((a1 * b22 - b12 * a2) / den, (b11 * a2 - a1 * b21) / den))
 
 
 @dataclass(frozen=True)
@@ -98,8 +98,8 @@ class EquilibriumSet:
 
 def equilibrium_set(cp: ContinuousParams) -> EquilibriumSet:
     """Every equilibrium of cp; NumericalError when one of them overflows."""
-    axial_x = _finite("axial_x", (-cp.a1 / cp.b11, 0.0) if cp.b11 != 0 else None)
-    axial_y = _finite("axial_y", (0.0, -cp.a2 / cp.b22) if cp.b22 != 0 else None)
+    axial_x = _finite_point("axial_x", (-cp.a1 / cp.b11, 0.0) if cp.b11 != 0 else None)
+    axial_y = _finite_point("axial_y", (0.0, -cp.a2 / cp.b22) if cp.b22 != 0 else None)
     return EquilibriumSet(origin=(0.0, 0.0), axial_x=axial_x, axial_y=axial_y,
                           interior=interior_equilibrium(cp))
 

@@ -105,7 +105,7 @@ def _run(name: str, argv: list[str], series: str | None, cpus: int | None,
     run_dir.mkdir()
     # Longest path first, so that no path is replaced inside another.
     paths = dict(sorted({**paths, "{run}": str(run_dir)}.items(), key=lambda kv: -len(kv[1])))
-    args = argv
+    args = list(argv)
     for token, path in paths.items():
         args = [a.replace(token, path) for a in args]
     if args[0] != "report":
@@ -156,17 +156,23 @@ def compute() -> dict:
     return {"versions": versions(), "runs": runs}
 
 
+def _flat(runs: dict) -> dict:
+    """{"<run>.<key>": value} of a manifest's runs, one key per written file."""
+    flat = {}
+    for name, entry in runs.items():
+        for key, value in entry.items():
+            if key == "files":
+                flat.update({f"{name}.files/{path}": d for path, d in value.items()})
+            else:
+                flat[f"{name}.{key}"] = value
+    return flat
+
+
 def differences(recorded: dict, computed: dict) -> list[str]:
-    """Each entry of the two manifests that differs, one line each."""
-    lines = []
-    for name in sorted(recorded["runs"].keys() | computed["runs"].keys()):
-        old, new = recorded["runs"].get(name), computed["runs"].get(name)
-        if old is None or new is None:
-            lines.append(f"{name}: {'not recorded' if old is None else 'not run'}")
-            continue
-        for key in sorted(old.keys() | new.keys()):
-            if old.get(key) != new.get(key):
-                lines.append(f"{name}.{key}: recorded {old.get(key)}, got {new.get(key)}")
+    """Each value of the two manifests that differs, one line each."""
+    old, new = _flat(recorded["runs"]), _flat(computed["runs"])
+    lines = [f"{key}: recorded {old.get(key)}, got {new.get(key)}"
+             for key in sorted(old.keys() | new.keys()) if old.get(key) != new.get(key)]
     if lines and recorded["versions"] != computed["versions"]:
         lines.insert(0, f"versions differ: recorded {recorded['versions']}, "
                         f"running {computed['versions']}")

@@ -13,7 +13,7 @@ the eigenvalues of the Jacobian.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from enum import Enum
 
 import numpy as np
@@ -77,7 +77,7 @@ def interior_equilibrium(cp: ContinuousParams) -> tuple[float, float] | None:
     """Closed-form intersection of the two interior nullclines: None when they
     are (numerically) parallel by :func:`nullclines_cross`, NumericalError
     when the point is not finite."""
-    a1, b11, b12, a2, b21, b22 = map(float, cp.as_tuple())
+    a1, b11, b12, a2, b21, b22 = map(float, astuple(cp))
     den, ok = np.empty(1), np.ones(1, dtype=bool)
     if not (nullclines_cross(np.array([b12 * b21]), np.array([b11 * b22]), den, ok,
                              np.empty((2, 1))) or ok[0]):
@@ -221,7 +221,7 @@ class PhaseGeometry:
     """Sampled phase-plane geometry over a bounding box.
 
     Nullcline coefficients are in A + B*x + C*y = 0 form.  The grids are
-    indexed [i, j] for the point (xs[i], ys[j]); sign entries are -1, 0 or +1.
+    indexed [i, j] for the point (xs[i], ys[j]).
     """
 
     nullcline_x: tuple[float, float, float]
@@ -229,14 +229,12 @@ class PhaseGeometry:
     bbox: BBox
     xs: np.ndarray            # (gridN,)
     ys: np.ndarray            # (gridN,)
-    sign_dx: np.ndarray       # (gridN, gridN) int
-    sign_dy: np.ndarray       # (gridN, gridN) int
     dx: np.ndarray            # (gridN, gridN) float
     dy: np.ndarray            # (gridN, gridN) float
 
 
 def phase_geometry(cp: ContinuousParams, bbox: BBox, grid_n: int) -> PhaseGeometry:
-    """Sample the vector field and its sign pattern over a grid.
+    """Sample the vector field over a grid.
 
     Raises NumericalError when the field overflows somewhere on the grid.
     """
@@ -253,8 +251,6 @@ def phase_geometry(cp: ContinuousParams, bbox: BBox, grid_n: int) -> PhaseGeomet
         bbox=bbox,
         xs=xs,
         ys=ys,
-        sign_dx=np.sign(dx).astype(int),
-        sign_dy=np.sign(dy).astype(int),
         dx=dx,
         dy=dy,
     )

@@ -79,8 +79,8 @@ FINITE_NON_NEGATIVE = (REAL, lambda v: v >= 0 and finite(v), "finite and >= 0", 
 #: applies them: (value type, test, requirement, error class).  NaN fails
 #: every test.  sobol_n stops at 2**30, the length of the Sobol' sequence
 #: with the 30 direction numbers per coordinate that lvdyn.sensitivity has.
-#: grid_n stops at 1024: a grid of 1024 x 1024 points keeps four 8 MB arrays
-#: of field values and signs, and writes a million rows to each grid CSV.
+#: grid_n stops at 1024: a grid of 1024 x 1024 points keeps two 8 MB arrays
+#: of field values, and writes a million rows to each grid CSV.
 RULES = {
     "sobol_n": (_INTEGER, lambda n: 64 <= n <= 2**30 and n & (n - 1) == 0,
                 "a power of two from 64 to 2**30", InvalidN),

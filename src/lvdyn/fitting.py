@@ -110,14 +110,17 @@ def _solve_through_origin(X: np.ndarray, resp: np.ndarray) -> np.ndarray:
 
     Raises SingularDesign on a rank-deficient design, on normal equations
     that overflow, or on a singular normal matrix, and warns when the normal
-    matrix is ill conditioned.
+    matrix is ill conditioned.  Both tests read X with each column scaled by
+    the power of two that brings its largest entry into [0.5, 1), a
+    near-optimal equilibration (van der Sluis 1969), so neither depends on
+    the units of a series.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         gram = X.T @ X
         rhs = X.T @ resp
     if not (np.all(np.isfinite(gram)) and np.all(np.isfinite(rhs))):
         raise SingularDesign("normal equations overflow: the regressors are too large")
-    svals = np.linalg.svd(X, compute_uv=False)
+    svals = np.linalg.svd(np.ldexp(X, -np.frexp(np.abs(X).max(axis=0))[1]), compute_uv=False)
     if svals[-1] <= svals[0] * np.finfo(float).eps * max(X.shape):
         raise SingularDesign("regressor columns are collinear")
     cond = (svals[0] / svals[-1]) ** 2
@@ -205,8 +208,6 @@ def fit_details(ts: TimeSeries) -> FitDiagnostics:
         intercept2=eq_y.intercept,
         self_slope2=eq_y.self_slope,
         cross_slope2=eq_y.cross_slope,
-        adj_r2_1=eq_x.adj_r2_origin,
-        adj_r2_2=eq_y.adj_r2_origin,
     )
     return FitDiagnostics(eq_x=eq_x, eq_y=eq_y, coeffs=coeffs)
 

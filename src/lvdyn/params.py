@@ -21,21 +21,34 @@ Three equivalent layers describe the same dynamics:
 All discrete and regression coefficients are stored BY ROLE (coefficient on
 the species' own state vs. on the other species' state), never by position
 in a printed formula.  The role convention is the single source of truth for
-every transform in this module.
+every transform in this module.  A coefficient that a transform computes and
+that is not finite raises NumericalError; one passed to a constructor, ValidationError.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 
-from .errors import FINITE, DomainError, check
+import numpy as np
+
+from .errors import FINITE, DomainError, NumericalError, check
 
 
-def _require_finite(obj, fields: tuple[str, ...]) -> None:
-    for name in fields:
-        check(f"{type(obj).__name__}.{name}", getattr(obj, name), FINITE)
+def _require_finite(obj) -> None:
+    """The ``__post_init__`` of each parameter class: every field is finite."""
+    for f in fields(obj):
+        check(f"{type(obj).__name__}.{f.name}", getattr(obj, f.name), FINITE)
+
+
+def _computed(cls, **coeffs):
+    """``cls(**coeffs)`` from the coefficients a transform computed: one that is
+    not finite overflowed there, a NumericalError, not a bad argument."""
+    for name, v in coeffs.items():
+        if not math.isfinite(v):
+            raise NumericalError(f"{cls.__name__}.{name} is not finite: {v}")
+    return cls(**coeffs)
 
 
 @dataclass(frozen=True)
@@ -53,16 +66,12 @@ class ContinuousParams:
     b21: float
     b22: float
 
-    def __post_init__(self):
-        _require_finite(self, ("a1", "b11", "b12", "a2", "b21", "b22"))
-
-    def as_tuple(self) -> tuple[float, float, float, float, float, float]:
-        return (self.a1, self.b11, self.b12, self.a2, self.b21, self.b22)
+    __post_init__ = _require_finite
 
 
 #: Canonical ordering of the six continuous parameters, used everywhere a
 #: parameter vector appears (sensitivity bounds, sample matrices, reports).
-PARAM_NAMES = ("a1", "b11", "b12", "a2", "b21", "b22")
+PARAM_NAMES = tuple(f.name for f in fields(ContinuousParams))
 
 
 @dataclass(frozen=True)
@@ -82,8 +91,7 @@ class DiscreteParams:
     self2: float
     cross2: float
 
-    def __post_init__(self):
-        _require_finite(self, ("alpha1", "self1", "cross1", "alpha2", "self2", "cross2"))
+    __post_init__ = _require_finite
 
 
 @dataclass(frozen=True)
@@ -91,10 +99,8 @@ class RegressionCoeffs:
     """Ratio-regression coefficients, stored by role.
 
     ``intercept_i`` is the reciprocal of the corresponding growth multiplier
-    (well-defined when positive and != 1).  ``adj_r2_i`` is the adjusted
-    coefficient of determination of equation i's through-origin slope fit,
-    using the no-intercept convention (uncentered total sum of squares,
-    n rather than n-1 in the numerator degrees of freedom).
+    (well-defined when positive and != 1).  A fit's adjusted R^2 is in
+    :class:`~lvdyn.fitting.FitDiagnostics`.
     """
 
     intercept1: float
@@ -103,12 +109,8 @@ class RegressionCoeffs:
     intercept2: float
     self_slope2: float
     cross_slope2: float
-    adj_r2_1: float | None = None
-    adj_r2_2: float | None = None
 
-    def __post_init__(self):
-        _require_finite(self, ("intercept1", "self_slope1", "cross_slope1",
-                               "intercept2", "self_slope2", "cross_slope2"))
+    __post_init__ = _require_finite
 
 
 class InteractionKind(Enum):
@@ -139,6 +141,7 @@ def _check_positive_not_one(value: float, label: str) -> None:
         raise DomainError(f"{label} must be > 0 and != 1, got {value}")
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def regression_to_discrete(rc: RegressionCoeffs) -> DiscreteParams:
     """Invert the ratio-regression layer into discrete-map coefficients.
 
@@ -150,30 +153,26 @@ def regression_to_discrete(rc: RegressionCoeffs) -> DiscreteParams:
     _check_positive_not_one(rc.intercept2, "intercept2")
     alpha1 = 1.0 / rc.intercept1
     alpha2 = 1.0 / rc.intercept2
-    return DiscreteParams(
-        alpha1=alpha1,
-        self1=-rc.self_slope1 * alpha1,
-        cross1=-rc.cross_slope1 * alpha1,
-        alpha2=alpha2,
-        self2=-rc.self_slope2 * alpha2,
-        cross2=-rc.cross_slope2 * alpha2,
-    )
+    return _computed(
+        DiscreteParams,
+        alpha1=alpha1, self1=-rc.self_slope1 * alpha1, cross1=-rc.cross_slope1 * alpha1,
+        alpha2=alpha2, self2=-rc.self_slope2 * alpha2, cross2=-rc.cross_slope2 * alpha2)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def discrete_to_regression(dp: DiscreteParams) -> RegressionCoeffs:
-    """Exact inverse of :func:`regression_to_discrete` (no fit diagnostics)."""
+    """Exact inverse of :func:`regression_to_discrete`."""
     _check_positive_not_one(dp.alpha1, "alpha1")
     _check_positive_not_one(dp.alpha2, "alpha2")
-    return RegressionCoeffs(
-        intercept1=1.0 / dp.alpha1,
-        self_slope1=-dp.self1 / dp.alpha1,
+    return _computed(
+        RegressionCoeffs,
+        intercept1=1.0 / dp.alpha1, self_slope1=-dp.self1 / dp.alpha1,
         cross_slope1=-dp.cross1 / dp.alpha1,
-        intercept2=1.0 / dp.alpha2,
-        self_slope2=-dp.self2 / dp.alpha2,
-        cross_slope2=-dp.cross2 / dp.alpha2,
-    )
+        intercept2=1.0 / dp.alpha2, self_slope2=-dp.self2 / dp.alpha2,
+        cross_slope2=-dp.cross2 / dp.alpha2)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def discrete_to_continuous(dp: DiscreteParams) -> ContinuousParams:
     """Map discrete coefficients to ODE coefficients.
 
@@ -187,16 +186,13 @@ def discrete_to_continuous(dp: DiscreteParams) -> ContinuousParams:
     a2 = math.log(dp.alpha2)
     s1 = a1 / (dp.alpha1 - 1.0)
     s2 = a2 / (dp.alpha2 - 1.0)
-    return ContinuousParams(
-        a1=a1,
-        b11=dp.self1 * s1,
-        b12=dp.cross1 * s1,
-        a2=a2,
-        b21=dp.cross2 * s2,
-        b22=dp.self2 * s2,
-    )
+    return _computed(
+        ContinuousParams,
+        a1=a1, b11=dp.self1 * s1, b12=dp.cross1 * s1,
+        a2=a2, b21=dp.cross2 * s2, b22=dp.self2 * s2)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def continuous_to_discrete(cp: ContinuousParams) -> DiscreteParams:
     """Exact inverse of :func:`discrete_to_continuous`.
 
@@ -204,18 +200,17 @@ def continuous_to_discrete(cp: ContinuousParams) -> DiscreteParams:
     """
     if cp.a1 == 0 or cp.a2 == 0:
         raise DomainError("growth rates must be nonzero to invert (alpha_i != 1)")
-    alpha1 = math.exp(cp.a1)
-    alpha2 = math.exp(cp.a2)
+    try:
+        alpha1 = math.exp(cp.a1)
+        alpha2 = math.exp(cp.a2)
+    except OverflowError:
+        raise NumericalError(f"e^a overflows for a1 = {cp.a1}, a2 = {cp.a2}") from None
     s1 = (alpha1 - 1.0) / cp.a1
     s2 = (alpha2 - 1.0) / cp.a2
-    return DiscreteParams(
-        alpha1=alpha1,
-        self1=cp.b11 * s1,
-        cross1=cp.b12 * s1,
-        alpha2=alpha2,
-        self2=cp.b22 * s2,
-        cross2=cp.b21 * s2,
-    )
+    return _computed(
+        DiscreteParams,
+        alpha1=alpha1, self1=cp.b11 * s1, cross1=cp.b12 * s1,
+        alpha2=alpha2, self2=cp.b22 * s2, cross2=cp.b21 * s2)
 
 
 def _sign(value: float, tol: float) -> int:

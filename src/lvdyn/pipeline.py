@@ -36,6 +36,7 @@ from .dynamics import (
 )
 from .errors import (
     RULES,
+    InvalidBBox,
     IoError,
     LvdynError,
     NumericalError,
@@ -180,7 +181,6 @@ class Report:
     regression: RegressionCoeffs | None = None
     discrete: DiscreteParams | None = None
     continuous: ContinuousParams | None = None
-    params_source: str | None = None
     fit_diag: FitDiagnostics | None = None
     interaction: InteractionType | None = None
     equilibria: EquilibriumSet | None = None
@@ -194,7 +194,6 @@ class Report:
     convergence: dict | None = None
     sobol: SobolResult | None = None
     reference: SubsystemBaseline | None = None
-    incomplete: bool = False
     failed_stage: str | None = None
     error: str | None = None
     warnings: list[str] = field(default_factory=list)
@@ -225,12 +224,6 @@ def _rounded(obj):
     return obj
 
 
-#: Output order of the regression block, which interleaves the adjusted R^2
-#: of each equation after its coefficients.
-_REGRESSION_FIELDS = ("intercept1", "self_slope1", "cross_slope1", "adj_r2_1",
-                      "intercept2", "self_slope2", "cross_slope2", "adj_r2_2")
-
-
 def _report_dict(r: Report) -> dict:
     """The report as plain Python values at full precision, in output order."""
     cfg = r.config
@@ -258,9 +251,12 @@ def _report_dict(r: Report) -> dict:
             "y": ts.ys,
         }
     if r.continuous is not None:
+        # Each equation's adjusted R^2 (None without a fit) follows its coefficients.
+        d, rc = r.fit_diag, list(asdict(r.regression).items())
+        adj = [None, None] if d is None else [d.eq_x.adj_r2_origin, d.eq_y.adj_r2_origin]
         out["parameters"] = {
-            "source": r.params_source,
-            "regression": {k: getattr(r.regression, k) for k in _REGRESSION_FIELDS},
+            "source": "published_baseline" if cfg.params_from_paper else "fitted",
+            "regression": dict([*rc[:3], ("adj_r2_1", adj[0]), *rc[3:], ("adj_r2_2", adj[1])]),
             "discrete": asdict(r.discrete),
             "continuous": asdict(r.continuous),
         }
@@ -333,7 +329,7 @@ def _report_dict(r: Report) -> dict:
     }
     if r.warnings:
         out["warnings"] = r.warnings
-    if r.incomplete:
+    if r.failed_stage is not None:
         out["incomplete"] = True
         out["failed_stage"] = r.failed_stage
         out["error"] = r.error
@@ -379,11 +375,16 @@ def _region_signs(cp: ContinuousParams, interior: tuple[float, float]) -> dict |
 
 
 def _default_bbox(interior: tuple[float, float] | None, ts: TimeSeries) -> BBox:
-    if interior is not None and interior[0] > 0 and interior[1] > 0:
-        return BBox(interior[0] / 50.0, 2.2 * interior[0],
-                    interior[1] / 50.0, 1.6 * interior[1])
-    return BBox(min(ts.xs) * 0.5, max(ts.xs) * 1.5,
-                min(ts.ys) * 0.5, max(ts.ys) * 1.5)
+    """The phase box around a positive interior point, else around the data;
+    both are finite and positive, so an invalid box under- or overflowed here."""
+    try:
+        if interior is not None and interior[0] > 0 and interior[1] > 0:
+            return BBox(interior[0] / 50.0, 2.2 * interior[0],
+                        interior[1] / 50.0, 1.6 * interior[1])
+        return BBox(min(ts.xs) * 0.5, max(ts.xs) * 1.5,
+                    min(ts.ys) * 0.5, max(ts.ys) * 1.5)
+    except InvalidBBox as exc:
+        raise NumericalError(f"the default phase box under- or overflows: {exc}") from None
 
 
 def _resolve_baseline(cfg: AnalysisConfig, ts: TimeSeries) -> SubsystemBaseline:
@@ -435,7 +436,6 @@ def run_pipeline(cfg: AnalysisConfig, stages: set[str] | None = None) -> Report:
         try:
             return fn()
         except LvdynError as exc:
-            report.incomplete = True
             report.failed_stage = name
             report.error = f"{type(exc).__name__}: {exc}"
             if cfg.out_dir is not None:
@@ -455,22 +455,17 @@ def run_pipeline(cfg: AnalysisConfig, stages: set[str] | None = None) -> Report:
 
     def stage_params():
         if cfg.params_from_paper:
-            ref = _resolve_baseline(cfg, ts)
-            report.reference = ref
-            report.continuous = ref.params
-            report.discrete = continuous_to_discrete(ref.params)
+            report.reference = _resolve_baseline(cfg, ts)
+            report.continuous = report.reference.params
+            report.discrete = continuous_to_discrete(report.continuous)
             report.regression = discrete_to_regression(report.discrete)
-            report.params_source = "published_baseline"
         else:
             diag = fit_details(ts)
             report.fit_diag = diag
             report.regression = diag.coeffs
             report.discrete = regression_to_discrete(diag.coeffs)
             report.continuous = discrete_to_continuous(report.discrete)
-            report.params_source = "fitted"
-            ref = baseline_for_labels(ts.label_y)
-            if ref is not None:
-                report.reference = ref
+            report.reference = baseline_for_labels(ts.label_y)
 
     run_stage("fit" if not cfg.params_from_paper else "inject-params", stage_params)
 
@@ -656,7 +651,7 @@ def export_phase_data(pg: PhaseGeometry, ode: Trajectory | None, discrete: np.nd
         _write_csv(out / "nullclines.csv", "kind,A,B,C,x,y", "%s,%s,%.9g,%.9g",
                    nullcline_rows()),
         _write_csv(out / "signgrid.csv", "x,y,sign_dx,sign_dy", "%.9g,%.9g,%d,%d",
-                   zip(gx, gy, pg.sign_dx.ravel().tolist(), pg.sign_dy.ravel().tolist())),
+                   zip(gx, gy, *(np.sign(g).ravel().tolist() for g in (pg.dx, pg.dy)))),
         _write_csv(out / "vectorfield.csv", "x,y,dxdt,dydt", "%.9g,%.9g,%.9g,%.9g",
                    zip(gx, gy, pg.dx.ravel().tolist(), pg.dy.ravel().tolist())),
     ]

@@ -41,12 +41,12 @@ from __future__ import annotations
 import contextvars
 import os
 import threading
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from .errors import (DegenerateVariance, TooManyRejections, ValidationError, ZeroBaseline,
-                     _shown, check)
+from .errors import (DegenerateVariance, NumericalError, TooManyRejections, ValidationError,
+                     ZeroBaseline, _shown, check)
 from .params import PARAM_NAMES, ContinuousParams
 from .dynamics import nullclines_cross
 
@@ -217,15 +217,22 @@ def bounds_from_baseline(cp: ContinuousParams, fraction: float) -> ParamBounds:
 
     The box never crosses zero for fraction < 1, so every parameter keeps its
     baseline sign.  An exactly-zero baseline collapses the interval and is
-    rejected.
+    rejected.  A box that overflows, or collapses in rounding, raises
+    NumericalError.
     """
     check("fraction", fraction)
-    theta = np.array(cp.as_tuple())
+    theta = np.array(astuple(cp))
     if np.any(theta == 0):
         zero = [PARAM_NAMES[i] for i in range(N_PARAMS) if theta[i] == 0]
         raise ZeroBaseline(f"baseline is exactly zero for {zero}; box collapses")
     half = np.abs(theta) * fraction
-    return ParamBounds(lower=theta - half, upper=theta + half)
+    with np.errstate(over="ignore"):
+        lower, upper = theta - half, theta + half
+    try:
+        return ParamBounds(lower=lower, upper=upper)
+    except ValidationError as exc:     # theta and fraction are valid: the sums are not
+        raise NumericalError(
+            f"the box of relative width {fraction} overflows or collapses: {exc}") from None
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 
@@ -93,7 +95,7 @@ PUBLISHED_SOBOL_HALF_WIDTH_NEGATIVE = 0.135
 
 def published_sobol_bounds(cp: ContinuousParams) -> ParamBounds:
     """Box the published Sobol' tables imply around the baseline ``cp``."""
-    theta = np.array(cp.as_tuple())
+    theta = np.array(astuple(cp))
     rel = np.where(theta > 0, PUBLISHED_SOBOL_HALF_WIDTH_POSITIVE,
                    PUBLISHED_SOBOL_HALF_WIDTH_NEGATIVE)
     half = rel * np.abs(theta)

@@ -58,6 +58,13 @@ PHASE_OVERFLOW = [_series("1990,1.0,1.0", "1991,2.0,2.0", "1992,1.0,1.0", "1993,
                   for last_y in ("1.700404767895009e+306", "8.859529221920375e+160")]
 SERIES = ["--input", "{run}/input.csv"]
 
+
+def _rescaled(cx: float, cy: float) -> str:
+    """The physical fixture with every x multiplied by cx and every y by cy."""
+    rows = fixture_path("cn_ai_physical.csv").read_text(encoding="utf-8").splitlines()[1:]
+    return _series(*(f"{year},{float(x) * cx!r},{float(y) * cy!r}"
+                     for year, x, y in (row.split(",") for row in rows)))
+
 #: name -> (argv, series written to {run}/input.csv or None, usable CPUs or
 #: None).  ``{run}`` is ``{tmp}/<name>``; every run that writes uses
 #: ``{run}/out``.  Runs go in this order, so ``report`` reads a report
@@ -88,6 +95,11 @@ RUNS = {
     "sobol-65536-0.7-one-cpu": ([*LARGE_N, "0.7"], None, 1),
     "invalid-sobol-n": (["sobol", *PHYSICAL, "--sobol-n", "100"], None, None),
     "invalid-classify-tol": (["fit", *PHYSICAL, "--classify-tol", "inf"], None, None),
+    # Units must not change the fit: tested on the raw design, the first
+    # failed as collinear and the other two warned IllConditioned.
+    "fit-rescaled-1e-8-1e8": (["fit", *SERIES], _rescaled(1e-8, 1e8), None),
+    "fit-rescaled-1e6-1e-3": (["fit", *SERIES], _rescaled(1e6, 1e-3), None),
+    "fit-rescaled-2p20-2m20": (["fit", *SERIES], _rescaled(2.0**20, 2.0**-20), None),
 }
 
 

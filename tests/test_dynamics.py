@@ -321,7 +321,7 @@ def test_phase_geometry_region_signs():
     pg = phase_geometry(cp, BBox(x_low, 2 * x_star, y_low, 2 * y_star), 31)
     i = int(np.argmin(np.abs(pg.xs - x_low)))
     j = int(np.argmin(np.abs(pg.ys - y_low)))
-    assert pg.sign_dx[i, j] == 1 and pg.sign_dy[i, j] == 1
+    assert np.sign(pg.dx)[i, j] == 1 and np.sign(pg.dy)[i, j] == 1
 
 
 def test_phase_geometry_labor_declining_ai_region():
@@ -338,9 +338,9 @@ def test_phase_geometry_labor_declining_ai_region():
 def test_phase_geometry_grid_shapes():
     cp = cp_for("ai_physical")
     pg = phase_geometry(cp, BBox(1.0, 10.0, 1.0, 10.0), 5)
-    assert pg.sign_dx.shape == (5, 5)
+    assert np.sign(pg.dx).shape == (5, 5)
     assert pg.dx.shape == (5, 5)
-    assert set(np.unique(pg.sign_dx)).issubset({-1, 0, 1})
+    assert set(np.unique(np.sign(pg.dx))).issubset({-1, 0, 1})
 
 
 @pytest.mark.parametrize("key", ["ai_physical", "ai_labor"])

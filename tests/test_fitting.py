@@ -107,16 +107,18 @@ def test_ratio_rows_constant_series():
     ("ai_physical", "physical_series"), ("ai_labor", "labor_series")])
 def test_fit_reproduces_published_coefficients(key, fixture_name, request):
     ts = request.getfixturevalue(fixture_name)
-    rc = fit_details(ts).coeffs
+    diag = fit_details(ts)
+    rc = diag.coeffs
     pub = PUBLISHED[key]["regression"]
     for name in ("self_slope1", "cross_slope1", "self_slope2", "cross_slope2"):
         assert getattr(rc, name) == pytest.approx(pub[name], rel=0.05), name
     for name in ("intercept1", "intercept2"):
         assert getattr(rc, name) == pytest.approx(pub[name], rel=0.10), name
-    assert rc.adj_r2_1 >= 0.98
-    assert rc.adj_r2_2 >= 0.98
-    assert rc.adj_r2_1 == pytest.approx(pub["adj_r2_1"], abs=0.005)
-    assert rc.adj_r2_2 == pytest.approx(pub["adj_r2_2"], abs=0.005)
+    adj_r2_1, adj_r2_2 = diag.eq_x.adj_r2_origin, diag.eq_y.adj_r2_origin
+    assert adj_r2_1 >= 0.98
+    assert adj_r2_2 >= 0.98
+    assert adj_r2_1 == pytest.approx(pub["adj_r2_1"], abs=0.005)
+    assert adj_r2_2 == pytest.approx(pub["adj_r2_2"], abs=0.005)
 
 
 def test_exact_recovery_on_intercept_free_map_data():
@@ -193,6 +195,30 @@ def test_fit_needs_five_points():
     ts = series([1, 3, 4, 9], [10, 20, 50, 70])
     with pytest.raises(InsufficientData, match="5 annual observations"):
         fit_details(ts)
+
+
+#: Rescalings of the physical fixture (x by cx, y by cy) whose raw design
+#: failed or warned: x*1e-8, y*1e8 raised SingularDesign ("collinear"), and
+#: the other two warned IllConditioned (raw cond^2 3.4e13 and 4.1e19).  With
+#: the columns scaled by powers of two, cond^2 is about 19 for all three.
+UNIT_RESCALINGS = [(1e-8, 1e8), (1e6, 1e-3), (2.0**20, 2.0**-20)]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("cx,cy", UNIT_RESCALINGS, ids=["1e-8,1e8", "1e6,1e-3", "2^20,2^-20"])
+def test_rescaled_units_fit_the_rescaled_coefficients(physical_series, cx, cy):
+    # The ratios do not change; a slope rescales by 1 / the scale of its
+    # regressor, and the intercepts and adjusted R^2 stay.
+    base = fit_details(physical_series)
+    diag = fit_details(series([x * cx for x in physical_series.xs],
+                              [y * cy for y in physical_series.ys]))
+    scale = {"intercept1": 1.0, "self_slope1": cx, "cross_slope1": cy,
+             "intercept2": 1.0, "self_slope2": cy, "cross_slope2": cx}
+    for name, c in scale.items():
+        assert getattr(diag.coeffs, name) == pytest.approx(
+            getattr(base.coeffs, name) / c, rel=1e-14, abs=0), name
+    for eq, want in ((diag.eq_x, base.eq_x), (diag.eq_y, base.eq_y)):
+        assert eq.adj_r2_origin == pytest.approx(want.adj_r2_origin, rel=1e-14, abs=0)
 
 
 def test_ill_conditioned_warning():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from lvdyn import (
     DiscreteParams,
     DomainError,
     InteractionKind,
+    NumericalError,
     RegressionCoeffs,
     ValidationError,
     classify_interaction,
@@ -172,6 +174,30 @@ def test_constructors_reject_values_that_are_not_finite_numbers(value):
     # math.isfinite.
     with pytest.raises(ValidationError, match="ContinuousParams.b12 must be"):
         ContinuousParams(a1=1.0, b11=0, b12=value, a2=1, b21=0, b22=0)
+
+
+#: A transform of finite coefficients whose result is not finite:
+#: continuous_to_discrete raised a bare OverflowError from math.exp, and the
+#: other three a ValidationError naming the result's field.
+OVERFLOWING_TRANSFORMS = [
+    (continuous_to_discrete, ContinuousParams(1000.0, -1.0, 1.0, 1.0, 1.0, -1.0), r"e\^a"),
+    (regression_to_discrete, RegressionCoeffs(1e-320, 1.0, 1.0, 0.5, 1.0, 1.0),
+     "DiscreteParams.alpha1"),
+    (discrete_to_regression, DiscreteParams(1e-320, 1e300, 1.0, 2.0, 1.0, 1.0),
+     "RegressionCoeffs.intercept1"),
+    (discrete_to_continuous, DiscreteParams(1e-320, 1e308, 1.0, 2.0, 1.0, 1.0),
+     "ContinuousParams.b11"),
+]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("transform,arg,match", OVERFLOWING_TRANSFORMS,
+                         ids=[t.__name__ for t, *_ in OVERFLOWING_TRANSFORMS])
+@pytest.mark.parametrize("kind", [float, np.float64])
+def test_transform_that_overflows_fails_numerical(transform, arg, match, kind):
+    # With numpy scalars the overflow also warned.
+    with pytest.raises(NumericalError, match=match):
+        transform(type(arg)(*map(kind, astuple(arg))))
 
 
 # ---------------------------------------------------------------------------

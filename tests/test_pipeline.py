@@ -24,6 +24,7 @@ from lvdyn import (
     PipelineStageError,
     Report,
     SingularDesign,
+    TimeSeries,
     ValidationError,
     bounds_from_baseline,
     classify_interaction,
@@ -398,6 +399,16 @@ def test_region_signs_fail_typed_when_the_field_overflows():
         pipeline._region_signs(cp, (1e300, 1.0))
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("interior,x", [(None, 1.7e308), ((1e-323, 1.0), 1.0)],
+                         ids=["data-box-overflows", "interior-box-underflows"])
+def test_default_phase_box_that_under_or_overflows_fails_numerical(interior, x):
+    # 1.5 * 1.7e308 is inf, and 1e-323 / 50 is 0.0: both were InvalidBBox (exit 2).
+    ts = TimeSeries("x", "y", "u", (2016, 2017, 2018, 2019), (x, 1.0, 1.0, 1.0), (1.0,) * 4)
+    with pytest.raises(NumericalError, match="default phase box"):
+        pipeline._default_bbox(interior, ts)
+
+
 def test_sobol_block_accounting(injected_reports):
     d = injected_reports["ai_physical"].to_dict()
     blk = d["sobol"]
@@ -461,8 +472,8 @@ def test_csv_files_match_report_arrays(tmp_path, injected_reports):
     rows = table(phase / "signgrid.csv", "x,y,sign_dx,sign_dy")
     assert len(rows) == len(pg.xs) * len(pg.ys)
     assert [[float(r[0]), float(r[1])] for r in rows] == [r9(p) for p in grid]
-    assert [int(r[2]) for r in rows] == pg.sign_dx.ravel().tolist()
-    assert [int(r[3]) for r in rows] == pg.sign_dy.ravel().tolist()
+    assert [int(r[2]) for r in rows] == np.sign(pg.dx).ravel().tolist()
+    assert [int(r[3]) for r in rows] == np.sign(pg.dy).ravel().tolist()
 
     rows = table(phase / "vectorfield.csv", "x,y,dxdt,dydt")
     assert [[float(v) for v in r] for r in rows] == [

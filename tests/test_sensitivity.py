@@ -8,6 +8,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,7 @@ from lvdyn import (
     ContinuousParams,
     DegenerateVariance,
     InvalidN,
+    NumericalError,
     ParamBounds,
     TooManyRejections,
     ValidationError,
@@ -200,12 +202,22 @@ def test_analyze_never_imports_scipy(tmp_path):
     assert (tmp_path / "report.json").is_file()
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("a1,fraction", [(1e308, 0.9), (1.0, 1e-300)],
+                         ids=["overflow", "collapse"])
+def test_box_that_overflows_or_collapses_fails_numerical(a1, fraction):
+    # theta + half overflowed with a RuntimeWarning and then a ValidationError;
+    # a half width below the rounding of theta collapsed the box, the same.
+    with pytest.raises(NumericalError, match="overflows or collapses"):
+        bounds_from_baseline(ContinuousParams(a1, -1.0, 1.0, 1.0, 1.0, -1.0), fraction)
+
+
 # ---------------------------------------------------------------------------
 # Equilibrium evaluation
 # ---------------------------------------------------------------------------
 
 def test_evaluate_baseline_row():
-    theta = np.array([cp_for("ai_physical").as_tuple()])
+    theta = np.array([astuple(cp_for("ai_physical"))])
     out, valid = ref.evaluate_rows(theta)
     assert valid[0]
     assert out[0, 0] == pytest.approx(198.18, abs=0.5)
@@ -215,7 +227,7 @@ def test_evaluate_baseline_row():
     # leave the first quadrant), plus one row with exactly parallel
     # nullclines: the batch must equal the scalar closed form bit for bit.
     rng = np.random.default_rng(5)
-    base = np.array([cp_for(k).as_tuple() for k in ("ai_physical", "ai_labor")])
+    base = np.array([astuple(cp_for(k)) for k in ("ai_physical", "ai_labor")])
     theta = np.vstack([
         base[rng.integers(0, 2, 200)] * rng.uniform(-0.5, 2.5, (200, 6)),
         [1.0, 2.0, -2.0, 1.0, 3.0, -3.0],
@@ -309,7 +321,7 @@ def test_fixture_indices_match_linearized_shares(key):
     # g_i^2 * w_i^2 / 3 computed by central differences -- an oracle fully
     # independent of the sampling design.
     cp = cp_for(key)
-    theta = np.array(cp.as_tuple())
+    theta = np.array(astuple(cp))
     res = analyze_sensitivity(cp, 0.1, 1024, seed=1024)
     for oi in (0, 1):
         contrib = np.empty(6)

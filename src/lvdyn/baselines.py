@@ -54,10 +54,7 @@ AI_LABOR = SubsystemBaseline(
     },
 )
 
-BASELINES: dict[str, SubsystemBaseline] = {
-    AI_PHYSICAL.key: AI_PHYSICAL,
-    AI_LABOR.key: AI_LABOR,
-}
+BASELINES: dict[str, SubsystemBaseline] = {b.key: b for b in (AI_PHYSICAL, AI_LABOR)}
 
 
 def baseline_for_labels(label_y: str) -> SubsystemBaseline | None:

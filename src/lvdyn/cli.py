@@ -84,18 +84,14 @@ def _print_params(d: dict) -> None:
     if not params:
         return
     print(f"parameters ({params['source']}):")
-    reg = params["regression"]
-    print(f"  regression eq1: intercept={reg['intercept1']:.6g} "
-          f"self={reg['self_slope1']:.6g} cross={reg['cross_slope1']:.6g} "
-          f"adjR2={reg['adj_r2_1']}")
-    print(f"  regression eq2: intercept={reg['intercept2']:.6g} "
-          f"self={reg['self_slope2']:.6g} cross={reg['cross_slope2']:.6g} "
-          f"adjR2={reg['adj_r2_2']}")
-    dis = params["discrete"]
-    print(f"  discrete  eq1: alpha={dis['alpha1']:.6g} self={dis['self1']:.6g} "
-          f"cross={dis['cross1']:.6g}")
-    print(f"  discrete  eq2: alpha={dis['alpha2']:.6g} self={dis['self2']:.6g} "
-          f"cross={dis['cross2']:.6g}")
+    reg, dis = params["regression"], params["discrete"]
+    for i in (1, 2):
+        print(f"  regression eq{i}: intercept={reg[f'intercept{i}']:.6g} "
+              f"self={reg[f'self_slope{i}']:.6g} cross={reg[f'cross_slope{i}']:.6g} "
+              f"adjR2={reg[f'adj_r2_{i}']}")
+    for i in (1, 2):
+        print(f"  discrete  eq{i}: alpha={dis[f'alpha{i}']:.6g} self={dis[f'self{i}']:.6g} "
+              f"cross={dis[f'cross{i}']:.6g}")
     cont = params["continuous"]
     print("  continuous:  " + "  ".join(f"{k}={v:.6g}" for k, v in cont.items()))
 

@@ -109,17 +109,19 @@ def _solve_through_origin(X: np.ndarray, resp: np.ndarray) -> np.ndarray:
     """Two-slope least squares without intercept via the normal equations.
 
     Raises SingularDesign on a rank-deficient design, on normal equations
-    that overflow, or on a singular normal matrix, and warns when the normal
-    matrix is ill conditioned.  Both tests read X with each column scaled by
-    the power of two that brings its largest entry into [0.5, 1), a
-    near-optimal equilibration (van der Sluis 1969), so neither depends on
-    the units of a series.
+    that overflow or underflow, or on a singular normal matrix, and warns
+    when the normal matrix is ill conditioned.  Both tests read X with each
+    column scaled by the power of two that brings its largest entry into
+    [0.5, 1), a near-optimal equilibration (van der Sluis 1969), so neither
+    depends on the units of a series.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         gram = X.T @ X
         rhs = X.T @ resp
     if not (np.all(np.isfinite(gram)) and np.all(np.isfinite(rhs))):
         raise SingularDesign("normal equations overflow: the regressors are too large")
+    if np.diag(gram).min() < np.finfo(float).tiny:
+        raise SingularDesign("normal equations are singular: a regressor's squares underflow")
     svals = np.linalg.svd(np.ldexp(X, -np.frexp(np.abs(X).max(axis=0))[1]), compute_uv=False)
     if svals[-1] <= svals[0] * np.finfo(float).eps * max(X.shape):
         raise SingularDesign("regressor columns are collinear")

@@ -33,7 +33,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import FINITE, DomainError, NumericalError, check
+from .errors import FINITE, DomainError, NumericalError, ValidationError, check
 
 
 def _require_finite(obj) -> None:
@@ -43,12 +43,12 @@ def _require_finite(obj) -> None:
 
 
 def _computed(cls, **coeffs):
-    """``cls(**coeffs)`` from the coefficients a transform computed: one that is
-    not finite overflowed there, a NumericalError, not a bad argument."""
-    for name, v in coeffs.items():
-        if not math.isfinite(v):
-            raise NumericalError(f"{cls.__name__}.{name} is not finite: {v}")
-    return cls(**coeffs)
+    """``cls(**coeffs)`` from the coefficients a transform computed from a valid
+    record: one that fails validation overflowed there, a NumericalError."""
+    try:
+        return cls(**coeffs)
+    except ValidationError as exc:
+        raise NumericalError(f"a computed coefficient is not finite: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -153,10 +153,13 @@ def regression_to_discrete(rc: RegressionCoeffs) -> DiscreteParams:
     _check_positive_not_one(rc.intercept2, "intercept2")
     alpha1 = 1.0 / rc.intercept1
     alpha2 = 1.0 / rc.intercept2
-    return _computed(
-        DiscreteParams,
-        alpha1=alpha1, self1=-rc.self_slope1 * alpha1, cross1=-rc.cross_slope1 * alpha1,
-        alpha2=alpha2, self2=-rc.self_slope2 * alpha2, cross2=-rc.cross_slope2 * alpha2)
+    return _computed(DiscreteParams,
+                     alpha1=alpha1,
+                     self1=-rc.self_slope1 * alpha1,
+                     cross1=-rc.cross_slope1 * alpha1,
+                     alpha2=alpha2,
+                     self2=-rc.self_slope2 * alpha2,
+                     cross2=-rc.cross_slope2 * alpha2)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -164,12 +167,13 @@ def discrete_to_regression(dp: DiscreteParams) -> RegressionCoeffs:
     """Exact inverse of :func:`regression_to_discrete`."""
     _check_positive_not_one(dp.alpha1, "alpha1")
     _check_positive_not_one(dp.alpha2, "alpha2")
-    return _computed(
-        RegressionCoeffs,
-        intercept1=1.0 / dp.alpha1, self_slope1=-dp.self1 / dp.alpha1,
-        cross_slope1=-dp.cross1 / dp.alpha1,
-        intercept2=1.0 / dp.alpha2, self_slope2=-dp.self2 / dp.alpha2,
-        cross_slope2=-dp.cross2 / dp.alpha2)
+    return _computed(RegressionCoeffs,
+                     intercept1=1.0 / dp.alpha1,
+                     self_slope1=-dp.self1 / dp.alpha1,
+                     cross_slope1=-dp.cross1 / dp.alpha1,
+                     intercept2=1.0 / dp.alpha2,
+                     self_slope2=-dp.self2 / dp.alpha2,
+                     cross_slope2=-dp.cross2 / dp.alpha2)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -186,10 +190,13 @@ def discrete_to_continuous(dp: DiscreteParams) -> ContinuousParams:
     a2 = math.log(dp.alpha2)
     s1 = a1 / (dp.alpha1 - 1.0)
     s2 = a2 / (dp.alpha2 - 1.0)
-    return _computed(
-        ContinuousParams,
-        a1=a1, b11=dp.self1 * s1, b12=dp.cross1 * s1,
-        a2=a2, b21=dp.cross2 * s2, b22=dp.self2 * s2)
+    return _computed(ContinuousParams,
+                     a1=a1,
+                     b11=dp.self1 * s1,
+                     b12=dp.cross1 * s1,
+                     a2=a2,
+                     b21=dp.cross2 * s2,
+                     b22=dp.self2 * s2)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -207,10 +214,13 @@ def continuous_to_discrete(cp: ContinuousParams) -> DiscreteParams:
         raise NumericalError(f"e^a overflows for a1 = {cp.a1}, a2 = {cp.a2}") from None
     s1 = (alpha1 - 1.0) / cp.a1
     s2 = (alpha2 - 1.0) / cp.a2
-    return _computed(
-        DiscreteParams,
-        alpha1=alpha1, self1=cp.b11 * s1, cross1=cp.b12 * s1,
-        alpha2=alpha2, self2=cp.b22 * s2, cross2=cp.b21 * s2)
+    return _computed(DiscreteParams,
+                     alpha1=alpha1,
+                     self1=cp.b11 * s1,
+                     cross1=cp.b12 * s1,
+                     alpha2=alpha2,
+                     self2=cp.b22 * s2,
+                     cross2=cp.b21 * s2)
 
 
 def _sign(value: float, tol: float) -> int:

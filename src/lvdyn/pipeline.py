@@ -251,12 +251,20 @@ def _report_dict(r: Report) -> dict:
             "y": ts.ys,
         }
     if r.continuous is not None:
-        # Each equation's adjusted R^2 (None without a fit) follows its coefficients.
-        d, rc = r.fit_diag, list(asdict(r.regression).items())
-        adj = [None, None] if d is None else [d.eq_x.adj_r2_origin, d.eq_y.adj_r2_origin]
+        rc, d = r.regression, r.fit_diag
         out["parameters"] = {
             "source": "published_baseline" if cfg.params_from_paper else "fitted",
-            "regression": dict([*rc[:3], ("adj_r2_1", adj[0]), *rc[3:], ("adj_r2_2", adj[1])]),
+            # Each equation's adjusted R^2 (None without a fit) follows its coefficients.
+            "regression": {
+                "intercept1": rc.intercept1,
+                "self_slope1": rc.self_slope1,
+                "cross_slope1": rc.cross_slope1,
+                "adj_r2_1": None if d is None else d.eq_x.adj_r2_origin,
+                "intercept2": rc.intercept2,
+                "self_slope2": rc.self_slope2,
+                "cross_slope2": rc.cross_slope2,
+                "adj_r2_2": None if d is None else d.eq_y.adj_r2_origin,
+            },
             "discrete": asdict(r.discrete),
             "continuous": asdict(r.continuous),
         }
@@ -446,9 +454,8 @@ def run_pipeline(cfg: AnalysisConfig, stages: set[str] | None = None) -> Report:
             raise PipelineStageError(name, exc) from exc
 
     def stage_load():
-        ts = load_series(cfg.input_path,
-                         {"year": cfg.year_col, "x": cfg.x_col, "y": cfg.y_col}, unit=cfg.unit)
-        report.series = ts
+        report.series = load_series(
+            cfg.input_path, {"year": cfg.year_col, "x": cfg.x_col, "y": cfg.y_col}, unit=cfg.unit)
 
     run_stage("load", stage_load)
     ts = report.series
@@ -545,11 +552,12 @@ def _ensure_dir(path: Path) -> Path:
     return path
 
 
-def _write_text(path: Path, text: str) -> None:
+def _write_text(path: Path, text: str) -> Path:
     try:
         path.write_text(text, encoding="utf-8")
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc
+    return path
 
 
 def _write_csv(path: Path, header: str, fmt: str, rows) -> Path:
@@ -557,8 +565,7 @@ def _write_csv(path: Path, header: str, fmt: str, rows) -> Path:
 
     Float columns are ``%.9g`` (nine significant digits), int columns ``%d``.
     """
-    _write_text(path, "\n".join([header, *(fmt % row for row in rows)]) + "\n")
-    return path
+    return _write_text(path, "\n".join([header, *(fmt % row for row in rows)]) + "\n")
 
 
 def write_report(report: Report, out_dir: str | Path) -> list[Path]:
@@ -566,14 +573,9 @@ def write_report(report: Report, out_dir: str | Path) -> list[Path]:
     out = _ensure_dir(Path(out_dir))
     written: list[Path] = []
 
-    if "json" in report.config.formats:
-        p = out / "report.json"
-        _write_text(p, report_json_text(report))
-        written.append(p)
-    if "csv" in report.config.formats:
-        p = out / "report.csv"
-        _write_text(p, _report_csv_text(report))
-        written.append(p)
+    for fmt, text in (("json", report_json_text), ("csv", _report_csv_text)):
+        if fmt in report.config.formats:
+            written.append(_write_text(out / f"report.{fmt}", text(report)))
     if report.sobol is not None:
         sr = report.sobol
         written.append(_write_csv(
@@ -659,9 +661,7 @@ def export_phase_data(pg: PhaseGeometry, ode: Trajectory | None, discrete: np.nd
         written.append(_write_csv(out / "trajectory_ode.csv", "t,x,y", "%.9g,%.9g,%.9g",
                                   zip(ode.t.tolist(), *ode.states.T.tolist())))
 
-    p = out / "README.md"
-    _write_text(p, _PHASE_README)
-    written.append(p)
+    written.append(_write_text(out / "README.md", _PHASE_README))
     if discrete is not None:
         written.append(_write_csv(out / "trajectory_discrete.csv", "step,x,y", "%d,%.9g,%.9g",
                                   ((k, x, y) for k, (x, y) in enumerate(discrete.tolist()))))

@@ -181,6 +181,17 @@ def test_singular_design_on_underflowing_gram_matrix():
         fit_details(ts)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scale", [1e-170, 1e-155], ids=["lost", "subnormal"])
+def test_singular_design_on_one_underflowing_gram_column(scale):
+    # The column-scaled design is well conditioned, but sum(x^2) of the raw
+    # x column is 0.0 (1e-170) or a subnormal with few bits left (1e-155),
+    # so a solve of the raw normal equations would return wrong slopes.
+    ts = series([scale * v for v in (1, 2, 3, 5, 8)], [1, 2, 4, 5, 7])
+    with pytest.raises(SingularDesign, match="normal equations are singular"):
+        fit_details(ts)
+
+
 def test_singular_design_on_overflowing_normal_equations(physical_series):
     # Scaled by 1e160 the regressors are finite, but X.T @ X overflows.
     ts = series([x * 1e160 for x in physical_series.xs],

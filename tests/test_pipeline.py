@@ -858,13 +858,14 @@ def test_cli_four_point_fit_exit_code(tmp_path, capsys):
 
 
 def test_cli_overflowing_fit_fails_sobol_with_typed_cause(tmp_path, capsys):
-    # On the fixture scaled by 1e-160 the fitted b11*b22 overflows.  The
-    # closed form then gave (0, 0) with ok=True for every row, a zero
-    # variance and NaN indices, and the run failed at 'write' with no report.
+    # On the fixture with x scaled by 1e-156 and y by 2e-159 the fitted
+    # b11*b22 overflows, while every sum of squares of the fit stays a normal
+    # float.  The closed form then gave (0, 0) with ok=True for every row, a
+    # zero variance and NaN indices, and the run failed at 'write' with no report.
     header, *rows = PHYS_FIXTURE.read_text(encoding="utf-8").splitlines()
     scaled = [header] + [
-        ",".join([year] + [repr(float(v) * 1e-160) for v in values])
-        for year, *values in (row.split(",") for row in rows)]
+        ",".join([year, repr(float(x) * 1e-156), repr(float(y) * 2e-159)])
+        for year, x, y in (row.split(",") for row in rows)]
     out = tmp_path / "out"
     assert main(["sobol", "--input", str(write_csv(tmp_path, scaled)),
                  "--out", str(out)]) == 3
@@ -874,6 +875,19 @@ def test_cli_overflowing_fit_fails_sobol_with_typed_cause(tmp_path, capsys):
     assert d["failed_stage"] == "sobol"
     assert d["error"].startswith("TooManyRejections:")
     assert d["equilibria"]["interior"] is None
+
+
+def test_cli_underflowing_normal_equations_exit_code(tmp_path, capsys):
+    # The fixture scaled by 1e-160: the x column's sum of squares is
+    # subnormal, so the fit lost most of its bits and still exited 0 for
+    # 'fit' (and 3 at 'sobol' for 'sobol').
+    header, *rows = PHYS_FIXTURE.read_text(encoding="utf-8").splitlines()
+    scaled = [header] + [
+        ",".join([year] + [repr(float(v) * 1e-160) for v in values])
+        for year, *values in (row.split(",") for row in rows)]
+    assert main(["fit", "--input", str(write_csv(tmp_path, scaled))]) == 3
+    err = capsys.readouterr().err
+    assert "stage 'fit'" in err and "normal equations are singular" in err
 
 
 def test_cli_overflowing_normal_equations_exit_code(tmp_path, capsys):

@@ -131,8 +131,8 @@ class NumericalError(LvdynError, ArithmeticError):
 
 
 class SingularDesign(NumericalError):
-    """Regression is degenerate: collinear regressors, overflowing or singular
-    normal equations, or a constant response."""
+    """Regression is degenerate: collinear regressors, singular normal equations,
+    a slope that is not a finite normal float, or a constant response."""
 
 
 class IllConditioned(UserWarning):

@@ -108,21 +108,15 @@ def build_ratio_rows(ts: TimeSeries) -> tuple[np.ndarray, np.ndarray, np.ndarray
 def _solve_through_origin(X: np.ndarray, resp: np.ndarray) -> np.ndarray:
     """Two-slope least squares without intercept via the normal equations.
 
-    Raises SingularDesign on a rank-deficient design, on normal equations
-    that overflow or underflow, or on a singular normal matrix, and warns
-    when the normal matrix is ill conditioned.  Both tests read X with each
-    column scaled by the power of two that brings its largest entry into
-    [0.5, 1), a near-optimal equilibration (van der Sluis 1969), so neither
-    depends on the units of a series.
+    Every step reads X with each column scaled by the power of two that brings
+    its largest entry into [0.5, 1), a near-optimal equilibration (van der
+    Sluis 1969), so a power-of-two change of units changes no bit of the
+    slopes.  Raises SingularDesign on a rank-deficient or singular design or
+    a slope that is not a finite normal float; warns when ill conditioned.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        gram = X.T @ X
-        rhs = X.T @ resp
-    if not (np.all(np.isfinite(gram)) and np.all(np.isfinite(rhs))):
-        raise SingularDesign("normal equations overflow: the regressors are too large")
-    if np.diag(gram).min() < np.finfo(float).tiny:
-        raise SingularDesign("normal equations are singular: a regressor's squares underflow")
-    svals = np.linalg.svd(np.ldexp(X, -np.frexp(np.abs(X).max(axis=0))[1]), compute_uv=False)
+    exps = np.frexp(np.abs(X).max(axis=0))[1]
+    xs = np.ldexp(X, -exps)
+    svals = np.linalg.svd(xs, compute_uv=False)
     if svals[-1] <= svals[0] * np.finfo(float).eps * max(X.shape):
         raise SingularDesign("regressor columns are collinear")
     cond = (svals[0] / svals[-1]) ** 2
@@ -131,9 +125,13 @@ def _solve_through_origin(X: np.ndarray, resp: np.ndarray) -> np.ndarray:
             f"normal equations condition number {cond:.3e} exceeds "
             f"{COND_WARN_THRESHOLD:.0e}", IllConditioned, stacklevel=3)
     try:
-        return np.linalg.solve(gram, rhs)
-    except np.linalg.LinAlgError as exc:   # e.g. the Gram matrix underflowed
+        with np.errstate(over="ignore", invalid="ignore"):
+            slopes = np.ldexp(np.linalg.solve(xs.T @ xs, xs.T @ resp), -exps)
+    except np.linalg.LinAlgError as exc:
         raise SingularDesign(f"normal equations are singular: {exc}") from exc
+    if not all(np.finfo(float).tiny <= abs(s) < np.inf for s in slopes):
+        raise SingularDesign(f"a slope is not a finite normal float: {slopes.tolist()}")
+    return slopes
 
 
 @dataclass(frozen=True)

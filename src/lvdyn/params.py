@@ -43,12 +43,23 @@ def _require_finite(obj) -> None:
 
 
 def _computed(cls, **coeffs):
-    """``cls(**coeffs)`` from the coefficients a transform computed from a valid
-    record: one that fails validation overflowed there, a NumericalError."""
+    """``cls(**coeffs)`` from the coefficients a transform computed from a valid record:
+    one not finite or not invertible under- or overflowed there, a NumericalError."""
     try:
-        return cls(**coeffs)
+        out = cls(**coeffs)
+        if cls is not ContinuousParams:
+            _invertible(out)
     except ValidationError as exc:
-        raise NumericalError(f"a computed coefficient is not finite: {exc}") from None
+        raise NumericalError(f"a computed coefficient is out of range: {exc}") from None
+    return out
+
+
+def _invertible(p) -> None:
+    """A discrete or regression record's fields 0 and 3 must be > 0 and != 1."""
+    for f in fields(p)[::3]:
+        value = getattr(p, f.name)
+        if value <= 0 or value == 1:
+            raise DomainError(f"{f.name} must be > 0 and != 1, got {value}")
 
 
 @dataclass(frozen=True)
@@ -135,12 +146,6 @@ class InteractionType:
     prey: str | None = None
 
 
-def _check_positive_not_one(value: float, label: str) -> None:
-    """Growth multipliers and their reciprocal intercepts must be > 0 and != 1."""
-    if value <= 0 or value == 1:
-        raise DomainError(f"{label} must be > 0 and != 1, got {value}")
-
-
 @np.errstate(over="ignore", invalid="ignore")
 def regression_to_discrete(rc: RegressionCoeffs) -> DiscreteParams:
     """Invert the ratio-regression layer into discrete-map coefficients.
@@ -149,8 +154,7 @@ def regression_to_discrete(rc: RegressionCoeffs) -> DiscreteParams:
     alpha_i, preserving roles.  Raises DomainError when an intercept is
     non-positive or exactly 1 (the inversion is undefined there).
     """
-    _check_positive_not_one(rc.intercept1, "intercept1")
-    _check_positive_not_one(rc.intercept2, "intercept2")
+    _invertible(rc)
     alpha1 = 1.0 / rc.intercept1
     alpha2 = 1.0 / rc.intercept2
     return _computed(DiscreteParams,
@@ -165,8 +169,7 @@ def regression_to_discrete(rc: RegressionCoeffs) -> DiscreteParams:
 @np.errstate(over="ignore", invalid="ignore")
 def discrete_to_regression(dp: DiscreteParams) -> RegressionCoeffs:
     """Exact inverse of :func:`regression_to_discrete`."""
-    _check_positive_not_one(dp.alpha1, "alpha1")
-    _check_positive_not_one(dp.alpha2, "alpha2")
+    _invertible(dp)
     return _computed(RegressionCoeffs,
                      intercept1=1.0 / dp.alpha1,
                      self_slope1=-dp.self1 / dp.alpha1,
@@ -184,8 +187,7 @@ def discrete_to_continuous(dp: DiscreteParams) -> ContinuousParams:
     ln(alpha_i)/(alpha_i - 1), which is positive for every valid alpha, so
     signs are preserved role by role.
     """
-    _check_positive_not_one(dp.alpha1, "alpha1")
-    _check_positive_not_one(dp.alpha2, "alpha2")
+    _invertible(dp)
     a1 = math.log(dp.alpha1)
     a2 = math.log(dp.alpha2)
     s1 = a1 / (dp.alpha1 - 1.0)

@@ -395,17 +395,6 @@ def _default_bbox(interior: tuple[float, float] | None, ts: TimeSeries) -> BBox:
         raise NumericalError(f"the default phase box under- or overflows: {exc}") from None
 
 
-def _resolve_baseline(cfg: AnalysisConfig, ts: TimeSeries) -> SubsystemBaseline:
-    if cfg.baseline_key is not None:
-        return BASELINES[cfg.baseline_key]
-    ref = baseline_for_labels(ts.label_y)
-    if ref is None:
-        raise ValidationError(
-            f"no published baseline matches series label {ts.label_y!r}; "
-            f"pass an explicit baseline key from {sorted(BASELINES)}")
-    return ref
-
-
 #: Length of the trajectories stage: the ODE runs to t = ODE_T_END in RK4 steps
 #: of ODE_DT, and the discrete map runs FREE_RUN_STEPS steps.
 ODE_T_END = 10.0
@@ -461,9 +450,15 @@ def run_pipeline(cfg: AnalysisConfig, stages: set[str] | None = None) -> Report:
     ts = report.series
 
     def stage_params():
+        ref = (BASELINES[cfg.baseline_key] if cfg.baseline_key is not None
+               else baseline_for_labels(ts.label_y))
         if cfg.params_from_paper:
-            report.reference = _resolve_baseline(cfg, ts)
-            report.continuous = report.reference.params
+            if ref is None:
+                raise ValidationError(
+                    f"no published baseline matches series label {ts.label_y!r}; "
+                    f"pass an explicit baseline key from {sorted(BASELINES)}")
+            report.reference = ref
+            report.continuous = ref.params
             report.discrete = continuous_to_discrete(report.continuous)
             report.regression = discrete_to_regression(report.discrete)
         else:
@@ -472,7 +467,7 @@ def run_pipeline(cfg: AnalysisConfig, stages: set[str] | None = None) -> Report:
             report.regression = diag.coeffs
             report.discrete = regression_to_discrete(diag.coeffs)
             report.continuous = discrete_to_continuous(report.discrete)
-            report.reference = baseline_for_labels(ts.label_y)
+            report.reference = ref
 
     run_stage("fit" if not cfg.params_from_paper else "inject-params", stage_params)
 

@@ -100,6 +100,10 @@ RUNS = {
     "fit-rescaled-1e-8-1e8": (["fit", *SERIES], _rescaled(1e-8, 1e8), None),
     "fit-rescaled-1e6-1e-3": (["fit", *SERIES], _rescaled(1e6, 1e-3), None),
     "fit-rescaled-2p20-2m20": (["fit", *SERIES], _rescaled(2.0**20, 2.0**-20), None),
+    # --baseline names the reference of a fitted run too; it was ignored.
+    "fit-baseline-explicit": (["fit", *LABOR, "--baseline", "ai_physical"], None, None),
+    # The raw normal equations of this series underflowed, a SingularDesign.
+    "fit-scaled-1e-160": (["fit", *SERIES], _rescaled(1e-160, 1e-160), None),
 }
 
 

@@ -200,6 +200,18 @@ def test_transform_that_overflows_fails_numerical(transform, arg, match, kind):
         transform(type(arg)(*map(kind, astuple(arg))))
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("a1,error", [(0.0, DomainError), (-1000.0, NumericalError),
+                                      (1e-20, NumericalError)],
+                         ids=["zero", "underflows-to-0", "rounds-to-1"])
+def test_continuous_to_discrete_multiplier_outside_the_domain(a1, error):
+    # A zero growth rate has no inverse (exit 2).  e^-1000 underflows to 0 and
+    # e^1e-20 rounds to 1, multipliers no transform accepts: that is numerical
+    # (exit 3), where it was a DomainError of the next transform.
+    with pytest.raises(error):
+        continuous_to_discrete(ContinuousParams(a1, -1.0, 1.0, 1.0, 1.0, -1.0))
+
+
 # ---------------------------------------------------------------------------
 # Interaction classification
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -346,6 +347,105 @@ def test_fitted_run_close_to_published_equilibrium(fitted_reports):
     assert y == pytest.approx(51506.42, rel=0.05)
 
 
+def _rescaled_csv(tmp: Path, key: str, cx: float, cy: float, swap: bool = False) -> Path:
+    """Fixture ``key`` with every x multiplied by cx and every y by cy, and the
+    two value columns exchanged if ``swap``, written to tmp/data.csv."""
+    header, *rows = config_for(key).input_path.read_text(encoding="utf-8").splitlines()
+    lines = [header]
+    for year, x, y in (row.split(",") for row in rows):
+        x, y = float(x) * cx, float(y) * cy
+        lines.append(",".join([year, *map(repr, (y, x) if swap else (x, y))]))
+    return write_csv(tmp, lines)
+
+
+def _rescaled_run(tmp: Path, key: str, cx: float, cy: float, swap: bool = False) -> Report:
+    """run_pipeline, writing nothing, on :func:`_rescaled_csv`'s series."""
+    return run_pipeline(config_for(key, input_path=_rescaled_csv(tmp, key, cx, cy, swap)))
+
+
+def _unit_free(r: Report) -> list:
+    """Every result that a change of units leaves as it is."""
+    d, st = r.fit_diag, r.stability
+    return [r.continuous.a1, r.continuous.a2, r.regression.intercept1, r.regression.intercept2,
+            [(eq.adj_r2_origin, eq.adj_r2_full) for eq in (d.eq_x, d.eq_y)],
+            r.mape_one_step, r.mape_free_running, st.eigenvalues, st.classification,
+            r.interaction, {k: (v["sign_dx"], v["sign_dy"]) for k, v in r.region_signs.items()},
+            r.convergence["ode_rel_error"], r.convergence["discrete_rel_error"],
+            r.sobol.first_order.tolist(), r.sobol.total_order.tolist()]
+
+
+def _in_units(r: Report, cx: float, cy: float) -> list:
+    """Every b coefficient, equilibrium and ODE state of r with x in units of
+    1/cx and y in units of 1/cy: exact when cx and cy are powers of two."""
+    cp, eqs = r.continuous, r.equilibria
+    return [cp.b11 / cx, cp.b12 / cy, cp.b21 / cx, cp.b22 / cy,
+            [p and (p[0] * cx, p[1] * cy)
+             for p in (eqs.origin, eqs.axial_x, eqs.axial_y, eqs.interior)],
+            r.ode_trajectory.t.tolist(), (r.ode_trajectory.states * [cx, cy]).tolist()]
+
+
+def test_power_of_two_units_change_no_bit_property(fitted_reports):
+    # Scaling x by 2^kx and y by 2^ky rescales each b by 1/its column's scale
+    # and each state by (2^kx, 2^ky), bit for bit, and changes nothing else.
+    # Before the fit solved the equilibrated normal equations, x * 2^10 and
+    # (x * 2^20, y * 2^-20) moved a1, a2, every b, both MAPEs and S_1.
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+
+    @hyp.settings(max_examples=12, deadline=None)
+    @hyp.given(key=st.sampled_from(sorted(fitted_reports)),
+               kx=st.integers(-60, 60), ky=st.integers(-60, 60))
+    @hyp.example(key="ai_physical", kx=10, ky=0)
+    @hyp.example(key="ai_labor", kx=10, ky=0)
+    @hyp.example(key="ai_physical", kx=20, ky=-20)
+    @hyp.example(key="ai_labor", kx=20, ky=-20)
+    def exact(key, kx, ky):
+        base = fitted_reports[key]
+        cx, cy = 2.0**kx, 2.0**ky
+        with tempfile.TemporaryDirectory() as tmp:
+            scaled = _rescaled_run(Path(tmp), key, cx, cy)
+        assert _unit_free(scaled) == _unit_free(base)
+        assert _in_units(scaled, 1.0, 1.0) == _in_units(base, cx, cy)
+
+    exact()
+
+
+@pytest.mark.parametrize("key", ["ai_physical", "ai_labor"])
+def test_swapping_the_series_swaps_the_results(tmp_path, fitted_reports, key):
+    # Exchanging x and y exchanges every parameter, point and error of the two
+    # species and flips the prey.  The Sobol' indices are left out: the
+    # swapped parameters take other Sobol' dimensions, so they agree only to
+    # Monte-Carlo error.
+    base, swapped = fitted_reports[key], _rescaled_run(tmp_path, key, 1.0, 1.0, swap=True)
+
+    def species(r: Report, i: int) -> list[float]:
+        cp, rc, eq = r.continuous, r.regression, (r.fit_diag.eq_x, r.fit_diag.eq_y)[i]
+        return [(cp.a1, cp.a2)[i], (cp.b11, cp.b22)[i], (cp.b12, cp.b21)[i],
+                (rc.intercept1, rc.intercept2)[i], (rc.self_slope1, rc.self_slope2)[i],
+                (rc.cross_slope1, rc.cross_slope2)[i], eq.adj_r2_origin, eq.adj_r2_full,
+                r.mape_one_step[i], r.mape_free_running[i],
+                r.equilibria.interior[i], (r.equilibria.axial_x, r.equilibria.axial_y)[i][i],
+                *r.ode_trajectory.states[:, i]]
+
+    def convergence(r: Report, i: int) -> list[float]:
+        return [r.convergence["ode_rel_error"][i], r.convergence["discrete_rel_error"][i]]
+
+    for i in (0, 1):
+        np.testing.assert_allclose(species(swapped, i), species(base, 1 - i), rtol=1e-12, atol=0)
+        # Relative errors near 1e-10 and 1e-12 are differences of nearly equal
+        # states, so they agree to an absolute 1e-12, not to 1e-12 of themselves.
+        np.testing.assert_allclose(convergence(swapped, i), convergence(base, 1 - i),
+                                   rtol=0, atol=1e-12)
+    np.testing.assert_allclose(sorted(swapped.stability.eigenvalues, key=lambda z: z.real),
+                               sorted(base.stability.eigenvalues, key=lambda z: z.real),
+                               rtol=1e-12, atol=0)
+    assert swapped.stability.classification == base.stability.classification
+    assert swapped.interaction.kind == base.interaction.kind
+    assert swapped.interaction.prey == {"x": "y", "y": "x"}[base.interaction.prey]
+    assert (sorted((v["sign_dy"], v["sign_dx"]) for v in swapped.region_signs.values())
+            == sorted((v["sign_dx"], v["sign_dy"]) for v in base.region_signs.values()))
+
+
 def test_pipeline_stage_error_and_partial_report(tmp_path):
     # No published baseline matches this label, so injection fails after the
     # load stage; the partial report must be written with the marker set.
@@ -361,6 +461,35 @@ def test_pipeline_stage_error_and_partial_report(tmp_path):
     assert d["incomplete"] is True
     assert d["failed_stage"] == "inject-params"
     assert "series" in d and "parameters" not in d
+
+
+@pytest.mark.parametrize("overrides,stages,match", [
+    ({"formats": ("xml",)}, None, "unknown report format 'xml'"),
+    ({"baseline_key": "ai_other"}, None, "unknown baseline 'ai_other'"),
+    ({}, {"classify", "fit"}, r"unknown pipeline stages: \['fit'\]"),
+], ids=["format", "baseline", "stage"])
+def test_unknown_names_fail_validation_before_any_work(tmp_path, overrides, stages, match):
+    # The CLI's choices stop the first two before validate sees them.
+    cfg = config_for("ai_physical", input_path=tmp_path / "missing.csv", **overrides)
+    with pytest.raises(ValidationError, match=match):
+        run_pipeline(cfg, stages)
+
+
+def test_stage_error_propagates_when_the_incomplete_report_cannot_be_written(tmp_path):
+    # The output directory is a file, so the write of the incomplete report
+    # fails too; the stage's own error is the one raised.
+    labor = fixture_path("cn_ai_labor.csv").read_text(encoding="utf-8")
+    p = write_csv(tmp_path, labor.replace("labor", "factor_two").splitlines())
+    blocker = tmp_path / "blocker"
+    blocker.write_text("file, not a directory")
+    cfg = AnalysisConfig(input_path=p, y_col="factor_two", params_from_paper=True,
+                         out_dir=blocker)
+    with pytest.raises(PipelineStageError) as err:
+        run_pipeline(cfg)
+    assert err.value.stage == "inject-params"
+    assert type(err.value.cause) is ValidationError
+    assert err.value.exit_code == 2
+    assert blocker.read_text() == "file, not a directory"
 
 
 def test_report_convergence_block(injected_reports):
@@ -589,6 +718,12 @@ def test_export_phase_data_unwritable_target(tmp_path, injected_reports):
     pg = injected_reports["ai_physical"].phase
     with pytest.raises(IoError):
         export_phase_data(pg, None, None, blocker / "sub")
+
+
+def test_write_text_to_a_directory_is_an_io_error(tmp_path):
+    with pytest.raises(IoError, match="cannot write") as err:
+        pipeline._write_text(tmp_path, "text")
+    assert err.value.exit_code == 4
 
 
 def test_reports_are_byte_identical_across_runs(tmp_path):
@@ -839,6 +974,20 @@ def test_cli_baseline_choices_follow_baselines(monkeypatch, capsys):
     assert "parameters (published_baseline)" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("flags,baseline", [
+    ([], "ai_labor"),
+    (["--baseline", "ai_physical"], "ai_physical"),
+], ids=["by-label", "explicit"])
+def test_cli_baseline_names_the_reference_of_a_fitted_run(tmp_path, flags, baseline):
+    # A fitted run took its reference from the y label and ignored --baseline.
+    out = tmp_path / "out"
+    assert main(["fit", "--input", str(fixture_path("cn_ai_labor.csv")), "--y-col", "labor",
+                 *flags, "--out", str(out)]) == 0
+    d = json.loads((out / "report.json").read_text())
+    assert d["parameters"]["source"] == "fitted"
+    assert d["reference"]["baseline"] == baseline
+
+
 def test_cli_geometric_series_exit_code(tmp_path, capsys):
     p = write_csv(tmp_path, ["year,ai_capital,physical_capital", "2016,1,10",
                              "2017,2,30", "2018,4,90", "2019,8,270", "2020,16,810"])
@@ -877,29 +1026,16 @@ def test_cli_overflowing_fit_fails_sobol_with_typed_cause(tmp_path, capsys):
     assert d["equilibria"]["interior"] is None
 
 
-def test_cli_underflowing_normal_equations_exit_code(tmp_path, capsys):
-    # The fixture scaled by 1e-160: the x column's sum of squares is
-    # subnormal, so the fit lost most of its bits and still exited 0 for
-    # 'fit' (and 3 at 'sobol' for 'sobol').
-    header, *rows = PHYS_FIXTURE.read_text(encoding="utf-8").splitlines()
-    scaled = [header] + [
-        ",".join([year] + [repr(float(v) * 1e-160) for v in values])
-        for year, *values in (row.split(",") for row in rows)]
-    assert main(["fit", "--input", str(write_csv(tmp_path, scaled))]) == 3
+@pytest.mark.parametrize("cx,cy,code", [(1e160, 1e160, 0), (1e-160, 1e-160, 0), (1e-320, 1.0, 3)],
+                         ids=["1e160", "1e-160", "x1e-320"])
+def test_cli_rescaled_fit_exit_code(tmp_path, capsys, cx, cy, code):
+    # Scaled by 1e160 the raw X.T @ X overflowed, and by 1e-160 the x column's
+    # sum of squares was subnormal: both exited 3.  The equilibrated normal
+    # equations fit them.  With x * 1e-320 (subnormal) the slopes on x
+    # overflow, still a typed failure at 'fit'.
+    assert main(["fit", "--input", str(_rescaled_csv(tmp_path, "ai_physical", cx, cy))]) == code
     err = capsys.readouterr().err
-    assert "stage 'fit'" in err and "normal equations are singular" in err
-
-
-def test_cli_overflowing_normal_equations_exit_code(tmp_path, capsys):
-    # The fixture scaled by 1e160: X.T @ X overflows.  This exited 2 with a
-    # NaN intercept, after a RuntimeWarning from matmul.
-    header, *rows = PHYS_FIXTURE.read_text(encoding="utf-8").splitlines()
-    scaled = [header] + [
-        ",".join([year] + [repr(float(v) * 1e160) for v in values])
-        for year, *values in (row.split(",") for row in rows)]
-    assert main(["fit", "--input", str(write_csv(tmp_path, scaled))]) == 3
-    err = capsys.readouterr().err
-    assert "stage 'fit'" in err and "normal equations overflow" in err
+    assert ("stage 'fit'" in err and "not a finite normal float" in err) == (code == 3)
 
 
 def test_cli_csv_format(tmp_path):

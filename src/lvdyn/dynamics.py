@@ -184,7 +184,7 @@ def classify_stability(eigs: tuple[complex, complex]) -> Stability:
     return Stability.DEGENERATE
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StabilityReport:
     jacobian: np.ndarray
     eigenvalues: tuple[complex, complex]
@@ -216,7 +216,7 @@ class BBox:
                 f"({self.x_min}, {self.x_max}, {self.y_min}, {self.y_max})")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PhaseGeometry:
     """Sampled phase-plane geometry over a bounding box.
 
@@ -256,7 +256,7 @@ def phase_geometry(cp: ContinuousParams, bbox: BBox, grid_n: int) -> PhaseGeomet
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
     """Integrated states at uniformly spaced times."""
 

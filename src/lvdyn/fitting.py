@@ -134,7 +134,7 @@ def _solve_through_origin(X: np.ndarray, resp: np.ndarray) -> np.ndarray:
     return slopes
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EquationFit:
     """Per-equation estimates and diagnostics."""
 

@@ -18,10 +18,10 @@ whatever the memory order of the outputs.
 
 From N = 2 * MIN_PART on, each kernel splits its work into parts, one per
 usable CPU, and runs every part beyond the first in a thread of its own:
-sampling by rows of A and B, evaluation by ranges of base indices, the
-estimators by output.  Each part applies the same elementwise operations
-and full-row sums to its own slice, so every result is bit-identical
-whatever the number of parts.
+sampling by rows of A and B (their Sobol' digits, then scaling), evaluation
+by ranges of base indices, the estimators by output (its variance too).
+Each part applies the same elementwise operations and full-row sums to its
+own slice, so every result is bit-identical whatever the number of parts.
 
 A public call of a kernel allocates its arrays afresh, so nothing it
 returns is written by a later call.  Only :func:`analyze_sensitivity`, from
@@ -32,8 +32,8 @@ on its next call of the same size.  It holds A|B, the outputs and their
 validity, and one scratch buffer shared by temporaries that are never alive
 at once: the Sobol' digits while sampling, the A row's denominator and
 numerators and each row's temporaries while evaluating (its products wait in
-output rows not yet written), then the pooled A|B outputs the variance reads
-and the difference/product pair of the estimators.
+output rows not yet written), then, in one half per output, the pooled A|B
+outputs its variance overwrites and its difference/product pair.
 """
 
 from __future__ import annotations
@@ -94,16 +94,19 @@ def _direction_numbers() -> np.ndarray:
 _DIRECTIONS = _direction_numbers()
 
 
-def _sobol_points(n: int, seed: int, out: np.ndarray | None = None) -> np.ndarray:
+def _sobol_points(n: int, seed: int) -> np.ndarray:
     """Digits of the first n points of the scrambled 2*N_PARAMS-dim Sobol' sequence.
 
-    Returns (2*N_PARAMS, n) uint32, written into ``out`` when given:
-    coordinate d of point j is ``points[d, j] * 2**-_SOBOL_BITS``.  Linear
-    matrix scrambling (Matousek 1998) plus a digital shift, drawn from
-    ``np.random.default_rng(seed)`` in the order scipy.stats.qmc.Sobol draws
-    them, so the scaled, transposed points equal ``Sobol(d=12, scramble=True,
-    seed=seed).random(n)`` bit for bit.  n must be a power of two.
+    (2*N_PARAMS, n) uint32; point j's coordinate d is ``points[d, j] * 2**-_SOBOL_BITS``.
+    Matousek's (1998) linear matrix scrambling and a digital shift, drawn from
+    ``np.random.default_rng(seed)`` as scipy.stats.qmc.Sobol draws them, make the
+    scaled, transposed points ``Sobol(d=12, scramble=True, seed=seed).random(n)``; n = 2^k.
     """
+    return _gray_code_fill(np.empty((len(_DIRECTIONS), n), dtype=np.uint32), *_scramble(seed))
+
+
+def _scramble(seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """The digital shift (dims,) and Gray-code flips (dims, _SOBOL_BITS) of seed's sequence."""
     rng = np.random.default_rng(seed)
     dims = len(_DIRECTIONS)
     msb_first = 1 << np.arange(_SOBOL_BITS - 1, -1, -1, dtype=np.uint32)
@@ -121,9 +124,13 @@ def _sobol_points(n: int, seed: int, out: np.ndarray | None = None) -> np.ndarra
     # flipped, so each doubling of the prefix is one vectorised XOR.
     flips = scrambled.copy()
     flips[:, 1:] ^= scrambled[:, :-1]
-    points = np.empty((dims, n), dtype=np.uint32) if out is None else out
+    return shift, flips
+
+
+def _gray_code_fill(points: np.ndarray, shift: np.ndarray, flips: np.ndarray) -> np.ndarray:
+    """Fill points (dims, n), n a power of two, from each dimension's shift and flips."""
     points[:, 0] = shift
-    for j in range(n.bit_length() - 1):
+    for j in range(points.shape[1].bit_length() - 1):
         np.bitwise_xor(points[:, :1 << j], flips[:, j, None], out=points[:, 1 << j:2 << j])
     return points
 
@@ -191,7 +198,7 @@ def _workspace(n_base: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndar
     return arrays
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ParamBounds:
     """Per-parameter sampling intervals for (a1, b11, b12, a2, b21, b22)."""
 
@@ -235,7 +242,7 @@ def bounds_from_baseline(cp: ContinuousParams, fraction: float) -> ParamBounds:
             f"the box of relative width {fraction} overflows or collapses: {exc}") from None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SaltelliDesign:
     """Saltelli design of N*(D+2) parameter sets for D=6 parameters.
 
@@ -268,24 +275,25 @@ def saltelli_sample(bounds: ParamBounds, n_base: int, seed: int, *, _ws=None) ->
     The base matrices A and B are the first and last six columns of a
     12-dimensional low-discrepancy sample of size n_base, mapped affinely
     into the bounds; n_base obeys the ``sobol_n`` rule and seed the ``seed`` rule.
-    Large designs scale a range of rows of A and B per part, at once.
+    Large designs fill and scale a range of rows of A and B per part, at once.
     """
     check("sobol_n", n_base)
     check("seed", seed)
     # Rows 0..D-1 of ab are A, rows D..2D-1 are B, each scaled in place:
     # p * 2**-30 is exact, so this is lower + unit * width bit for bit.
     ab = np.empty((2 * N_PARAMS, n_base)) if _ws is None else _ws[0]
-    digits = None if _ws is None else _ws[3].view(np.uint32).reshape(ab.shape)
-    points = _sobol_points(n_base, seed, digits)
+    digits = np.empty(ab.shape, np.uint32) if _ws is None else _ws[3].view(np.uint32)
+    shift, flips = _scramble(seed)
     lower = np.tile(bounds.lower, 2)[:, None]
     width = np.tile(bounds.upper - bounds.lower, 2)[:, None]
 
-    def scale(lo: int, hi: int) -> None:
-        rows = np.multiply(points[lo:hi], 2.0 ** -_SOBOL_BITS, out=ab[lo:hi])
+    def sample(lo: int, hi: int) -> None:
+        points = _gray_code_fill(digits.reshape(ab.shape)[lo:hi], shift[lo:hi], flips[lo:hi])
+        rows = np.multiply(points, 2.0 ** -_SOBOL_BITS, out=ab[lo:hi])
         rows *= width[lo:hi]
         rows += lower[lo:hi]
 
-    _run_parts(scale, 2 * N_PARAMS, _part_count(n_base))
+    _run_parts(sample, 2 * N_PARAMS, _part_count(n_base))
     return SaltelliDesign(a=ab[:N_PARAMS], b=ab[N_PARAMS:], n_base=n_base, seed=seed)
 
 
@@ -368,7 +376,7 @@ def evaluate_equilibria(design: SaltelliDesign, *, _ws=None) -> tuple[np.ndarray
     return outputs, valid
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SobolResult:
     """First- and total-order indices for both equilibrium outputs.
 
@@ -389,6 +397,12 @@ class SobolResult:
     seed: int
 
 
+def _variance_in_place(pool: np.ndarray) -> np.ndarray:
+    """np.var(pool, axis=-1) of (k, m) pool by np.var's steps in its order, overwriting pool."""
+    mean = pool.sum(axis=-1, keepdims=True) / pool.shape[-1]
+    return np.square(np.subtract(pool, mean, out=pool), out=pool).sum(axis=-1) / pool.shape[-1]
+
+
 def sobol_indices(
     design: SaltelliDesign, outputs: np.ndarray, valid: np.ndarray, *, _ws=None
 ) -> SobolResult:
@@ -404,9 +418,9 @@ def sobol_indices(
     the base sample must survive.  A variance that is zero or not finite, or
     an index that is not finite, raises DegenerateVariance.
 
-    Summation: each mean, and the pooled ``np.var`` of the A and B outputs,
-    is numpy's pairwise sum over one C-contiguous (retained,) row per
-    output, whatever the memory order of ``outputs``.  Large designs
+    Summation: each mean is numpy's pairwise sum over one C-contiguous row
+    per output, whatever the memory order of ``outputs``; the variance of the
+    pooled A and B outputs takes ``np.var``'s steps in place.  Large designs
     estimate the two outputs at once.
     """
     n = design.n_base
@@ -425,31 +439,27 @@ def sobol_indices(
     blocks = (np.ascontiguousarray(outputs) if retained == n
               else np.compress(keep, outputs, axis=-1))
     f_a, f_b = blocks[:, 0], blocks[:, -1]       # (2, retained)
-    # The pooled A|B outputs, then the diff/prod pair, one after the other.
+    # Half o of temps holds output o's pooled A|B outputs, then its diff|prod pair.
     temps = np.empty(4 * retained) if _ws is None else _ws[3].reshape(-1)[:4 * retained]
-    pooled = temps.reshape(2, 2 * retained)
-    pooled[:, :retained] = f_a
-    pooled[:, retained:] = f_b
-    with np.errstate(over="ignore", invalid="ignore"):
-        variance = pooled.var(axis=-1)
-    if not np.all((variance > 0) & (variance < np.inf)):
-        raise DegenerateVariance(
-            f"pooled output variance is {variance.tolist()}; the variance "
-            f"shares of {OUTPUT_NAMES} need a finite, positive variance")
-
+    pooled, pairs = temps.reshape(2, 2 * retained), temps.reshape(2, 2, retained)
     # A tiny positive variance can still overflow a ratio; checked below.
-    first, total = np.empty((2, 2, N_PARAMS))
-    diff, prod = temps.reshape(2, 2, retained)   # reused for every parameter
+    variance, (first, total) = np.empty(2), np.empty((2, 2, N_PARAMS))
 
     def estimate(lo: int, hi: int) -> None:      # outputs lo..hi-1
-        d, p = diff[lo:hi], prod[lo:hi]
+        pool, d, p = pooled[lo:hi], pairs[lo:hi, 0], pairs[lo:hi, 1]
         with np.errstate(over="ignore", invalid="ignore"):
+            pool[:, :retained], pool[:, retained:] = f_a[lo:hi], f_b[lo:hi]
+            variance[lo:hi] = _variance_in_place(pool)
             for i in range(N_PARAMS):
                 np.subtract(blocks[lo:hi, 1 + i], f_a[lo:hi], out=d)   # f(A_B^i) - f(A)
                 first[lo:hi, i] = np.multiply(f_b[lo:hi], d, out=p).mean(axis=-1)
                 total[lo:hi, i] = np.square(d, out=p).mean(axis=-1)
 
     _run_parts(estimate, len(OUTPUT_NAMES), _part_count(n))
+    if not np.all((variance > 0) & (variance < np.inf)):
+        raise DegenerateVariance(
+            f"pooled output variance is {variance.tolist()}; the variance "
+            f"shares of {OUTPUT_NAMES} need a finite, positive variance")
     with np.errstate(over="ignore", invalid="ignore"):
         first /= variance[:, None]
         total /= 2.0 * variance[:, None]

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import sys
 import threading
+import warnings
 from functools import cache
 from pathlib import Path
 
@@ -268,6 +269,35 @@ def test_indices_match_reference_property():
         assert_same(res.first_order, first)
         assert_same(res.total_order, total)
         assert_same(res.total_variance, variance)
+
+    check()
+
+
+def test_variance_in_place_is_np_var_bit_for_bit_property():
+    # The estimators overwrite each output's pooled A|B outputs with the
+    # steps of np.var; rows scaled up to 1e300 include sums and squares that
+    # overflow, under the error state sobol_indices sets.
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    row = st.tuples(st.floats(-300, 300), st.floats(0, 20), st.booleans())
+
+    @hyp.settings(max_examples=200, deadline=None)
+    @hyp.given(r=st.integers(1, 4096), rows=st.lists(row, min_size=1, max_size=2),
+               seed=st.integers(0, 2**32 - 1))
+    @hyp.example(r=1, rows=[(300.0, 0.0, False), (-300.0, 0.0, True)], seed=0)
+    def check(r, rows, seed):
+        rng = np.random.default_rng(seed)
+        pool = np.empty((len(rows), 2 * r))
+        for values, (top, span, constant) in zip(pool, rows):
+            exponents = rng.uniform(max(-300.0, top - span), top, values.shape)
+            values[:] = rng.choice([-1.0, 1.0], values.shape) * 10.0 ** exponents
+            if constant:
+                values[:] = values[0]
+        with warnings.catch_warnings(), np.errstate(over="ignore", invalid="ignore"):
+            warnings.simplefilter("error")
+            want = pool.var(axis=-1)
+            got = sensitivity._variance_in_place(pool.copy())
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     check()
 

@@ -339,6 +339,19 @@ def test_fitted_run_has_diagnostics(fitted_reports):
     assert d["mape"]["one_step_ahead"][0] < 10.0
 
 
+def test_records_that_hold_arrays_compare_by_identity(fitted_reports):
+    # A field-by-field == would ask numpy for the truth value of an array
+    # and raise; two runs' records are distinct objects, so they differ.
+    first, again = fitted_reports["ai_physical"], run_pipeline(config_for("ai_physical"))
+    for name in ("stability", "phase", "ode_trajectory", "sobol", "fit_diag"):
+        record, other = getattr(first, name), getattr(again, name)
+        assert record == record and record != other
+    bounds = bounds_from_baseline(first.continuous, 0.1)
+    assert bounds != bounds_from_baseline(first.continuous, 0.1)
+    assert saltelli_sample(bounds, 64, 1) != saltelli_sample(bounds, 64, 1)
+    assert first != again and first.series == again.series
+
+
 def test_fitted_run_close_to_published_equilibrium(fitted_reports):
     # Fitting the fixture lands near the published operating point.
     d = fitted_reports["ai_physical"].to_dict()

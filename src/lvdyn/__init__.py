@@ -12,34 +12,17 @@ __version__ = "0.1.0"
 from types import ModuleType as _ModuleType
 
 from .errors import (
-    DegenerateVariance,
-    DenominatorNearZero,
-    DomainError,
-    InsufficientData,
-    InvalidBBox,
-    InvalidN,
     IoError,
-    LengthMismatch,
     LvdynError,
-    NegativeState,
-    NonPositiveValue,
     NumericalError,
-    ParseError,
     PipelineStageError,
-    SingularDesign,
-    StepTooLarge,
-    TooManyRejections,
-    TrajectoryOverflow,
     ValidationError,
-    ZeroBaseline,
-    ZeroObserved,
 )
 from .params import (
     PARAM_NAMES,
     ContinuousParams,
     DiscreteParams,
     InteractionKind,
-    InteractionType,
     RegressionCoeffs,
     classify_interaction,
     continuous_to_discrete,
@@ -47,47 +30,23 @@ from .params import (
     discrete_to_regression,
     regression_to_discrete,
 )
-from .fitting import (
-    FitMode,
-    TimeSeries,
-    build_ratio_rows,
-    fit_details,
-    fitted_trajectories,
-    free_run,
-    mape,
-    one_step_predictions,
-)
+from .fitting import TimeSeries, fit_details, free_run, mape
 from .dynamics import (
     BBox,
-    EquilibriumSet,
     PhaseGeometry,
     Stability,
-    StabilityReport,
     Trajectory,
-    classify_stability,
-    eigenvalues,
     equilibrium_set,
     integrate_ode,
     interior_equilibrium,
-    jacobian_at,
     phase_geometry,
     stability_at,
 )
-from .sensitivity import (
-    ParamBounds,
-    SaltelliDesign,
-    SobolResult,
-    analyze_sensitivity,
-    bounds_from_baseline,
-    evaluate_equilibria,
-    saltelli_sample,
-    sobol_indices,
-)
-from .baselines import BASELINES, SubsystemBaseline
+from .sensitivity import analyze_sensitivity
+from .baselines import BASELINES
 from .pipeline import (
     AnalysisConfig,
     Report,
-    export_phase_data,
     fixture_path,
     load_series,
     run_pipeline,

@@ -15,10 +15,7 @@ from pathlib import Path
 
 from .baselines import BASELINES
 from .errors import IoError, LvdynError, ParseError, ValidationError
-from .fitting import FitMode
 from .pipeline import REPORT_FORMATS, AnalysisConfig, run_pipeline
-
-_MODES = {"one-step": FitMode.ONE_STEP_AHEAD, "free-running": FitMode.FREE_RUNNING}
 
 #: Analysis stages each subcommand runs (None = everything).
 _COMMAND_STAGES = {
@@ -42,8 +39,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--x-col")
     p.add_argument("--y-col")
     p.add_argument("--unit")
-    p.add_argument("--mode", choices=sorted(_MODES),
-                   help="fitted-trajectory mode reported as primary")
     p.add_argument("--classify-tol", type=float,
                    help="treat cross-coefficients within this of zero as zero (finite, >= 0)")
     p.add_argument("--sobol-n", type=int,
@@ -66,8 +61,6 @@ def _config(args: argparse.Namespace) -> AnalysisConfig:
     """AnalysisConfig from the flags given; a seed not given comes from
     $LVDYN_SEED if it is set."""
     given = {k: v for k, v in vars(args).items() if k not in ("command", "fn")}
-    if "mode" in given:
-        given["mode"] = _MODES[given["mode"]]
     if "formats" in given:
         given["formats"] = tuple(given["formats"])
     env = os.environ.get("LVDYN_SEED")

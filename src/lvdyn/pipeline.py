@@ -11,10 +11,13 @@ byte-identical.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
 import json
 import math
+import os
+import warnings
 from dataclasses import asdict, astuple, dataclass, field
 from pathlib import Path
 
@@ -88,7 +91,6 @@ class AnalysisConfig:
     x_col: str = "ai_capital"
     y_col: str = "physical_capital"
     unit: str = "billion yuan"
-    mode: FitMode = FitMode.ONE_STEP_AHEAD
     classify_tol: float = 0.0
     sobol_n: int = 1024
     fraction: float = 0.1
@@ -102,10 +104,16 @@ class AnalysisConfig:
     def validate(self) -> None:
         for name in RULES:
             check(name, getattr(self, name))
+        if not isinstance(self.input_path, (str, os.PathLike)):
+            raise ValidationError(f"input_path must be a path, got {self.input_path!r}")
+        if not isinstance(self.out_dir, (str, os.PathLike, type(None))):
+            raise ValidationError(f"out_dir must be a path or None, got {self.out_dir!r}")
+        if not isinstance(self.formats, (tuple, list)):
+            raise ValidationError(f"formats must be a tuple or list, got {self.formats!r}")
         for fmt in self.formats:
             if fmt not in REPORT_FORMATS:
                 raise ValidationError(f"unknown report format {fmt!r}")
-        if self.baseline_key is not None and self.baseline_key not in BASELINES:
+        if self.baseline_key not in (None, *BASELINES):
             raise ValidationError(
                 f"unknown baseline {self.baseline_key!r}; choose from {sorted(BASELINES)}")
 
@@ -231,7 +239,8 @@ def _report_dict(r: Report) -> dict:
         "config": {
             "input": str(cfg.input_path),
             "columns": {"year": cfg.year_col, "x": cfg.x_col, "y": cfg.y_col},
-            "mode": cfg.mode.value,
+            # The fit has one reported mode; the key stays for the recorded bytes.
+            "mode": FitMode.ONE_STEP_AHEAD.value,
             "classify_tol": float(cfg.classify_tol),
             "sobol_n": cfg.sobol_n,
             "fraction": float(cfg.fraction),
@@ -291,7 +300,7 @@ def _report_dict(r: Report) -> dict:
         }
     if r.mape_one_step is not None or r.mape_free_running is not None:
         out["mape"] = {
-            "mode": r.config.mode.value,
+            "mode": FitMode.ONE_STEP_AHEAD.value,
             "one_step_ahead": r.mape_one_step,
             "free_running": r.mape_free_running,
         }
@@ -407,6 +416,24 @@ PIPELINE_STAGES = ("classify", "equilibrium", "stability", "phase", "mape",
                    "trajectories", "sobol")
 
 
+@contextlib.contextmanager
+def _warnings_into(report: Report, stage: str):
+    """Show each warning of the block as before, and append it to report.warnings.
+
+    ``warnings.showwarning`` is process-wide, so runs in concurrent threads
+    can record each other's warnings, and can leave one run's hook in place.
+    """
+    with warnings.catch_warnings():
+        show = warnings.showwarning
+
+        def record(message, category, *where):
+            report.warnings.append(f"{stage}: {category.__name__}: {message}")
+            show(message, category, *where)
+
+        warnings.showwarning = record
+        yield
+
+
 def run_pipeline(cfg: AnalysisConfig, stages: set[str] | None = None) -> Report:
     """Execute the analysis chain and (optionally) write output files.
 
@@ -431,7 +458,8 @@ def run_pipeline(cfg: AnalysisConfig, stages: set[str] | None = None) -> Report:
 
     def run_stage(name: str, fn):
         try:
-            return fn()
+            with _warnings_into(report, name):
+                return fn()
         except LvdynError as exc:
             report.failed_stage = name
             report.error = f"{type(exc).__name__}: {exc}"

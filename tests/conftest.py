@@ -10,10 +10,10 @@ import pytest
 from lvdyn import (
     AnalysisConfig,
     ContinuousParams,
-    ParamBounds,
     fixture_path,
     run_pipeline,
 )
+from lvdyn.sensitivity import ParamBounds
 
 # ---------------------------------------------------------------------------
 # Published case-study reference values (point estimates as printed in the

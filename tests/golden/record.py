@@ -74,6 +74,7 @@ RUNS = {
     "analyze-labor": (["analyze", *LABOR, *BOTH_FORMATS], None, None),
     "analyze-physical-paper": (["analyze", *PHYSICAL, "--params-from-paper"], None, None),
     "analyze-labor-paper": (["analyze", *LABOR, "--params-from-paper"], None, None),
+    # --mode only labelled the report and is gone: argparse rejects it.
     "analyze-free-running": (["analyze", *PHYSICAL, "--mode", "free-running"], None, None),
     "fit": (["fit", *PHYSICAL], None, None),
     "phase": (["phase", *LABOR, "--grid-n", "17"], None, None),

@@ -12,26 +12,20 @@ from lvdyn import (
     BBox,
     ContinuousParams,
     DiscreteParams,
-    InvalidBBox,
-    NegativeState,
     NumericalError,
     Stability,
-    StepTooLarge,
-    TrajectoryOverflow,
     ValidationError,
-    classify_stability,
-    eigenvalues,
     equilibrium_set,
     free_run,
     integrate_ode,
     interior_equilibrium,
-    jacobian_at,
     phase_geometry,
     stability_at,
 )
 from lvdyn import dynamics
-from lvdyn.dynamics import MAX_RK4_STEPS, RK4_ERROR_TOL, vector_field
-from lvdyn.errors import LvdynError
+from lvdyn.dynamics import (MAX_RK4_STEPS, RK4_ERROR_TOL, classify_stability, eigenvalues,
+                            jacobian_at, vector_field)
+from lvdyn.errors import InvalidBBox, LvdynError, NegativeState, StepTooLarge, TrajectoryOverflow
 
 import reference_kernels as ref
 from conftest import PUBLISHED

@@ -6,30 +6,21 @@ import numpy as np
 import pytest
 
 from lvdyn import (
-    DenominatorNearZero,
     DiscreteParams,
-    FitMode,
-    InsufficientData,
-    LengthMismatch,
-    NonPositiveValue,
     NumericalError,
-    SingularDesign,
     TimeSeries,
-    TrajectoryOverflow,
     ValidationError,
-    ZeroObserved,
-    build_ratio_rows,
     fit_details,
-    fitted_trajectories,
     free_run,
     load_series,
     mape,
-    one_step_predictions,
     fixture_path,
     regression_to_discrete,
 )
-from lvdyn.errors import IllConditioned
-from lvdyn.fitting import MAX_MAP_STEPS
+from lvdyn.errors import (DenominatorNearZero, IllConditioned, InsufficientData, LengthMismatch,
+                          NonPositiveValue, SingularDesign, TrajectoryOverflow, ZeroObserved)
+from lvdyn.fitting import (MAX_MAP_STEPS, FitMode, build_ratio_rows, fitted_trajectories,
+                           one_step_predictions)
 
 from conftest import PUBLISHED
 

@@ -14,27 +14,20 @@ import pytest
 
 from lvdyn import (
     ContinuousParams,
-    DegenerateVariance,
     NumericalError,
-    ParamBounds,
-    SaltelliDesign,
-    TooManyRejections,
     analyze_sensitivity,
-    bounds_from_baseline,
     discrete_to_continuous,
-    evaluate_equilibria,
     fit_details,
     fixture_path,
     interior_equilibrium,
     load_series,
     regression_to_discrete,
-    saltelli_sample,
-    sobol_indices,
 )
 from lvdyn import sensitivity
-from lvdyn.errors import LvdynError
+from lvdyn.errors import DegenerateVariance, LvdynError, TooManyRejections
 from lvdyn.dynamics import nullclines_cross
-from lvdyn.sensitivity import BLOCK
+from lvdyn.sensitivity import (BLOCK, ParamBounds, SaltelliDesign, bounds_from_baseline,
+                               evaluate_equilibria, saltelli_sample, sobol_indices)
 
 import reference_kernels as ref
 from conftest import FIXTURES, PUBLISHED

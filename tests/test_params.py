@@ -11,7 +11,6 @@ import pytest
 from lvdyn import (
     ContinuousParams,
     DiscreteParams,
-    DomainError,
     InteractionKind,
     NumericalError,
     RegressionCoeffs,
@@ -22,6 +21,7 @@ from lvdyn import (
     discrete_to_regression,
     regression_to_discrete,
 )
+from lvdyn.errors import DomainError
 
 from conftest import PUBLISHED, roundtrip_mismatches
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -15,36 +16,30 @@ from lvdyn import (
     AnalysisConfig,
     BBox,
     ContinuousParams,
-    InvalidN,
     IoError,
     LvdynError,
-    NonPositiveValue,
     NumericalError,
-    ParamBounds,
-    ParseError,
     PipelineStageError,
     Report,
-    SingularDesign,
     TimeSeries,
     ValidationError,
-    bounds_from_baseline,
     classify_interaction,
     continuous_to_discrete,
-    export_phase_data,
     fixture_path,
     load_series,
     phase_geometry,
     run_pipeline,
-    saltelli_sample,
     write_report,
 )
-from lvdyn import pipeline
+from lvdyn import errors, pipeline
 from lvdyn.baselines import BASELINES
 from lvdyn.cli import main
-from lvdyn.errors import RULES, check
+from lvdyn.errors import (RULES, IllConditioned, InvalidN, NonPositiveValue, ParseError,
+                          SingularDesign, check)
 from lvdyn.params import PARAM_NAMES
-from lvdyn.pipeline import report_json_text
-from lvdyn.sensitivity import _SOBOL_BITS, OUTPUT_NAMES
+from lvdyn.pipeline import export_phase_data, report_json_text
+from lvdyn.sensitivity import (OUTPUT_NAMES, _SOBOL_BITS, ParamBounds, bounds_from_baseline,
+                               saltelli_sample)
 
 from conftest import config_for
 
@@ -488,6 +483,31 @@ def test_unknown_names_fail_validation_before_any_work(tmp_path, overrides, stag
         run_pipeline(cfg, stages)
 
 
+@pytest.mark.parametrize("name,value", [
+    ("formats", None), ("baseline_key", []), ("input_path", None), ("out_dir", 3)])
+def test_fields_of_the_wrong_type_fail_validation_before_any_work(tmp_path, name, value):
+    # Each raised a bare TypeError from run_pipeline; out_dir=3 did so at the
+    # write stage, after every other stage had run.
+    cfg = config_for("ai_physical", **{"input_path": tmp_path / "missing.csv", name: value})
+    with pytest.raises(ValidationError, match=name.removesuffix("_key")):
+        run_pipeline(cfg)
+
+
+def test_warnings_of_a_run_go_into_its_report(tmp_path):
+    # The near-collinear series of tests/test_fitting.py: each equation of the
+    # fit warns IllConditioned.  The warnings are shown as before, and
+    # report.json lists them.
+    xs = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
+    rows = ["year,ai_capital,physical_capital"] + [
+        f"{2016 + i},{x!r},{x * 2.0 * (1 + 1e-10 * i)!r}" for i, x in enumerate(xs)]
+    p = write_csv(tmp_path, rows)
+    with pytest.warns(IllConditioned) as shown:
+        assert main(["fit", "--input", str(p), "--out", str(tmp_path / "out")]) == 0
+    assert len(shown) == 2
+    report = json.loads((tmp_path / "out" / "report.json").read_text(encoding="utf-8"))
+    assert report["warnings"] == [f"fit: IllConditioned: {w.message}" for w in shown]
+
+
 def test_stage_error_propagates_when_the_incomplete_report_cannot_be_written(tmp_path):
     # The output directory is a file, so the write of the incomplete report
     # fails too; the stage's own error is the one raised.
@@ -885,7 +905,7 @@ def test_cli_io_exit_code(tmp_path, capsys):
 
 
 def test_error_families_carry_their_exit_codes():
-    classes = [c for c in (getattr(lvdyn, n) for n in lvdyn.__all__)
+    classes = [c for c in vars(errors).values()
                if isinstance(c, type) and issubclass(c, LvdynError)]
     assert len(classes) > 10
     for cls in classes:
@@ -1077,5 +1097,9 @@ def test_public_names_are_the_imported_api():
     namespace: dict = {}
     exec("from lvdyn import *", namespace)
     assert set(namespace) - {"__builtins__"} == set(lvdyn.__all__)
-    assert {"run_pipeline", "evaluate_equilibria", "export_phase_data",
-            "LvdynError", "ContinuousParams"} <= set(lvdyn.__all__)
+    # The public names are the bullet list of README "Library", in any order.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    library = readme.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    bullets = re.findall(r"^- .*(?:\n  .*)*", library, re.M)
+    listed = [name for b in bullets for name in re.findall(r"`(\w+)`", b)]
+    assert sorted(listed) == sorted(lvdyn.__all__)

@@ -16,24 +16,17 @@ import pytest
 
 from lvdyn import (
     ContinuousParams,
-    DegenerateVariance,
-    InvalidN,
     NumericalError,
-    ParamBounds,
-    TooManyRejections,
     ValidationError,
-    ZeroBaseline,
     analyze_sensitivity,
-    bounds_from_baseline,
-    evaluate_equilibria,
     fixture_path,
     interior_equilibrium,
-    saltelli_sample,
-    sobol_indices,
 )
 from lvdyn import sensitivity
+from lvdyn.errors import DegenerateVariance, InvalidN, TooManyRejections, ZeroBaseline
 from lvdyn.params import PARAM_NAMES
-from lvdyn.sensitivity import BLOCK
+from lvdyn.sensitivity import (BLOCK, ParamBounds, bounds_from_baseline, evaluate_equilibria,
+                               saltelli_sample, sobol_indices)
 
 import reference_kernels as ref
 from conftest import PUBLISHED

@@ -276,6 +276,27 @@ def _rk4_step(cp: ContinuousParams, x, y, h: float) -> tuple:
             y + w * (k1y + 2.0 * k2y + 2.0 * k3y + k4y))
 
 
+def _rk4_path(cp: ContinuousParams, x: float, y: float, h: float, n_steps: int) -> list:
+    """(x, y) and up to n_steps states after it, each bit for bit that of _rk4_step, with
+    the coefficients in locals; a state below NEGATIVE_STATE_TOL is the last."""
+    a1, b11, b12, a2, b21, b22 = astuple(cp)
+    c, w, path = 0.5 * h, h / 6.0, [(x, y)]
+    for _ in range(n_steps):           # vector_field's operations in its order, at each stage
+        k1x, k1y = a1 * x + b11 * x * x + b12 * x * y, a2 * y + b21 * y * x + b22 * y * y
+        u, v = x + c * k1x, y + c * k1y
+        k2x, k2y = a1 * u + b11 * u * u + b12 * u * v, a2 * v + b21 * v * u + b22 * v * v
+        u, v = x + c * k2x, y + c * k2y
+        k3x, k3y = a1 * u + b11 * u * u + b12 * u * v, a2 * v + b21 * v * u + b22 * v * v
+        u, v = x + h * k3x, y + h * k3y
+        k4x, k4y = a1 * u + b11 * u * u + b12 * u * v, a2 * v + b21 * v * u + b22 * v * v
+        x, y = (x + w * (k1x + 2.0 * k2x + 2.0 * k3x + k4x),
+                y + w * (k1y + 2.0 * k2y + 2.0 * k3y + k4y))
+        path.append((x, y))
+        if min(x, y) < NEGATIVE_STATE_TOL:
+            break
+    return path
+
+
 def _first_max(a: np.ndarray, b) -> np.ndarray:
     """Elementwise ``max(a, b)`` by Python's rule: keep a unless b is greater.
 
@@ -316,13 +337,7 @@ def integrate_ode(
         raise ValidationError(
             f"t_end / dt asks for {n_steps:.3g} RK4 steps, more than {MAX_RK4_STEPS:.0e}")
     t = np.linspace(0.0, n_steps * dt, n_steps + 1)
-    path = [(x, y)]
-    for _ in range(n_steps):
-        x, y = _rk4_step(cp, x, y, dt)
-        path.append((x, y))
-        if min(x, y) < NEGATIVE_STATE_TOL:
-            break
-    states = np.array(path)
+    states = np.array(_rk4_path(cp, x, y, dt, n_steps))
 
     # Step k goes from states[k] to states[k + 1]; redo each in two halves.
     x_start, y_start = states[:-1].T
@@ -337,9 +352,9 @@ def integrate_ode(
         k = flagged[0]
         raise StepTooLarge(
             f"step-doubling estimate {err[k]:.3e} exceeds {RK4_ERROR_TOL:g} at t={t[k]:g}")
-    if min(x, y) < NEGATIVE_STATE_TOL:
+    if min(states[-1]) < NEGATIVE_STATE_TOL:
         raise NegativeState(
-            f"state left the first quadrant at t={t[len(path) - 1]:g}: {np.array((x, y))}")
+            f"state left the first quadrant at t={t[len(states) - 1]:g}: {states[-1]}")
     # A NaN or inf state stays one, so the last state shows any overflow.
     if not np.isfinite(states[-1]).all():
         k = np.isfinite(states).all(axis=1).argmin()

@@ -104,12 +104,14 @@ class AnalysisConfig:
     def validate(self) -> None:
         for name in RULES:
             check(name, getattr(self, name))
-        if not isinstance(self.input_path, (str, os.PathLike)):
-            raise ValidationError(f"input_path must be a path, got {self.input_path!r}")
-        if not isinstance(self.out_dir, (str, os.PathLike, type(None))):
-            raise ValidationError(f"out_dir must be a path or None, got {self.out_dir!r}")
-        if not isinstance(self.formats, (tuple, list)):
-            raise ValidationError(f"formats must be a tuple or list, got {self.formats!r}")
+        for name, types, kind in (
+                ("input_path", (str, os.PathLike), "a path"),
+                ("out_dir", (str, os.PathLike, type(None)), "a path or None"),
+                ("formats", (tuple, list), "a tuple or list"),
+                ("params_from_paper", bool, "a bool"),
+                *((key, str, "a str") for key in ("year_col", "x_col", "y_col", "unit"))):
+            if not isinstance(getattr(self, name), types):
+                raise ValidationError(f"{name} must be {kind}, got {getattr(self, name)!r}")
         for fmt in self.formats:
             if fmt not in REPORT_FORMATS:
                 raise ValidationError(f"unknown report format {fmt!r}")

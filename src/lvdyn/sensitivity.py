@@ -7,9 +7,10 @@ from a scrambled Sobol' sequence, and first-order / total-order variance
 shares are estimated per output.  The design keeps only its base matrices A
 and B; the N*(D+2) parameter sets are evaluated one block row at a time
 (A, each A_B^i, B) from column views of A and B, each A_B^i sharing the A
-row's products that do not hold parameter i, and a row whose extremes show
-every point valid skips the elementwise tests, exactly.  Outputs are laid
-out (output, block row, base index).  Parameter draws whose equilibrium is
+row's products that do not hold parameter i.  A box that interval arithmetic
+proves valid once is evaluated without a test; otherwise a row whose extremes
+show every point valid skips the elementwise tests, exactly.  Outputs are
+laid out (output, block row, base index).  Parameter draws whose equilibrium is
 non-finite or leaves the first quadrant are rejected; rejection removes the
 whole base-index triple so estimator pairings stay aligned.  Every estimator
 mean and variance is numpy's pairwise sum along a C-contiguous row of base
@@ -39,6 +40,7 @@ outputs its variance overwrites and its difference/product pair.
 from __future__ import annotations
 
 import contextvars
+import math
 import os
 import threading
 from dataclasses import astuple, dataclass
@@ -48,7 +50,7 @@ import numpy as np
 from .errors import (DegenerateVariance, NumericalError, TooManyRejections, ValidationError,
                      ZeroBaseline, _shown, check)
 from .params import PARAM_NAMES, ContinuousParams
-from .dynamics import nullclines_cross
+from .dynamics import INTERIOR_DENOM_EPS, nullclines_cross
 
 N_PARAMS = len(PARAM_NAMES)
 #: Rows per base index in the Saltelli design: A, the N_PARAMS A_B^i rows, B.
@@ -280,24 +282,59 @@ def saltelli_sample(bounds: ParamBounds, n_base: int, seed: int, *, _ws=None) ->
     check("sobol_n", n_base)
     check("seed", seed)
     # Rows 0..D-1 of ab are A, rows D..2D-1 are B, each scaled in place:
-    # p * 2**-30 is exact, so this is lower + unit * width bit for bit.
+    # p * 2**-30 is exact, so this is lower + unit * width bit for bit, and so
+    # is p * (width * 2**-30) wherever width * 2**-30 is exact (width >= 2**-992).
     ab = np.empty((2 * N_PARAMS, n_base)) if _ws is None else _ws[0]
     digits = np.empty(ab.shape, np.uint32) if _ws is None else _ws[3].view(np.uint32)
     shift, flips = _scramble(seed)
     lower = np.tile(bounds.lower, 2)[:, None]
     width = np.tile(bounds.upper - bounds.lower, 2)[:, None]
+    step = width * 2.0 ** -_SOBOL_BITS
+    folded = np.array_equal(step * 2.0 ** _SOBOL_BITS, width)
 
     def sample(lo: int, hi: int) -> None:
         points = _gray_code_fill(digits.reshape(ab.shape)[lo:hi], shift[lo:hi], flips[lo:hi])
-        rows = np.multiply(points, 2.0 ** -_SOBOL_BITS, out=ab[lo:hi])
-        rows *= width[lo:hi]
+        rows = np.multiply(points, step[lo:hi] if folded else 2.0 ** -_SOBOL_BITS, out=ab[lo:hi])
+        if not folded:
+            rows *= width[lo:hi]
         rows += lower[lo:hi]
 
     _run_parts(sample, 2 * N_PARAMS, _part_count(n_base))
     return SaltelliDesign(a=ab[:N_PARAMS], b=ab[N_PARAMS:], n_base=n_base, seed=seed)
 
 
-def evaluate_equilibria(design: SaltelliDesign, *, _ws=None) -> tuple[np.ndarray, np.ndarray]:
+def _sample_box(bounds: ParamBounds) -> tuple[list[float], list[float]]:
+    """The least and the greatest value of each parameter that saltelli_sample draws in
+    bounds of finite width: its operations at digits 0 and 2**30 - 1, rounding being monotone."""
+    lower, upper = bounds.lower.tolist(), bounds.upper.tolist()
+    return lower, [(1.0 - 2.0 ** -_SOBOL_BITS) * (up - low) + low for low, up in zip(lower, upper)]
+
+
+def _box_proves_valid(lower, upper) -> bool:
+    """True when every parameter set in the box [lower, upper] is valid, by interval
+    arithmetic (Moore 1966) on the evaluation's operations: rounding is monotone, so a product
+    lies between its rounded corner products and a difference between the rounded differences
+    of the ends.  The denominator is then finite, of one sign and past nullclines_cross's
+    threshold, each numerator has its sign or is zero, and every quotient is finite."""
+    def product(u, v):
+        corners = [s * t for s in u for t in v]
+        return min(corners), max(corners)
+
+    a1, b11, b12, a2, b21, b22 = zip(lower, upper)
+    cross, own = product(b12, b21), product(b11, b22)
+    den = cross[0] - own[1], cross[1] - own[0]
+    nums = [(p[0] - q[1], p[1] - q[0]) for p, q in ((product(a1, b22), product(b12, a2)),
+                                                     (product(b11, a2), product(a1, b21)))]
+    if not all(map(math.isfinite, (*lower, *upper, *cross, *own, *den, *nums[0], *nums[1]))):
+        return False
+    least = den[0] if den[0] > 0 else -den[1]
+    return (least >= max(*map(abs, cross + own), 1e-300) * INTERIOR_DENOM_EPS
+            and all((lo >= 0 if den[0] > 0 else hi <= 0) and max(-lo, hi) / least < math.inf
+                    for lo, hi in nums))
+
+
+def evaluate_equilibria(design: SaltelliDesign, *, _ws=None,
+                        _box=None) -> tuple[np.ndarray, np.ndarray]:
     """Closed-form interior equilibrium of every parameter set of a design.
 
     The design is evaluated one block row at a time, straight from the
@@ -311,8 +348,10 @@ def evaluate_equilibria(design: SaltelliDesign, *, _ws=None) -> tuple[np.ndarray
     parameter i, and the terms that hold those: 24 products in place of 48,
     6 denominators in place of 8, 12 numerators in place of 16.  Operands
     keep their order, so every bit is that of :func:`~lvdyn.dynamics.interior_equilibrium`.
+    A private ``_box`` that holds the design and :func:`_box_proves_valid` clears skips every test.
     """
     n = design.n_base
+    proved = _box is not None and _box_proves_valid(*_box)
     if _ws is None:
         outputs, valid = np.empty((2, BLOCK, n)), np.empty((BLOCK, n), dtype=bool)
         scratch = np.empty((N_PARAMS, n))
@@ -330,6 +369,10 @@ def evaluate_equilibria(design: SaltelliDesign, *, _ws=None) -> tuple[np.ndarray
         #   cross = b12*b21, p2 = b12*a2  last used by row 6, kept in row 7
         (p1, p4), (own, p3), (cross, p2) = out[:, 5], out[:, 6], out[:, 7]
 
+        def crossing(cross, own, den, ok, spare) -> bool:   # den alone where proved
+            return (np.subtract(cross, own, out=den) is den if proved
+                    else nullclines_cross(cross, own, den, ok, spare))
+
         def screen(k: int, num_x, num_y, den, ok_all: bool) -> None:
             """Output row k and its validity, from ok[k] unless ok_all."""
             points, row_valid = out[:, k], ok[k]
@@ -337,15 +380,15 @@ def evaluate_equilibria(design: SaltelliDesign, *, _ws=None) -> tuple[np.ndarray
             np.divide(num_y, den, out=points[1])
             if ok_all:
                 row_valid.fill(True)
-                if points.min() >= 0 and points.max() < np.inf:
+                if proved or points.min() >= 0 and points.max() < np.inf:
                     return
             row_valid &= ((points >= 0) & (points < np.inf)).all(axis=0)
             if not row_valid.all():
                 points[:, ~row_valid] = np.nan
 
         with np.errstate(all="ignore"):
-            ok_a = nullclines_cross(np.multiply(b12, b21, out=cross),
-                                    np.multiply(b11, b22, out=own), den, ok[0], out[:, 0])
+            ok_a = crossing(np.multiply(b12, b21, out=cross),
+                            np.multiply(b11, b22, out=own), den, ok[0], out[:, 0])
             if not ok_a:                       # A_B^1 and A_B^4 keep A's denominator
                 ok[[1, 4]] = ok[0]
             np.subtract(np.multiply(a1, b22, out=p1), np.multiply(b12, a2, out=p2), out=num_x)
@@ -355,19 +398,19 @@ def evaluate_equilibria(design: SaltelliDesign, *, _ws=None) -> tuple[np.ndarray
             # numerator of x* for i not in b11, b21, that of y* for i not in b12, b22.
             screen(1, np.subtract(np.multiply(b[0], b22, out=t0), p2, out=t0),
                    np.subtract(p3, np.multiply(b[0], b21, out=t1), out=t1), den, ok_a)
-            ok_k = nullclines_cross(cross, np.multiply(b[1], b22, out=t0), t1, ok[2], out[:, 2])
+            ok_k = crossing(cross, np.multiply(b[1], b22, out=t0), t1, ok[2], out[:, 2])
             screen(2, num_x, np.subtract(np.multiply(b[1], a2, out=t2), p4, out=t2), t1, ok_k)
-            ok_k = nullclines_cross(np.multiply(b[2], b21, out=t0), own, t1, ok[3], out[:, 3])
+            ok_k = crossing(np.multiply(b[2], b21, out=t0), own, t1, ok[3], out[:, 3])
             screen(3, np.subtract(p1, np.multiply(b[2], a2, out=t2), out=t2), num_y, t1, ok_k)
             screen(4, np.subtract(p1, np.multiply(b12, b[3], out=t0), out=t0),
                    np.subtract(np.multiply(b11, b[3], out=t1), p4, out=t1), den, ok_a)
-            ok_k = nullclines_cross(np.multiply(b12, b[4], out=t0), own, t1, ok[5], out[:, 5])
+            ok_k = crossing(np.multiply(b12, b[4], out=t0), own, t1, ok[5], out[:, 5])
             screen(5, num_x, np.subtract(p3, np.multiply(a1, b[4], out=t2), out=t2), t1, ok_k)
-            ok_k = nullclines_cross(cross, np.multiply(b11, b[5], out=t0), t1, ok[6], out[:, 6])
+            ok_k = crossing(cross, np.multiply(b11, b[5], out=t0), t1, ok[6], out[:, 6])
             screen(6, np.subtract(np.multiply(a1, b[5], out=t2), p2, out=t2), num_y, t1, ok_k)
             # B: every product anew, in scratch rows the A row is done with.
-            ok_k = nullclines_cross(np.multiply(b[2], b[4], out=t0),
-                                    np.multiply(b[1], b[5], out=t1), t2, ok[7], out[:, 7])
+            ok_k = crossing(np.multiply(b[2], b[4], out=t0),
+                            np.multiply(b[1], b[5], out=t1), t2, ok[7], out[:, 7])
             np.subtract(np.multiply(b[0], b[5], out=t0), np.multiply(b[2], b[3], out=t1), out=t0)
             np.subtract(np.multiply(b[1], b[3], out=t1), np.multiply(b[0], b[4], out=den), out=t1)
             screen(7, t0, t1, t2, ok_k)
@@ -493,5 +536,5 @@ def analyze_sensitivity(
     check("sobol_n", n_base)                     # before the workspace is sized
     ws = _workspace(n_base)
     design = saltelli_sample(bounds, n_base, seed, _ws=ws)
-    outputs, valid = evaluate_equilibria(design, _ws=ws)
+    outputs, valid = evaluate_equilibria(design, _ws=ws, _box=_sample_box(bounds))
     return sobol_indices(design, outputs, valid, _ws=ws)

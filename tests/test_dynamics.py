@@ -23,8 +23,8 @@ from lvdyn import (
     stability_at,
 )
 from lvdyn import dynamics
-from lvdyn.dynamics import (MAX_RK4_STEPS, RK4_ERROR_TOL, classify_stability, eigenvalues,
-                            jacobian_at, vector_field)
+from lvdyn.dynamics import (MAX_RK4_STEPS, RK4_ERROR_TOL, _rk4_step, classify_stability,
+                            eigenvalues, jacobian_at, vector_field)
 from lvdyn.errors import InvalidBBox, LvdynError, NegativeState, StepTooLarge, TrajectoryOverflow
 
 import reference_kernels as ref
@@ -539,6 +539,47 @@ def test_integrate_matches_per_step_reference_property():
     def check(cp, x0, t_end, dt, tol):
         with mock.patch.object(dynamics, "RK4_ERROR_TOL", tol):
             assert_same_outcome(cp, x0, t_end, dt)
+
+    check()
+
+
+@pytest.mark.parametrize("coeffs,x0,t_end,dt,error", [
+    ((1.7, -0.2, 0.1, -1.5, 2.0, -0.2), (8.0, 14.0), 5.0, 0.25, StepTooLarge),
+    ((0.116, -2.32, -40.3, -0.0123, -57.1, 5.57), (9.69, 7.26), 2.0, 0.5, NegativeState),
+    ((0.116, -2.32, -40.3, -0.0123, -57.1, 5.57), (9.69, 7.26), 0.1, 0.001, None),
+])
+def test_rk4_path_is_rk4_step_bit_for_bit_property(coeffs, x0, t_end, dt, error):
+    # The integration loop holds the coefficients in locals and writes the
+    # vector field out; every state it keeps is _rk4_step's.  Each fixed case
+    # ends as its error says, and the drawn runs start from it.
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    cp = ContinuousParams(*coeffs)
+    if error is None:
+        integrate_ode(cp, x0, t_end, dt)
+    else:
+        with pytest.raises(error):
+            integrate_ode(cp, x0, t_end, dt)
+    coeff = st.one_of(st.floats(-1e3, 1e3), st.sampled_from([0.0, -0.0, 1e200, -1e-200]))
+    state = st.one_of(st.floats(-1.0, 1e3), st.sampled_from([0.0, -0.0, 1e300, np.inf, np.nan]))
+
+    @hyp.settings(max_examples=100, deadline=None)
+    @hyp.given(scale=st.lists(coeff, min_size=6, max_size=6), start=st.tuples(state, state),
+               steps=st.integers(0, 200), h=st.sampled_from([dt, dt / 3, 0.5, 1e-3]))
+    @hyp.example(scale=[1.0] * 6, start=x0, steps=round(t_end / dt), h=dt)
+    def check(scale, start, steps, h):
+        cp = ContinuousParams(*(c * s for c, s in zip(coeffs, scale)))
+        (x, y), want = start, [start]
+        for _ in range(steps):
+            x, y = _rk4_step(cp, x, y, h)
+            want.append((x, y))
+            if min(x, y) < dynamics.NEGATIVE_STATE_TOL:
+                break
+        got, want = np.array(dynamics._rk4_path(cp, *start, h, steps)), np.array(want)
+        # NaNs match as NaNs: CPython does not fix which operand's NaN it returns.
+        num = ~np.isnan(want)
+        assert got.shape == want.shape and np.array_equal(np.isnan(got), ~num)
+        assert np.array_equal(got[num].view(np.uint64), want[num].view(np.uint64))
 
     check()
 

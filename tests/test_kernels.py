@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 import sys
 import threading
@@ -115,7 +116,7 @@ def assert_chain_matches(cp: ContinuousParams, fraction: float, n_base: int, see
     return res
 
 
-@pytest.mark.parametrize("fraction", [0.1, 0.5])
+@pytest.mark.parametrize("fraction", [0.1, 0.2, 0.5])
 @pytest.mark.parametrize("seed", [1, 1024, 31337])
 @pytest.mark.parametrize("case", CASES)
 def test_analyze_sensitivity_matches_reference_chain(case, seed, fraction):
@@ -233,6 +234,10 @@ def test_equilibria_match_masked_reference_property():
         want_out, want_valid = ref.evaluate_equilibria(theta)
         assert np.array_equal(valid, want_valid)
         assert_same(out, want_out)
+        # On a box of one point the box proof clears valid points only, and
+        # each of them but where a quotient rounds to zero.
+        proved = np.array([sensitivity._box_proves_valid(row, row) for row in theta.tolist()])
+        assert np.array_equal(proved, want_valid & (proved | ~(want_out == 0).any(axis=1)))
 
     check()
 
@@ -417,6 +422,8 @@ def test_many_parts_with_fast_thread_switches_lose_no_write(monkeypatch):
 def test_error_in_a_helper_thread_keeps_its_class(monkeypatch, started_threads):
     # The second range of base indices is evaluated in a helper thread; its
     # typed error reaches the caller unchanged, after every thread is joined.
+    # The box of fraction 0.5 is not proved valid, so the evaluation tests
+    # its denominators.
     def failing(*args):
         if threading.current_thread() is not threading.main_thread():
             raise TooManyRejections("raised in a helper thread")
@@ -425,7 +432,7 @@ def test_error_in_a_helper_thread_keeps_its_class(monkeypatch, started_threads):
     monkeypatch.setattr(sensitivity, "nullclines_cross", failing)
     force_parts(monkeypatch, 2)
     with pytest.raises(TooManyRejections, match="raised in a helper thread"):
-        analyze_sensitivity(params_for("published:ai_physical"), 0.1, 256, 1)
+        analyze_sensitivity(params_for("published:ai_physical"), 0.5, 256, 1)
     assert len(started_threads) == 2       # sampling, then the failed evaluation
     assert not any(t.is_alive() for t in started_threads)
 
@@ -617,6 +624,114 @@ def test_denominator_shortcut_is_exact_at_the_threshold():
     assert ok[:2].tolist() == [True, False]
     # No elements: nothing to reduce, and nothing ok to report.
     assert not nullclines_cross(den[:0], den[:0], den[:0], ok[:0], spare[:, :0])
+    # The box proof draws the same line on a box of one point, at x* = y* = 0.
+    for k, proved in ((9, False), (10, True)):
+        for sign in (1.0, -1.0):
+            point = [0.0, sign * (1.0 - k * 2.0**-53), 1.0, 0.0, sign, 1.0]
+            assert sensitivity._box_proves_valid(point, point) == proved
+
+
+# ---------------------------------------------------------------------------
+# The box proof, which replaces every per-point test of a design
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("widths", ["subnormal", "tiny", "huge"])
+def test_every_sample_lies_in_the_sample_box(monkeypatch, widths):
+    # Subnormal widths are where width * 2**-30 is not exact, so the sampler
+    # scales in two steps there; each design still equals the reference.  The
+    # box's ends are the values of digits 0 and 2**30 - 1.
+    lower = np.array([1e-310, -3e-310, 0.0, 1.0, -1e-300, 1e300])
+    upper = {"subnormal": lower + np.array([4e-320, 1e-312, 5e-324, 0, 3e-316, 0]),
+             "tiny": np.nextafter(lower, np.inf),
+             "huge": lower + np.array([1e300, 1e308, 8e307, 1e307, 1e299, 5e307])}[widths]
+    upper[upper == lower] = np.nextafter(lower, np.inf)[upper == lower]
+    bounds = ParamBounds(lower=lower, upper=upper)
+    box_lo, box_hi = (np.array(end)[:, None] for end in sensitivity._sample_box(bounds))
+    assert np.array_equal(box_lo[:, 0], lower) and np.all(box_hi[:, 0] <= upper)
+    for seed in SEEDS:
+        design = saltelli_sample(bounds, 1024, seed)
+        for m in (design.a, design.b):
+            assert np.all((box_lo <= m) & (m <= box_hi))
+        assert_same(np.moveaxis(ref.design_rows(design), -1, 0),
+                    ref.block_major(ref.saltelli_matrix(bounds, 1024, seed), 1024))
+    for digit, end in ((0, box_lo), (2**30 - 1, box_hi)):
+        monkeypatch.setattr(sensitivity, "_scramble", lambda seed: (
+            np.full(12, digit, np.uint32), np.zeros((12, 30), np.uint32)))
+        design = saltelli_sample(bounds, 64, 0)
+        assert_same(np.concatenate([design.a, design.b]), np.tile(end, (2, 64)))
+
+
+def assert_proof_is_sound(bounds: ParamBounds, seed: int) -> bool:
+    """Whether the proof clears the sample box of bounds; where it does, every
+    row of a design sampled in bounds, and of one whose A rows are the box's 64
+    corners, is valid, and the proved evaluation is the unproved one bit for bit."""
+    box = sensitivity._sample_box(bounds)
+    if not sensitivity._box_proves_valid(*box):
+        return False
+    design = saltelli_sample(bounds, 64, seed)
+    corners = np.array(list(itertools.product(*zip(*box)))).T
+    for d in (design, SaltelliDesign(a=corners, b=design.b, n_base=64, seed=0)):
+        want_out, want_valid = ref.design_equilibria(d)
+        assert want_valid.all()
+        for outputs, valid in (evaluate_equilibria(d), evaluate_equilibria(d, _box=box)):
+            assert valid.all()
+            assert np.array_equal(outputs.view(np.uint64), want_out.view(np.uint64))
+    return True
+
+
+def test_box_proof_is_sound_property():
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    # Coefficients of both signs, with the growth rates and the interaction
+    # terms each at a common scale out to 1e+-300, half of them with growth
+    # rates that put the equilibrium in the first quadrant; boxes of relative
+    # width or of a few ulps, which are subnormal at 1e-300; and centres whose
+    # denominator or a numerator is zero or within a few ulps of it.
+    coeff = st.builds(lambda sign, m: sign * m, st.sampled_from([-1.0, 1.0]), st.floats(0.1, 10))
+    scale = st.sampled_from([1.0, 1e-8, 1e8, 1e-150, 1e150, 1e-300, 1e300, 1e-305])
+    tie = st.sampled_from([None, "den", "num_x", "num_y"])
+    delta = st.sampled_from([0.0, 2.0**-52, -2.0**-52, 1e-15, -1e-15, 1e-9, -1e-3, 0.5])
+    width = st.one_of(st.floats(-16, -0.3).map(lambda e: ("relative", 10.0 ** e)),
+                      st.integers(1, 2**40).map(lambda k: ("ulps", k)))
+
+    @hyp.settings(max_examples=500, deadline=None)
+    @hyp.given(c=st.lists(coeff, min_size=6, max_size=6), sa=scale, sb=scale,
+               point=st.booleans(), tie=tie, delta=delta, width=width,
+               seed=st.integers(0, 2**32 - 1))
+    def check(c, sa, sb, point, tie, delta, width, seed):
+        a1, b11, b12, a2, b21, b22 = (v * (sa if i in (0, 3) else sb) for i, v in enumerate(c))
+        if point:
+            x, y = abs(a1) / sb, abs(a2) / sb
+            a1, a2 = -(b11 * x + b12 * y), -(b21 * x + b22 * y)
+        if tie == "den":
+            b21 = b11 * b22 / b12 * (1 + delta)
+        elif tie == "num_x":
+            a2 = a1 * b22 / b12 * (1 + delta)
+        elif tie == "num_y":
+            a1 = b11 * a2 / b21 * (1 + delta)
+        theta = np.array([a1, b11, b12, a2, b21, b22])
+        hyp.assume(np.isfinite(theta).all())
+        kind, w = width
+        half = np.abs(theta) * w if kind == "relative" else w * np.spacing(np.abs(theta))
+        with np.errstate(over="ignore"):
+            lower, upper = theta - half, theta + half
+        hyp.assume(np.isfinite(upper - lower).all() and np.all(lower < upper))
+        hyp.event(f"proved: {assert_proof_is_sound(ParamBounds(lower, upper), seed)}")
+
+    check()
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_box_proof_clears_the_tenth_boxes(monkeypatch, denominator_calls, case):
+    # The benchmark's +-10% boxes are proved valid, so analyze_sensitivity
+    # tests no denominator; the +-20% and +-50% boxes are not, whether or not
+    # they reject a row.  Either way the result is the reference chain's.
+    for fraction, proved in ((0.1, True), (0.2, False), (0.5, False)):
+        bounds = bounds_from_baseline(params_for(case), fraction)
+        assert assert_proof_is_sound(bounds, 3) == proved
+        denominator_calls.clear()
+        assert_chain_matches(params_for(case), fraction, 1024, 3)
+        assert (denominator_calls == []) == proved
 
 
 # ---------------------------------------------------------------------------

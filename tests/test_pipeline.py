@@ -484,10 +484,14 @@ def test_unknown_names_fail_validation_before_any_work(tmp_path, overrides, stag
 
 
 @pytest.mark.parametrize("name,value", [
-    ("formats", None), ("baseline_key", []), ("input_path", None), ("out_dir", 3)])
+    ("formats", None), ("baseline_key", []), ("input_path", None), ("out_dir", 3),
+    ("params_from_paper", "false"), ("params_from_paper", 1), ("unit", 3), ("year_col", None),
+    ("x_col", b"ai_capital"), ("y_col", 2)])
 def test_fields_of_the_wrong_type_fail_validation_before_any_work(tmp_path, name, value):
-    # Each raised a bare TypeError from run_pipeline; out_dir=3 did so at the
-    # write stage, after every other stage had run.
+    # The first four raised a bare TypeError from run_pipeline; out_dir=3 did
+    # so at the write stage, after every other stage had run.  The string
+    # "false" for params_from_paper ran on the published baseline, and unit=3
+    # was written to the report as the number 3.
     cfg = config_for("ai_physical", **{"input_path": tmp_path / "missing.csv", name: value})
     with pytest.raises(ValidationError, match=name.removesuffix("_key")):
         run_pipeline(cfg)

@@ -13,13 +13,14 @@ the eigenvalues of the Jacobian.
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass
+from dataclasses import astuple, dataclass, fields
 from enum import Enum
 
 import numpy as np
 
-from .errors import (FINITE, FINITE_NON_NEGATIVE, REAL, InvalidBBox, NegativeState, NumericalError,
-                     StepTooLarge, TrajectoryOverflow, ValidationError, check, check_start, finite)
+from .errors import (_ANY_REAL, FINITE, FINITE_NON_NEGATIVE, REAL, InvalidBBox, NegativeState,
+                     NumericalError, StepTooLarge, TrajectoryOverflow, ValidationError, _shown,
+                     check, check_start, finite)
 from .params import ContinuousParams
 
 #: Relative threshold below which the interior-equilibrium denominator is
@@ -45,17 +46,11 @@ def vector_field(cp: ContinuousParams, x: float | np.ndarray,
     return f1, f2
 
 
-def nullclines_cross(cross, own, den, ok, spare) -> bool:
+def nullclines_cross(cross, own, den, ok, spare) -> None:
     """den = b12*b21 - b11*b22 = cross - own; ok where |den| >= INTERIOR_DENOM_EPS
-    * max(|cross|, |own|, 1e-300) and den is finite.  True, ``ok`` unwritten,
-    when the extremes show every element ok (exact: rounding is monotone, and
-    NaN fails); else False, ``ok`` written and the pair ``spare`` spent."""
+    * max(|cross|, |own|, 1e-300) and den is finite, elementwise; the pair
+    ``spare`` is spent."""
     np.subtract(cross, own, out=den)
-    lo, hi = den.min(initial=np.inf), den.max(initial=-np.inf)
-    if -np.inf < lo <= hi < np.inf and (lo > 0 or hi < 0):       # finite, one sign
-        largest = max(-cross.min(), cross.max(), -own.min(), own.max(), 1e-300)
-        if (lo if lo > 0 else -hi) >= largest * INTERIOR_DENOM_EPS:
-            return True
     scale, abs_den = spare
     np.maximum(np.abs(cross, out=scale), np.abs(own, out=abs_den), out=scale)
     np.maximum(scale, 1e-300, out=scale)
@@ -63,7 +58,6 @@ def nullclines_cross(cross, own, den, ok, spare) -> bool:
     # A finite den implies finite products, hence a finite scale.
     np.abs(den, out=abs_den)
     np.logical_and(abs_den >= scale, abs_den < np.inf, out=ok)
-    return False
 
 
 def _finite_point(name: str, point: tuple[float, float] | None) -> tuple[float, float] | None:
@@ -78,9 +72,9 @@ def interior_equilibrium(cp: ContinuousParams) -> tuple[float, float] | None:
     are (numerically) parallel by :func:`nullclines_cross`, NumericalError
     when the point is not finite."""
     a1, b11, b12, a2, b21, b22 = map(float, astuple(cp))
-    den, ok = np.empty(1), np.ones(1, dtype=bool)
-    if not (nullclines_cross(np.array([b12 * b21]), np.array([b11 * b22]), den, ok,
-                             np.empty((2, 1))) or ok[0]):
+    den, ok = np.empty(1), np.empty(1, dtype=bool)
+    nullclines_cross(np.array([b12 * b21]), np.array([b11 * b22]), den, ok, np.empty((2, 1)))
+    if not ok[0]:
         return None
     den = float(den[0])
     return _finite_point("interior", ((a1 * b22 - b12 * a2) / den, (b11 * a2 - a1 * b21) / den))
@@ -209,11 +203,13 @@ class BBox:
     y_max: float
 
     def __post_init__(self):
-        if not (np.isfinite([self.x_min, self.x_max, self.y_min, self.y_max]).all()
+        for f in fields(self):
+            check(f.name, getattr(self, f.name), _ANY_REAL)
+        ends = astuple(self)
+        if not (all(map(finite, ends))
                 and 0 < self.x_min < self.x_max and 0 < self.y_min < self.y_max):
-            raise InvalidBBox(
-                f"bbox must satisfy 0 < x_min < x_max and 0 < y_min < y_max, got "
-                f"({self.x_min}, {self.x_max}, {self.y_min}, {self.y_max})")
+            raise InvalidBBox(f"bbox must satisfy 0 < x_min < x_max and 0 < y_min < y_max, "
+                              f"got ({', '.join(map(_shown, ends))})")
 
 
 @dataclass(frozen=True, eq=False)

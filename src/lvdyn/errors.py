@@ -71,9 +71,14 @@ def finite(v) -> bool:
     return -np.inf < v < np.inf and not (isinstance(v, int) and abs(v) > sys.float_info.max)
 
 
-#: Rules of a finite real number, and of one >= 0 (classify_tol, a start x0).
+#: Rules of a finite real number, of one >= 0 (classify_tol, a start x0), and
+#: of one > 0 (an observation).
 FINITE = (REAL, finite, "finite", ValidationError)
 FINITE_NON_NEGATIVE = (REAL, lambda v: v >= 0 and finite(v), "finite and >= 0", ValidationError)
+FINITE_POSITIVE = (REAL, lambda v: v > 0 and finite(v), "finite and > 0", NonPositiveValue)
+#: Rules of a value's type alone, for records that test the values together.
+_ANY_INTEGER = (_INTEGER, lambda v: True, "", ValidationError)
+_ANY_REAL = (REAL, lambda v: True, "", ValidationError)
 
 #: The one rule of each scalar setting, in the order AnalysisConfig.validate
 #: applies them: (value type, test, requirement, error class).  NaN fails

@@ -18,17 +18,19 @@ from enum import Enum
 import numpy as np
 
 from .errors import (
+    _ANY_INTEGER,
     FINITE,
+    FINITE_POSITIVE,
     DenominatorNearZero,
     IllConditioned,
     InsufficientData,
     LengthMismatch,
-    NonPositiveValue,
     NumericalError,
     SingularDesign,
     TrajectoryOverflow,
     ValidationError,
     ZeroObserved,
+    _shown,
     check,
     check_start,
 )
@@ -75,15 +77,14 @@ class TimeSeries:
                 f"years/xs/ys lengths differ: {n}/{len(self.xs)}/{len(self.ys)}")
         if n < 4:
             raise InsufficientData(f"need at least 4 annual observations, got {n}")
-        for i in range(1, n):
-            if self.years[i] != self.years[i - 1] + 1:
-                raise ValidationError(
-                    f"years must be consecutive: {self.years[i - 1]} -> {self.years[i]}")
+        for i, year in enumerate(self.years):
+            check("year", year, _ANY_INTEGER)
+            if i and year != self.years[i - 1] + 1:
+                raise ValidationError(f"years must be consecutive: "
+                                      f"{_shown(self.years[i - 1])} -> {_shown(year)}")
         for name, vals in (("x", self.xs), ("y", self.ys)):
             for year, v in zip(self.years, vals):
-                if not np.isfinite(v) or v <= 0:
-                    raise NonPositiveValue(
-                        f"{name} observation in {year} must be finite and > 0, got {v}")
+                check(f"{name} observation in {_shown(year)}", v, FINITE_POSITIVE)
 
     @property
     def n(self) -> int:

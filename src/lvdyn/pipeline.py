@@ -436,18 +436,21 @@ def _warnings_into(report: Report, stage: str):
         yield
 
 
-def run_pipeline(cfg: AnalysisConfig, stages: set[str] | None = None) -> Report:
+def run_pipeline(cfg: AnalysisConfig, stages: set[str] | frozenset[str] | None = None) -> Report:
     """Execute the analysis chain and (optionally) write output files.
 
-    ``stages`` restricts which analysis stages run (loading and parameter
-    resolution are unconditional); None runs everything.  A stage's LvdynError
-    is wrapped in PipelineStageError carrying the stage name; with an output
-    directory, the partial report is still written, marked ``incomplete``,
-    before the error propagates.  Any other exception is a bug, not wrapped.
+    ``stages``, a set of names in PIPELINE_STAGES, restricts which analysis
+    stages run (loading and parameter resolution are unconditional); None runs
+    everything.  A stage's LvdynError is wrapped in PipelineStageError carrying
+    the stage name; with an output directory, the partial report is still
+    written, marked ``incomplete``, before the error propagates.  Any other
+    exception is a bug, not wrapped.
     """
     cfg.validate()
     if stages is None:
         stages = set(PIPELINE_STAGES)
+    elif not (isinstance(stages, (set, frozenset)) and all(isinstance(s, str) for s in stages)):
+        raise ValidationError(f"stages must be None or a set of stage names, got {stages!r}")
     else:
         unknown = stages.difference(PIPELINE_STAGES)
         if unknown:

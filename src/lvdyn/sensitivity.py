@@ -7,12 +7,12 @@ from a scrambled Sobol' sequence, and first-order / total-order variance
 shares are estimated per output.  The design keeps only its base matrices A
 and B; the N*(D+2) parameter sets are evaluated one block row at a time
 (A, each A_B^i, B) from column views of A and B, each A_B^i sharing the A
-row's products that do not hold parameter i.  A box that interval arithmetic
-proves valid once is evaluated without a test; otherwise a row whose extremes
-show every point valid skips the elementwise tests, exactly.  Outputs are
-laid out (output, block row, base index).  Parameter draws whose equilibrium is
-non-finite or leaves the first quadrant are rejected; rejection removes the
-whole base-index triple so estimator pairings stay aligned.  Every estimator
+row's products that do not hold parameter i.  Outputs are laid out (output,
+block row, base index).  Parameter draws whose equilibrium is non-finite or
+leaves the first quadrant are rejected, one of two ways: a box that interval
+arithmetic proves valid once is evaluated without a test, and any other box
+tests every point elementwise.  Rejection removes the whole base-index
+triple so estimator pairings stay aligned.  Every estimator
 mean and variance is numpy's pairwise sum along a C-contiguous row of base
 indices, whose rounding error grows with log N rather than N (Higham 1993),
 whatever the memory order of the outputs.
@@ -96,19 +96,10 @@ def _direction_numbers() -> np.ndarray:
 _DIRECTIONS = _direction_numbers()
 
 
-def _sobol_points(n: int, seed: int) -> np.ndarray:
-    """Digits of the first n points of the scrambled 2*N_PARAMS-dim Sobol' sequence.
-
-    (2*N_PARAMS, n) uint32; point j's coordinate d is ``points[d, j] * 2**-_SOBOL_BITS``.
-    Matousek's (1998) linear matrix scrambling and a digital shift, drawn from
-    ``np.random.default_rng(seed)`` as scipy.stats.qmc.Sobol draws them, make the
-    scaled, transposed points ``Sobol(d=12, scramble=True, seed=seed).random(n)``; n = 2^k.
-    """
-    return _gray_code_fill(np.empty((len(_DIRECTIONS), n), dtype=np.uint32), *_scramble(seed))
-
-
 def _scramble(seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """The digital shift (dims,) and Gray-code flips (dims, _SOBOL_BITS) of seed's sequence."""
+    """The digital shift (dims,) and Gray-code flips (dims, _SOBOL_BITS) of seed's sequence,
+    with Matousek's (1998) linear matrix scrambling, drawn from
+    ``np.random.default_rng(seed)`` as scipy.stats.qmc.Sobol draws them."""
     rng = np.random.default_rng(seed)
     dims = len(_DIRECTIONS)
     msb_first = 1 << np.arange(_SOBOL_BITS - 1, -1, -1, dtype=np.uint32)
@@ -217,6 +208,10 @@ class ParamBounds:
         if not np.all(lo < hi):
             bad = [PARAM_NAMES[i] for i in range(N_PARAMS) if lo[i] >= hi[i]]
             raise ValidationError(f"lower must be < upper for every parameter: {bad}")
+        wide = [p for p, low, up in zip(PARAM_NAMES, lo.tolist(), hi.tolist())
+                if up - low == math.inf]
+        if wide:
+            raise ValidationError(f"upper - lower must be finite for every parameter: {wide}")
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", hi)
 
@@ -348,7 +343,8 @@ def evaluate_equilibria(design: SaltelliDesign, *, _ws=None,
     parameter i, and the terms that hold those: 24 products in place of 48,
     6 denominators in place of 8, 12 numerators in place of 16.  Operands
     keep their order, so every bit is that of :func:`~lvdyn.dynamics.interior_equilibrium`.
-    A private ``_box`` that holds the design and :func:`_box_proves_valid` clears skips every test.
+    A private ``_box`` that holds the design and that :func:`_box_proves_valid` clears marks
+    every point valid and tests none; any other design tests every point elementwise.
     """
     n = design.n_base
     proved = _box is not None and _box_proves_valid(*_box)
@@ -369,51 +365,46 @@ def evaluate_equilibria(design: SaltelliDesign, *, _ws=None,
         #   cross = b12*b21, p2 = b12*a2  last used by row 6, kept in row 7
         (p1, p4), (own, p3), (cross, p2) = out[:, 5], out[:, 6], out[:, 7]
 
-        def crossing(cross, own, den, ok, spare) -> bool:   # den alone where proved
-            return (np.subtract(cross, own, out=den) is den if proved
-                    else nullclines_cross(cross, own, den, ok, spare))
+        def crossing(k: int, cross, own, den) -> None:      # den alone where proved
+            if proved:
+                np.subtract(cross, own, out=den)
+            else:
+                nullclines_cross(cross, own, den, ok[k], out[:, k])
 
-        def screen(k: int, num_x, num_y, den, ok_all: bool) -> None:
-            """Output row k and its validity, from ok[k] unless ok_all."""
-            points, row_valid = out[:, k], ok[k]
-            np.divide(num_x, den, out=points[0])
-            np.divide(num_y, den, out=points[1])
-            if ok_all:
-                row_valid.fill(True)
-                if proved or points.min() >= 0 and points.max() < np.inf:
-                    return
-            row_valid &= ((points >= 0) & (points < np.inf)).all(axis=0)
-            if not row_valid.all():
-                points[:, ~row_valid] = np.nan
+        def divide(k: int, num_x, num_y, den) -> None:       # output row k
+            np.divide(num_x, den, out=out[0, k])
+            np.divide(num_y, den, out=out[1, k])
 
         with np.errstate(all="ignore"):
-            ok_a = crossing(np.multiply(b12, b21, out=cross),
-                            np.multiply(b11, b22, out=own), den, ok[0], out[:, 0])
-            if not ok_a:                       # A_B^1 and A_B^4 keep A's denominator
-                ok[[1, 4]] = ok[0]
+            crossing(0, np.multiply(b12, b21, out=cross), np.multiply(b11, b22, out=own), den)
             np.subtract(np.multiply(a1, b22, out=p1), np.multiply(b12, a2, out=p2), out=num_x)
             np.subtract(np.multiply(b11, a2, out=p3), np.multiply(a1, b21, out=p4), out=num_y)
-            screen(0, num_x, num_y, den, ok_a)
+            divide(0, num_x, num_y, den)
             # A_B^i recomputes the denominator for i in b11, b12, b21, b22, the
             # numerator of x* for i not in b11, b21, that of y* for i not in b12, b22.
-            screen(1, np.subtract(np.multiply(b[0], b22, out=t0), p2, out=t0),
-                   np.subtract(p3, np.multiply(b[0], b21, out=t1), out=t1), den, ok_a)
-            ok_k = crossing(cross, np.multiply(b[1], b22, out=t0), t1, ok[2], out[:, 2])
-            screen(2, num_x, np.subtract(np.multiply(b[1], a2, out=t2), p4, out=t2), t1, ok_k)
-            ok_k = crossing(np.multiply(b[2], b21, out=t0), own, t1, ok[3], out[:, 3])
-            screen(3, np.subtract(p1, np.multiply(b[2], a2, out=t2), out=t2), num_y, t1, ok_k)
-            screen(4, np.subtract(p1, np.multiply(b12, b[3], out=t0), out=t0),
-                   np.subtract(np.multiply(b11, b[3], out=t1), p4, out=t1), den, ok_a)
-            ok_k = crossing(np.multiply(b12, b[4], out=t0), own, t1, ok[5], out[:, 5])
-            screen(5, num_x, np.subtract(p3, np.multiply(a1, b[4], out=t2), out=t2), t1, ok_k)
-            ok_k = crossing(cross, np.multiply(b11, b[5], out=t0), t1, ok[6], out[:, 6])
-            screen(6, np.subtract(np.multiply(a1, b[5], out=t2), p2, out=t2), num_y, t1, ok_k)
+            divide(1, np.subtract(np.multiply(b[0], b22, out=t0), p2, out=t0),
+                   np.subtract(p3, np.multiply(b[0], b21, out=t1), out=t1), den)
+            crossing(2, cross, np.multiply(b[1], b22, out=t0), t1)
+            divide(2, num_x, np.subtract(np.multiply(b[1], a2, out=t2), p4, out=t2), t1)
+            crossing(3, np.multiply(b[2], b21, out=t0), own, t1)
+            divide(3, np.subtract(p1, np.multiply(b[2], a2, out=t2), out=t2), num_y, t1)
+            divide(4, np.subtract(p1, np.multiply(b12, b[3], out=t0), out=t0),
+                   np.subtract(np.multiply(b11, b[3], out=t1), p4, out=t1), den)
+            crossing(5, np.multiply(b12, b[4], out=t0), own, t1)
+            divide(5, num_x, np.subtract(p3, np.multiply(a1, b[4], out=t2), out=t2), t1)
+            crossing(6, cross, np.multiply(b11, b[5], out=t0), t1)
+            divide(6, np.subtract(np.multiply(a1, b[5], out=t2), p2, out=t2), num_y, t1)
             # B: every product anew, in scratch rows the A row is done with.
-            ok_k = crossing(np.multiply(b[2], b[4], out=t0),
-                            np.multiply(b[1], b[5], out=t1), t2, ok[7], out[:, 7])
+            crossing(7, np.multiply(b[2], b[4], out=t0), np.multiply(b[1], b[5], out=t1), t2)
             np.subtract(np.multiply(b[0], b[5], out=t0), np.multiply(b[2], b[3], out=t1), out=t0)
             np.subtract(np.multiply(b[1], b[3], out=t1), np.multiply(b[0], b[4], out=den), out=t1)
-            screen(7, t0, t1, t2, ok_k)
+            divide(7, t0, t1, t2)
+            if proved:
+                ok.fill(True)
+            else:                               # A_B^1 and A_B^4 keep A's denominator
+                ok[[1, 4]] = ok[0]
+                ok &= ((out >= 0) & (out < np.inf)).all(axis=0)
+                out[:, ~ok] = np.nan
 
     _run_parts(evaluate, n, _part_count(n))
     return outputs, valid

@@ -26,13 +26,15 @@ from lvdyn import dynamics
 from lvdyn.dynamics import INTERIOR_DENOM_EPS, NEGATIVE_STATE_TOL, Trajectory, _rk4_step
 from lvdyn.errors import (NegativeState, StepTooLarge, TrajectoryOverflow, ValidationError,
                           check_start)
-from lvdyn.sensitivity import (_SOBOL_BITS, BLOCK, N_PARAMS, SaltelliDesign, _sobol_points,
-                               evaluate_equilibria as evaluate_design)
+from lvdyn.sensitivity import (_SOBOL_BITS, BLOCK, N_PARAMS, SaltelliDesign, _gray_code_fill,
+                               _scramble, evaluate_equilibria as evaluate_design)
 
 
 def sobol_unit(n: int, seed: int) -> np.ndarray:
-    """(n, 12) scrambled Sobol' points in [0, 1), as scipy.stats.qmc.Sobol gives them."""
-    return (_sobol_points(n, seed) * 2.0 ** -_SOBOL_BITS).T
+    """(n, 12) scrambled Sobol' points in [0, 1), n = 2^k, as scipy.stats.qmc.Sobol gives
+    them: ``Sobol(d=12, scramble=True, seed=seed).random(n)``."""
+    digits = _gray_code_fill(np.empty((2 * N_PARAMS, n), dtype=np.uint32), *_scramble(seed))
+    return (digits * 2.0 ** -_SOBOL_BITS).T
 
 
 def saltelli_matrix(bounds, n_base: int, seed: int) -> np.ndarray:

@@ -356,6 +356,18 @@ def test_phase_geometry_fails_typed_when_the_field_overflows():
         phase_geometry(cp, BBox(1.0, 30.0, 1.0, 1e306), 2)
 
 
+@pytest.mark.parametrize("ends,error,match", [
+    (("a", 1.0, 1.0, 2.0), ValidationError, r"x_min must be a real number, got 'a'"),
+    ((1, 10**400, 1, 2), InvalidBBox, r"got \(1, 10{400}, 1, 2\)$"),
+    ((1.0, np.inf, 1.0, 2.0), InvalidBBox,
+     r"^bbox must satisfy 0 < x_min < x_max and 0 < y_min < y_max, got \(1.0, inf, 1.0, 2.0\)$"),
+], ids=["str", "huge-int", "inf"])
+def test_bbox_rejects_ends_of_the_wrong_type_or_not_finite(ends, error, match):
+    # np.isfinite raised a bare TypeError on the first two.
+    with pytest.raises(error, match=match):
+        BBox(*ends)
+
+
 def test_phase_geometry_invalid_inputs():
     cp = cp_for("ai_physical")
     with pytest.raises(InvalidBBox):

@@ -65,6 +65,22 @@ def test_time_series_rejects_non_positive():
         series([1, 2, 3, 4], [1, 2, -3, 4])
 
 
+@pytest.mark.parametrize("years,x,match", [
+    (tuple(range(2000, 2004)), "a", r"x observation in 2000 must be a real number, got 'a'"),
+    (tuple(range(2000, 2004)), 10**400, "x observation in 2000 must be finite and > 0"),
+    (("a", "b", "c", "d"), 1.0, r"year must be an integer, got 'a'"),
+], ids=["x-str", "x-huge-int", "years-str"])
+def test_time_series_rejects_values_of_the_wrong_type(years, x, match):
+    # np.isfinite and + 1 raised a bare TypeError on each of these.
+    with pytest.raises(ValidationError, match=match):
+        TimeSeries(label_x="x", label_y="y", unit="u", years=years,
+                   xs=(x, 2.0, 3.0, 4.0), ys=(1.0, 2.0, 3.0, 4.0))
+    # A float keeps its message.
+    with pytest.raises(NonPositiveValue, match=r"^x observation in 2000 must be finite and > 0, "
+                                               r"got inf$"):
+        series([np.inf, 2, 3, 4], [1, 2, 3, 4])
+
+
 def test_time_series_rejects_length_mismatch():
     with pytest.raises(LengthMismatch):
         TimeSeries(label_x="x", label_y="y", unit="u",

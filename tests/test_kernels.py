@@ -126,6 +126,13 @@ def test_analyze_sensitivity_matches_reference_chain(case, seed, fraction):
 def test_analyze_sensitivity_matches_reference_chain_large_n():
     res = assert_chain_matches(params_for("fitted:ai_physical"), 0.5, 2**16, 42)
     assert res.retained_triples < 2**16
+    # At 0.18 the box is not proved valid, yet this sample rejects no row:
+    # every row takes the elementwise tests and keeps every point.
+    cp = params_for("fitted:ai_physical")
+    assert not sensitivity._box_proves_valid(*sensitivity._sample_box(
+        bounds_from_baseline(cp, 0.18)))
+    res = assert_chain_matches(cp, 0.18, 2**16, 42)
+    assert res.rejected_count == 0 and res.retained_triples == 2**16
 
 
 @pytest.mark.parametrize("fraction", [0.1, 0.5])
@@ -486,18 +493,17 @@ def test_overflow_in_a_helper_thread_emits_no_warning(monkeypatch, parts):
 
 
 # ---------------------------------------------------------------------------
-# The evaluation's shortcuts and the elementwise paths they skip
+# The elementwise tests of a design whose box is not proved valid
 # ---------------------------------------------------------------------------
 
 @pytest.fixture
 def denominator_calls(monkeypatch):
-    """What every nullclines_cross call of the evaluation returned:
-    True where its extremes showed every point ok."""
+    """How many points every nullclines_cross call of the evaluation tested."""
     calls = []
 
-    def recorded(*args):
-        calls.append(nullclines_cross(*args))
-        return calls[-1]
+    def recorded(cross, *args):
+        calls.append(len(cross))
+        nullclines_cross(cross, *args)
 
     monkeypatch.setattr(sensitivity, "nullclines_cross", recorded)
     return calls
@@ -514,7 +520,7 @@ NEAR_PARALLEL = np.array([i for i in range(0, 2**16, 89) if i % 97])
 
 
 def slow_path_design(case: str) -> SaltelliDesign:
-    """A design of N = 2^16 built directly from A and B that takes one slow path."""
+    """A design of N = 2^16 built directly from A and B that fails one elementwise test."""
     rng, n = np.random.default_rng(11), 2**16
     if case == "denominator":
         # b12*b21 - b11*b22 changes sign, and every 97th A row is exactly
@@ -558,27 +564,28 @@ def test_slow_paths_match_reference_large_n(monkeypatch, denominator_calls, case
         outputs, valid = evaluate_equilibria(design, _ws=ws)
         assert_same(outputs, want_out)
         assert np.array_equal(valid, want_valid)
-    # Six denominators per part and call; every case rejects some rows, so
-    # the validity tests run elementwise.
+    # Six denominators per part and call, each tested at every point of its
+    # part; every case rejects some rows.
     assert len(denominator_calls) == 2 * 6 * parts
+    assert sum(denominator_calls) == 2 * 6 * design.n_base
     assert not valid.all()
     points, ok = ref.interior_equilibria(ref.design_rows(design).reshape(-1, 6))
     if case == "denominator":
-        assert not any(denominator_calls)
         assert not ok.all() and ok.any()
         # A_B^1 and A_B^4 take the A row's nullcline rule.
         assert not valid[[0, 1, 4], ::97].any()
         assert np.array_equal(valid[[0, 1, 4]][:, NEAR_PARALLEL],
                               np.tile(NEAR_PARALLEL % 2 == 1, (3, 1)))
     else:
-        assert all(denominator_calls) and ok.all()
+        assert ok.all()
         if case == "negative":
             assert (points < 0).any() and np.isfinite(points).all()
         else:
             assert np.isinf(points).any()
 
 
-def test_clean_design_takes_both_shortcuts(monkeypatch, denominator_calls):
+def test_clean_design_without_a_box_tests_every_point(monkeypatch, denominator_calls):
+    # Every point is valid, but a direct call passes no box to prove it.
     force_parts(monkeypatch, 2)
     design = saltelli_sample(bounds_from_baseline(params_for("published:ai_physical"), 0.1),
                              2**16, 3)
@@ -586,7 +593,7 @@ def test_clean_design_takes_both_shortcuts(monkeypatch, denominator_calls):
     want_out, want_valid = ref.design_equilibria(design)
     assert_same(outputs, want_out)
     assert np.array_equal(valid, want_valid)
-    assert len(denominator_calls) == 12 and all(denominator_calls)
+    assert denominator_calls == [2**15] * 12
     assert valid.all()
 
 
@@ -608,22 +615,25 @@ def test_small_direct_designs_in_parts_match_reference(monkeypatch, n):
         assert np.array_equal(row_valid, want_valid)
 
 
-def test_denominator_shortcut_is_exact_at_the_threshold():
+def test_denominator_test_is_exact_at_the_threshold():
     # |den| of 9 units of 2^-53 is just under 1e-15 * max(|cross|, |own|):
-    # one such row among ok rows must fail the shortcut and be not ok.
-    # Both signs of the products: the largest magnitude may be a minimum.
+    # one such row among ok rows must be not ok.  Both signs of the
+    # products: the largest magnitude may be a minimum.
     k = np.array([10.0, 9.0, 12.0, 10.0])
     den, ok, spare = np.empty(4), np.empty(4, dtype=bool), np.empty((2, 4))
     for sign in (1.0, -1.0):
         cross, own = sign * np.ones(4), sign * (1.0 - k * 2.0**-53)
-        assert not nullclines_cross(cross, own, den, ok, spare)
+        ok.fill(False)
+        nullclines_cross(cross, own, den, ok, spare)
         assert ok.tolist() == [True, False, True, True]
-        assert nullclines_cross(cross[[0, 2]], own[[0, 2]], den[:2], ok[:2], spare[:, :2])
-    assert not nullclines_cross(np.array([1.0, np.nan]), np.array([0.5, 0.5]), den[:2],
-                                ok[:2], spare[:, :2])
+        assert np.array_equal(den, cross - own)
+        nullclines_cross(cross[[0, 2]], own[[0, 2]], den[:2], ok[:2], spare[:, :2])
+        assert ok[:2].all()
+    nullclines_cross(np.array([1.0, np.nan]), np.array([0.5, 0.5]), den[:2], ok[:2],
+                     spare[:, :2])
     assert ok[:2].tolist() == [True, False]
-    # No elements: nothing to reduce, and nothing ok to report.
-    assert not nullclines_cross(den[:0], den[:0], den[:0], ok[:0], spare[:, :0])
+    # No elements: nothing to write.
+    nullclines_cross(den[:0], den[:0], den[:0], ok[:0], spare[:, :0])
     # The box proof draws the same line on a box of one point, at x* = y* = 0.
     for k, proved in ((9, False), (10, True)):
         for sign in (1.0, -1.0):

@@ -483,6 +483,15 @@ def test_unknown_names_fail_validation_before_any_work(tmp_path, overrides, stag
         run_pipeline(cfg, stages)
 
 
+@pytest.mark.parametrize("stages", [["sobol"], "sobol", ("sobol",), {"sobol": 1}, {1},
+                                    frozenset({"sobol", None})],
+                         ids=["list", "str", "tuple", "dict", "set-of-int", "frozenset-with-None"])
+def test_stages_that_are_not_a_set_of_names_fail_validation(stages):
+    # A list or a str raised a bare AttributeError (.difference).
+    with pytest.raises(ValidationError, match="stages must be None or a set of stage names"):
+        run_pipeline(config_for("ai_physical"), stages)
+
+
 @pytest.mark.parametrize("name,value", [
     ("formats", None), ("baseline_key", []), ("input_path", None), ("out_dir", 3),
     ("params_from_paper", "false"), ("params_from_paper", 1), ("unit", 3), ("year_col", None),

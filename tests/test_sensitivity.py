@@ -87,6 +87,16 @@ def test_param_bounds_validation():
         ParamBounds(lower=np.zeros(5), upper=np.ones(5))
 
 
+@pytest.mark.filterwarnings("error")
+def test_param_bounds_reject_a_width_that_overflows():
+    # upper - lower overflowed with a RuntimeWarning, and the sampler then
+    # drew infinite values.
+    lower = np.array([-1e308, 0.0, 0.0, 0.0, -1e308, 0.0])
+    with pytest.raises(ValidationError, match=r"upper - lower must be finite for every "
+                                              r"parameter: \['a1', 'b21'\]"):
+        ParamBounds(lower=lower, upper=np.abs(lower) + 1.0)
+
+
 # ---------------------------------------------------------------------------
 # Saltelli design
 # ---------------------------------------------------------------------------

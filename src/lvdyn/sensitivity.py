@@ -18,11 +18,11 @@ indices, whose rounding error grows with log N rather than N (Higham 1993),
 whatever the memory order of the outputs.
 
 From N = 2 * MIN_PART on, each kernel splits its work into parts, one per
-usable CPU, and runs every part beyond the first in a thread of its own:
-sampling by rows of A and B (their Sobol' digits, then scaling), evaluation
-by ranges of base indices, the estimators by output (its variance too).
-Each part applies the same elementwise operations and full-row sums to its
-own slice, so every result is bit-identical whatever the number of parts.
+usable CPU, and hands every part beyond the first to a helper thread that
+stays alive for later calls: sampling by rows of A and B, evaluation by
+ranges of base indices, the estimators by leaves of the pairwise-sum tree of
+every row, whose sums the caller adds in the tree's order.  So every result
+is bit-identical whatever the number of parts.
 
 A public call of a kernel allocates its arrays afresh, so nothing it
 returns is written by a later call.  Only :func:`analyze_sensitivity`, from
@@ -33,13 +33,14 @@ on its next call of the same size.  It holds A|B, the outputs and their
 validity, and one scratch buffer shared by temporaries that are never alive
 at once: the Sobol' digits while sampling, the A row's denominator and
 numerators and each row's temporaries while evaluating (its products wait in
-output rows not yet written), then, in one half per output, the pooled A|B
-outputs its variance overwrites and its difference/product pair.
+output rows not yet written), then the pooled A|B outputs that the variance
+overwrites, in four rows, and one difference/product pair in the other two.
 """
 
 from __future__ import annotations
 
 import contextvars
+import functools
 import math
 import os
 import threading
@@ -61,8 +62,8 @@ OUTPUT_NAMES = ("x_star", "y_star")
 MIN_RETAINED_FRACTION = 0.5
 
 #: Fewest base indices per part: below 2 * MIN_PART base indices each kernel
-#: runs in the calling thread alone, where starting a thread costs more than
-#: it saves.
+#: runs in the calling thread alone, where handing a part to a helper thread
+#: costs about as much as it saves.
 MIN_PART = 1 << 15
 
 #: Bits per Sobol' coordinate: every point is a multiple of 2**-_SOBOL_BITS.
@@ -141,38 +142,74 @@ def _part_count(n_base: int) -> int:
     return max(1, min(_usable_cpus(), n_base // MIN_PART))
 
 
+class _Helper:
+    """A daemon thread that runs each part handed to it: the caller sets ``task`` and
+    releases ``go``, the thread runs it and releases ``done`` (locks as semaphores)."""
+
+    def __init__(self) -> None:
+        self.go, self.done = threading.Lock(), threading.Lock()
+        self.go.acquire(), self.done.acquire()
+        threading.Thread(target=self._serve, daemon=True).start()
+
+    def _serve(self) -> None:
+        while self.go.acquire():
+            self.task()
+            self.done.release()
+
+
+#: Idle helper threads: a call takes one per extra part and puts it back.
+_HELPERS: list[_Helper] = []
+if hasattr(os, "register_at_fork"):    # a child of os.fork runs none of its parent's threads
+    os.register_at_fork(after_in_child=lambda: _HELPERS.clear())
+
+
+def _take_helper() -> _Helper:
+    """An idle helper thread, or a new one when none is idle."""
+    try:
+        return _HELPERS.pop()
+    except IndexError:
+        return _Helper()
+
+
 def _run_parts(work, count: int, parts: int) -> None:
     """Call ``work(lo, hi)`` on ``parts`` contiguous ranges that cover range(count).
 
-    The first range runs in the calling thread, each other one in a thread
-    of its own, started in a copy of the caller's context so that numpy's
-    error state (``np.errstate``) holds there too.  numpy releases the GIL
-    inside the ufuncs and reductions the kernels call, so the parts run at
-    once.  Every thread is joined before the first part's error, in range
-    order, is raised again in the caller with its own class.
+    The first range runs in the calling thread, each other one in a helper
+    thread in a copy of the caller's context, so that ``np.errstate`` holds
+    there too; numpy releases the GIL in the kernels' ufuncs.  Once every range
+    has run, the first error, in range order, is raised again in the caller.
     """
     parts = min(parts, count)
     edges = [count * p // parts for p in range(parts + 1)]
     errors = [None] * parts
 
-    def run(p: int, context: contextvars.Context) -> None:
+    def run(p: int) -> None:
         try:
-            context.run(work, edges[p], edges[p + 1])
+            work(edges[p], edges[p + 1])
         except BaseException as exc:   # raised again in the caller
             errors[p] = exc
 
-    threads = [threading.Thread(target=run, args=(p, contextvars.copy_context()))
-               for p in range(1, parts)]
-    for thread in threads:
-        thread.start()
-    try:
-        work(edges[0], edges[1])
-    finally:
-        for thread in threads:
-            thread.join()
-    for exc in errors:
-        if exc is not None:
-            raise exc
+    helpers = [_take_helper() for _ in range(parts - 1)]
+    for p, helper in enumerate(helpers, 1):
+        helper.task = functools.partial(contextvars.copy_context().run, run, p)
+        helper.go.release()
+    run(0)
+    for helper in helpers:
+        helper.done.acquire()
+    _HELPERS.extend(helpers)
+    for exc in filter(None, errors):
+        raise exc
+
+
+def _pairwise(lo: int, hi: int, depth: int, leaf):
+    """``leaf(start, stop)`` of each node at ``depth`` of numpy's pairwise-sum tree over
+    range(lo, hi), added in the tree's order (Higham 1993): a node of more than 128
+    elements splits at half its length, rounded down to a multiple of 8.  A leaf returning
+    its node's sum gives the row's sum bit for bit; one returning [(start, stop)] lists it."""
+    if depth == 0 or hi - lo <= 128:
+        return leaf(lo, hi)
+    mid = lo + (hi - lo) // 2 // 8 * 8
+    return _pairwise(lo, mid, depth - 1, leaf) + _pairwise(mid, hi, depth - 1, leaf)
 
 
 #: The arrays of the last design each thread analysed, reused by its next
@@ -431,12 +468,6 @@ class SobolResult:
     seed: int
 
 
-def _variance_in_place(pool: np.ndarray) -> np.ndarray:
-    """np.var(pool, axis=-1) of (k, m) pool by np.var's steps in its order, overwriting pool."""
-    mean = pool.sum(axis=-1, keepdims=True) / pool.shape[-1]
-    return np.square(np.subtract(pool, mean, out=pool), out=pool).sum(axis=-1) / pool.shape[-1]
-
-
 def sobol_indices(
     design: SaltelliDesign, outputs: np.ndarray, valid: np.ndarray, *, _ws=None
 ) -> SobolResult:
@@ -455,7 +486,7 @@ def sobol_indices(
     Summation: each mean is numpy's pairwise sum over one C-contiguous row
     per output, whatever the memory order of ``outputs``; the variance of the
     pooled A and B outputs takes ``np.var``'s steps in place.  Large designs
-    estimate the two outputs at once.
+    split every sum along its pairwise-sum tree, which leaves every bit as it is.
     """
     n = design.n_base
     if outputs.shape != (2, BLOCK, n) or valid.shape != (BLOCK, n):
@@ -473,23 +504,45 @@ def sobol_indices(
     blocks = (np.ascontiguousarray(outputs) if retained == n
               else np.compress(keep, outputs, axis=-1))
     f_a, f_b = blocks[:, 0], blocks[:, -1]       # (2, retained)
-    # Half o of temps holds output o's pooled A|B outputs, then its diff|prod pair.
-    temps = np.empty(4 * retained) if _ws is None else _ws[3].reshape(-1)[:4 * retained]
-    pooled, pairs = temps.reshape(2, 2 * retained), temps.reshape(2, 2, retained)
-    # A tiny positive variance can still overflow a ratio; checked below.
-    variance, (first, total) = np.empty(2), np.empty((2, 2, N_PARAMS))
+    # Each part sums its leaves of the trees of the rows and of the pooled A|B rows.
+    parts = _part_count(n)
+    depth = (parts - 1).bit_length()             # ceil(log2(parts))
+    rows, pooled_rows = (_pairwise(0, m, depth, lambda lo, hi: [(lo, hi)])
+                         for m in (retained, 2 * retained))
+    temps = np.empty(6 * retained) if _ws is None else _ws[3].reshape(-1)[:6 * retained]
+    pooled, (diff, prod) = temps[:4 * retained].reshape(2, -1), temps[4 * retained:].reshape(2, -1)
+    row_sums, pooled_sums, square_sums = {}, {}, {}
 
-    def estimate(lo: int, hi: int) -> None:      # outputs lo..hi-1
-        pool, d, p = pooled[lo:hi], pairs[lo:hi, 0], pairs[lo:hi, 1]
-        with np.errstate(over="ignore", invalid="ignore"):
-            pool[:, :retained], pool[:, retained:] = f_a[lo:hi], f_b[lo:hi]
-            variance[lo:hi] = _variance_in_place(pool)
-            for i in range(N_PARAMS):
-                np.subtract(blocks[lo:hi, 1 + i], f_a[lo:hi], out=d)   # f(A_B^i) - f(A)
-                first[lo:hi, i] = np.multiply(f_b[lo:hi], d, out=p).mean(axis=-1)
-                total[lo:hi, i] = np.square(d, out=p).mean(axis=-1)
+    def estimate(lo: int, hi: int) -> None:      # leaves lo..hi-1 of each tree
+        for start, stop in pooled_rows[lo:hi]:
+            mid = min(max(start, retained), stop)
+            pooled[:, start:mid] = f_a[:, start:mid]
+            pooled[:, mid:stop] = f_b[:, mid - retained:stop - retained]
+            pooled_sums[start] = pooled[:, start:stop].sum(axis=-1)
+        for start, stop in rows[lo:hi]:
+            sums = row_sums[start] = np.empty((2, 2, N_PARAMS))
+            d, p = diff[start:stop], prod[start:stop]
+            for o, i in np.ndindex(2, N_PARAMS):         # f(A_B^i) - f(A)
+                np.subtract(blocks[o, 1 + i, start:stop], f_a[o, start:stop], out=d)
+                sums[0, o, i] = np.multiply(f_b[o, start:stop], d, out=p).sum()
+                sums[1, o, i] = np.square(d, out=p).sum()
 
-    _run_parts(estimate, len(OUTPUT_NAMES), _part_count(n))
+    def center(lo: int, hi: int) -> None:        # np.var's steps, in place
+        for start, stop in pooled_rows[lo:hi]:
+            pool = np.subtract(pooled[:, start:stop], mean, out=pooled[:, start:stop])
+            square_sums[start] = np.square(pool, out=pool).sum(axis=-1)
+
+    def tree_mean(sums: dict, length: int) -> np.ndarray:
+        return _pairwise(0, length, depth, lambda lo, hi: sums[lo]) / length
+
+    # The parts run in this error state.  A tiny positive variance can still
+    # overflow a ratio; checked below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        _run_parts(estimate, max(len(rows), len(pooled_rows)), parts)
+        mean = tree_mean(pooled_sums, 2 * retained)[:, None]
+        _run_parts(center, len(pooled_rows), parts)
+        variance = tree_mean(square_sums, 2 * retained)
+        first, total = tree_mean(row_sums, retained)
     if not np.all((variance > 0) & (variance < np.inf)):
         raise DegenerateVariance(
             f"pooled output variance is {variance.tolist()}; the variance "

@@ -40,7 +40,6 @@ overwrites, in four rows, and one difference/product pair in the other two.
 from __future__ import annotations
 
 import contextvars
-import functools
 import math
 import os
 import threading
@@ -143,8 +142,7 @@ def _part_count(n_base: int) -> int:
 
 
 class _Helper:
-    """A daemon thread that runs each part handed to it: the caller sets ``task`` and
-    releases ``go``, the thread runs it and releases ``done`` (locks as semaphores)."""
+    """A daemon thread that runs ``task`` on each release of ``go``, then releases ``done``."""
 
     def __init__(self) -> None:
         self.go, self.done = threading.Lock(), threading.Lock()
@@ -161,14 +159,6 @@ class _Helper:
 _HELPERS: list[_Helper] = []
 if hasattr(os, "register_at_fork"):    # a child of os.fork runs none of its parent's threads
     os.register_at_fork(after_in_child=lambda: _HELPERS.clear())
-
-
-def _take_helper() -> _Helper:
-    """An idle helper thread, or a new one when none is idle."""
-    try:
-        return _HELPERS.pop()
-    except IndexError:
-        return _Helper()
 
 
 def _run_parts(work, count: int, parts: int) -> None:
@@ -189,23 +179,29 @@ def _run_parts(work, count: int, parts: int) -> None:
         except BaseException as exc:   # raised again in the caller
             errors[p] = exc
 
-    helpers = [_take_helper() for _ in range(parts - 1)]
-    for p, helper in enumerate(helpers, 1):
-        helper.task = functools.partial(contextvars.copy_context().run, run, p)
-        helper.go.release()
-    run(0)
-    for helper in helpers:
-        helper.done.acquire()
-    _HELPERS.extend(helpers)
+    helpers = []
+    try:
+        for p in range(1, parts):
+            try:                       # an idle helper, or a new one when none is idle
+                helper = _HELPERS.pop()
+            except IndexError:
+                helper = _Helper()
+            helper.task = lambda p=p, context=contextvars.copy_context(): context.run(run, p)
+            helper.go.release()
+            helpers.append(helper)
+        run(0)
+    finally:                           # every helper given a part is idle again once it is done
+        for helper in helpers:
+            helper.done.acquire()
+            _HELPERS.append(helper)
     for exc in filter(None, errors):
         raise exc
 
 
-def _pairwise(lo: int, hi: int, depth: int, leaf):
-    """``leaf(start, stop)`` of each node at ``depth`` of numpy's pairwise-sum tree over
-    range(lo, hi), added in the tree's order (Higham 1993): a node of more than 128
-    elements splits at half its length, rounded down to a multiple of 8.  A leaf returning
-    its node's sum gives the row's sum bit for bit; one returning [(start, stop)] lists it."""
+def _pairwise(lo: int, hi: int, depth: int, leaf=lambda lo, hi: [(lo, hi)]):
+    """``leaf(start, stop)`` of each node at ``depth`` of numpy's pairwise-sum tree of
+    range(lo, hi), added in the tree's order (Higham 1993): a node of more than 128 elements
+    splits at half its length, rounded down to a multiple of 8, so leaf sums add up bit for bit."""
     if depth == 0 or hi - lo <= 128:
         return leaf(lo, hi)
     mid = lo + (hi - lo) // 2 // 8 * 8
@@ -507,8 +503,7 @@ def sobol_indices(
     # Each part sums its leaves of the trees of the rows and of the pooled A|B rows.
     parts = _part_count(n)
     depth = (parts - 1).bit_length()             # ceil(log2(parts))
-    rows, pooled_rows = (_pairwise(0, m, depth, lambda lo, hi: [(lo, hi)])
-                         for m in (retained, 2 * retained))
+    rows, pooled_rows = _pairwise(0, retained, depth), _pairwise(0, 2 * retained, depth)
     temps = np.empty(6 * retained) if _ws is None else _ws[3].reshape(-1)[:6 * retained]
     pooled, (diff, prod) = temps[:4 * retained].reshape(2, -1), temps[4 * retained:].reshape(2, -1)
     row_sums, pooled_sums, square_sums = {}, {}, {}
@@ -519,7 +514,7 @@ def sobol_indices(
             pooled[:, start:mid] = f_a[:, start:mid]
             pooled[:, mid:stop] = f_b[:, mid - retained:stop - retained]
             pooled_sums[start] = pooled[:, start:stop].sum(axis=-1)
-        for start, stop in rows[lo:hi]:
+        for start, stop in rows[lo:hi]:          # an output at a time: d and p stay in cache
             sums = row_sums[start] = np.empty((2, 2, N_PARAMS))
             d, p = diff[start:stop], prod[start:stop]
             for o, i in np.ndindex(2, N_PARAMS):         # f(A_B^i) - f(A)
@@ -535,8 +530,7 @@ def sobol_indices(
     def tree_mean(sums: dict, length: int) -> np.ndarray:
         return _pairwise(0, length, depth, lambda lo, hi: sums[lo]) / length
 
-    # The parts run in this error state.  A tiny positive variance can still
-    # overflow a ratio; checked below.
+    # The parts' error state: a tiny positive variance can still overflow a ratio; checked below.
     with np.errstate(over="ignore", invalid="ignore"):
         _run_parts(estimate, max(len(rows), len(pooled_rows)), parts)
         mean = tree_mean(pooled_sums, 2 * retained)[:, None]

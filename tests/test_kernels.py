@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import json
 import os
+import re
 import signal
 import sys
 import threading
@@ -312,11 +313,13 @@ def test_pooled_variance_is_np_var_bit_for_bit_property(monkeypatch):
         with warnings.catch_warnings(), np.errstate(over="ignore", invalid="ignore"):
             warnings.simplefilter("error")
             want = pool.var(axis=-1)
-            try:
-                got = sobol_indices(design, outputs, np.ones((BLOCK, r), dtype=bool))
-            except DegenerateVariance:
-                assert not np.all((want > 0) & (want < np.inf))
+            if not np.all((want > 0) & (want < np.inf)):
+                # A float's repr reads back to its bits: the message holds np.var's values.
+                with pytest.raises(DegenerateVariance,
+                                   match=re.escape(f"pooled output variance is {want.tolist()};")):
+                    sobol_indices(design, outputs, np.ones((BLOCK, r), dtype=bool))
                 return
+            got = sobol_indices(design, outputs, np.ones((BLOCK, r), dtype=bool))
         assert np.array_equal(got.total_variance.view(np.uint64), want.view(np.uint64))
         assert not got.first_order.any() and not got.total_order.any()
 
@@ -342,7 +345,7 @@ def test_pairwise_leaves_add_up_to_np_sum_property():
     def check(n, depth, spread, seed):
         rng = np.random.default_rng(seed)
         row = rng.standard_normal(n) * 10.0 ** rng.uniform(-spread, spread, n)
-        leaves = sensitivity._pairwise(0, n, depth, lambda lo, hi: [(lo, hi)])
+        leaves = sensitivity._pairwise(0, n, depth)
         assert leaves[0][0] == 0 and leaves[-1][1] == n and len(leaves) <= 2**depth
         assert all(stop == start for (_, stop), (start, _) in zip(leaves, leaves[1:]))
         assert all(hi > lo for lo, hi in leaves)
@@ -501,6 +504,30 @@ def test_error_in_a_helper_thread_keeps_its_class(monkeypatch, started_threads):
     monkeypatch.setattr(sensitivity, "nullclines_cross", nullclines_cross)
     assert_same_outcome(outcome("published:ai_physical", 0.5, 256, 1), want)
     assert len(started_threads) == 1
+
+
+def test_a_helper_taken_goes_back_when_the_next_cannot_start(monkeypatch, started_threads):
+    # A 3-part call takes the idle helper, hands it a part and then fails to
+    # start a second one: the error reaches the caller once the part has run,
+    # and the helper is idle again for the next call.
+    bounds = bounds_from_baseline(params_for("fitted:ai_labor"), 0.5)
+    want = split_run(monkeypatch, 2, bounds, 1024, 3)
+    helpers = list(sensitivity._HELPERS)
+    assert len(helpers) == 1
+
+    def cannot_start(self):
+        raise RuntimeError("can't start new thread")
+
+    with monkeypatch.context() as m:
+        m.setattr(sensitivity.threading.Thread, "start", cannot_start)
+        with pytest.raises(RuntimeError, match="can't start new thread"):
+            split_run(monkeypatch, 3, bounds, 1024, 3)
+    assert sensitivity._HELPERS == helpers and helpers[0].done.locked()
+    got = split_run(monkeypatch, 2, bounds, 1024, 3)
+    assert len(started_threads) == 1 and sensitivity._HELPERS == helpers
+    assert_same(got[1], want[1])
+    assert_same(got[3].first_order, want[3].first_order)
+    assert_same(got[3].total_order, want[3].total_order)
 
 
 def test_run_parts_raises_the_first_failing_part():

@@ -85,7 +85,8 @@ _ANY_REAL = (REAL, lambda v: True, "", ValidationError)
 #: every test.  sobol_n stops at 2**30, the length of the Sobol' sequence
 #: with the 30 direction numbers per coordinate that lvdyn.sensitivity has.
 #: grid_n stops at 1024: a grid of 1024 x 1024 points keeps two 8 MB arrays
-#: of field values, and writes a million rows to each grid CSV.
+#: of field values, and writes a million rows to each grid CSV: 74 MB on the
+#: bundled physical fixture, where ``lvdyn phase --grid-n 1024`` peaks at 76 MB.
 RULES = {
     "sobol_n": (_INTEGER, lambda n: 64 <= n <= 2**30 and n & (n - 1) == 0,
                 "a power of two from 64 to 2**30", InvalidN),

@@ -19,6 +19,7 @@ import math
 import os
 import warnings
 from dataclasses import asdict, astuple, dataclass, field
+from itertools import chain, islice, repeat
 from pathlib import Path
 
 import numpy as np
@@ -580,20 +581,28 @@ def _ensure_dir(path: Path) -> Path:
     return path
 
 
-def _write_text(path: Path, text: str) -> Path:
+#: Rows _write_csv formats and writes at a time.
+_CSV_CHUNK = 1024
+
+
+def _write_text(path: Path, parts) -> Path:
+    """Write the strings of ``parts`` one after another."""
     try:
-        path.write_text(text, encoding="utf-8")
+        with open(path, "w", encoding="utf-8") as f:
+            f.writelines(parts)
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc
     return path
 
 
 def _write_csv(path: Path, header: str, fmt: str, rows) -> Path:
-    """Write a header line and one ``fmt % row`` line per row tuple.
+    """Write a header line and one ``fmt % row`` line per row, _CSV_CHUNK rows at a time.
 
     Float columns are ``%.9g`` (nine significant digits), int columns ``%d``.
     """
-    return _write_text(path, "\n".join([header, *(fmt % row for row in rows)]) + "\n")
+    rows, line = iter(rows), fmt + "\n"
+    chunks = iter(lambda: "".join([line % row for row in islice(rows, _CSV_CHUNK)]), "")
+    return _write_text(path, chain([header + "\n"], chunks))
 
 
 def write_report(report: Report, out_dir: str | Path) -> list[Path]:
@@ -603,7 +612,7 @@ def write_report(report: Report, out_dir: str | Path) -> list[Path]:
 
     for fmt, text in (("json", report_json_text), ("csv", _report_csv_text)):
         if fmt in report.config.formats:
-            written.append(_write_text(out / f"report.{fmt}", text(report)))
+            written.append(_write_text(out / f"report.{fmt}", [text(report)]))
     if report.sobol is not None:
         sr = report.sobol
         written.append(_write_csv(
@@ -675,21 +684,25 @@ def export_phase_data(pg: PhaseGeometry, ode: Trajectory | None, discrete: np.nd
                     if pg.bbox.x_min <= x <= pg.bbox.x_max:
                         yield kind, coeffs, x, y
 
-    # Grid points in [i, j] order, which is the order ravel() reads the fields.
-    gx, gy = (g.ravel().tolist() for g in np.meshgrid(pg.xs, pg.ys, indexing="ij"))
+    def grid_rows(dx_rows, dy_rows):
+        # Grid points in [i, j] order, one row of the fields (one x) at a time.
+        for x, dx, dy in zip(xs, dx_rows, dy_rows):
+            yield from zip(repeat(x), ys, dx.tolist(), dy.tolist())
+
     written = [
         _write_csv(out / "nullclines.csv", "kind,A,B,C,x,y", "%s,%s,%.9g,%.9g",
                    nullcline_rows()),
         _write_csv(out / "signgrid.csv", "x,y,sign_dx,sign_dy", "%.9g,%.9g,%d,%d",
-                   zip(gx, gy, *(np.sign(g).ravel().tolist() for g in (pg.dx, pg.dy)))),
+                   grid_rows(map(np.sign, pg.dx), map(np.sign, pg.dy))),
         _write_csv(out / "vectorfield.csv", "x,y,dxdt,dydt", "%.9g,%.9g,%.9g,%.9g",
-                   zip(gx, gy, pg.dx.ravel().tolist(), pg.dy.ravel().tolist())),
+                   grid_rows(pg.dx, pg.dy)),
     ]
     if ode is not None:
-        written.append(_write_csv(out / "trajectory_ode.csv", "t,x,y", "%.9g,%.9g,%.9g",
-                                  zip(ode.t.tolist(), *ode.states.T.tolist())))
+        written.append(_write_csv(out / "trajectory_ode.csv", "t,x,y", "%.9g,%.9g,%.9g", (
+            row for lo in range(0, len(ode.t), _CSV_CHUNK)
+            for row in zip(*(c[lo:lo + _CSV_CHUNK].tolist() for c in (ode.t, *ode.states.T))))))
 
-    written.append(_write_text(out / "README.md", _PHASE_README))
+    written.append(_write_text(out / "README.md", [_PHASE_README]))
     if discrete is not None:
         written.append(_write_csv(out / "trajectory_discrete.csv", "step,x,y", "%d,%.9g,%.9g",
                                   ((k, x, y) for k, (x, y) in enumerate(discrete.tolist()))))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -545,11 +546,34 @@ def test_integrate_matches_per_step_reference_property():
     params = st.builds(ContinuousParams, coeff, coeff, coeff, coeff, coeff, coeff)
     state = st.one_of(st.floats(0, 1e3), st.sampled_from([0.0, 1e300, np.inf, np.nan]))
 
+    size = dynamics._CHECK_BLOCK
+    h = 1.0 / size
+    square = ContinuousParams(0.0, 1.0, 0.0, 0.0, 0.0, 0.0)
+    logistic = ContinuousParams(0.1, -0.01, 0.0, 0.1, 0.0, -0.01)
+
     @hyp.settings(max_examples=300, deadline=None)
     @hyp.given(cp=params, x0=st.tuples(state, state), t_end=st.floats(0, 3),
-               dt=st.floats(1e-3, 0.5), tol=st.sampled_from([RK4_ERROR_TOL, 1e-6, np.inf]))
-    def check(cp, x0, t_end, dt, tol):
-        with mock.patch.object(dynamics, "RK4_ERROR_TOL", tol):
+               dt=st.floats(1e-3, 0.5), tol=st.sampled_from([RK4_ERROR_TOL, 1e-6, np.inf]),
+               block=st.sampled_from([1, 2, 7, 64, size]))
+    # Paths of one step less than, as many as and one more than the check block.
+    @hyp.example(cp=logistic, x0=(1.0, 2.0), t_end=(size - 1) * h, dt=h, tol=RK4_ERROR_TOL,
+                 block=size)
+    @hyp.example(cp=logistic, x0=(1.0, 2.0), t_end=1.0, dt=h, tol=RK4_ERROR_TOL, block=size)
+    @hyp.example(cp=logistic, x0=(1.0, 2.0), t_end=(size + 1) * h, dt=h, tol=RK4_ERROR_TOL,
+                 block=size)
+    # x' = x^2 blows up at t = 1/x(0).  From these starts the first flagged step
+    # is the last of the first block, the first of the second and the one after,
+    # and at half the step the 32767th, the second last of the second block.
+    @hyp.example(cp=square, x0=(1 / (1 + h), 1.0), t_end=2.0, dt=h, tol=RK4_ERROR_TOL,
+                 block=size)
+    @hyp.example(cp=square, x0=(1 / (1 + 2 * h), 1.0), t_end=2.0, dt=h, tol=RK4_ERROR_TOL,
+                 block=size)
+    @hyp.example(cp=square, x0=(1 / (1 + 3 * h), 1.0), t_end=2.0, dt=h, tol=RK4_ERROR_TOL,
+                 block=size)
+    @hyp.example(cp=square, x0=(1.0, 1.0), t_end=1.0, dt=h / 2, tol=RK4_ERROR_TOL, block=size)
+    def check(cp, x0, t_end, dt, tol, block):
+        with (mock.patch.object(dynamics, "RK4_ERROR_TOL", tol),
+              mock.patch.object(dynamics, "_CHECK_BLOCK", block)):
             assert_same_outcome(cp, x0, t_end, dt)
 
     check()
@@ -594,6 +618,20 @@ def test_rk4_path_is_rk4_step_bit_for_bit_property(coeffs, x0, t_end, dt, error)
         assert np.array_equal(got[num].view(np.uint64), want[num].view(np.uint64))
 
     check()
+
+
+def test_integrate_peak_memory():
+    # 2 * 10^5 steps: the path is one flat array of 3.2 MB beside 1.6 MB of
+    # times, and the step-doubling check runs on blocks of _CHECK_BLOCK steps,
+    # so the peak is about 7.2 MB.  A path of tuples copied into an array,
+    # with the check made over the whole path at once, peaked at 33.5 MB.
+    tracemalloc.start()
+    try:
+        integrate_ode(cp_for("ai_physical"), (9.69, 7.26), 200.0, 0.001)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12e6
 
 
 def test_integrate_validates_arguments():

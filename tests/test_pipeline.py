@@ -6,6 +6,7 @@ import hashlib
 import json
 import re
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -770,6 +771,43 @@ def test_write_text_to_a_directory_is_an_io_error(tmp_path):
     with pytest.raises(IoError, match="cannot write") as err:
         pipeline._write_text(tmp_path, "text")
     assert err.value.exit_code == 4
+
+
+@pytest.mark.parametrize("n_rows", [0, 1, 1023, 1024, 1025, 2049])
+def test_write_csv_writes_the_joined_lines_across_chunks(tmp_path, n_rows):
+    # The rows go out pipeline._CSV_CHUNK (1024) at a time; with none, the
+    # header line alone is written, as nullclines.csv is when no nullcline
+    # point falls in the box.
+    header, fmt = "k,x,y", "%d,%.9g,%.9g"
+    rows = [(k, k / 7, -k * 1e300) for k in range(n_rows)]
+    path = pipeline._write_csv(tmp_path / "rows.csv", header, fmt, iter(rows))
+    assert path.read_bytes() == ("\n".join([header, *(fmt % r for r in rows)]) + "\n").encode()
+
+
+def test_write_csv_failures_are_io_errors(tmp_path):
+    rows = [(0.5, 1.5)] * 5000
+    targets = [tmp_path] + [Path("/dev/full")] * Path("/dev/full").exists()
+    for target in targets:   # fails on open, or on a write once the disk is full
+        with pytest.raises(IoError, match="cannot write") as err:
+            pipeline._write_csv(target, "x,y", "%.9g,%.9g", iter(rows))
+        assert err.value.exit_code == 4
+
+
+def test_export_phase_data_peak_memory(tmp_path):
+    # Each grid file is written one grid row (one x) at a time and the ODE
+    # trajectory in slices, so the peak stays near 0.3 MB at grid_n = 512,
+    # with about 11 MB written per grid file.  Building a file's 262144 rows
+    # whole, as Python values or as one string, peaked at 71 MB.
+    cp = BASELINES["ai_physical"].params
+    ode = lvdyn.integrate_ode(cp, (9.69, 7.26), 10.0, 0.001)
+    pg = phase_geometry(cp, BBox(0.5, 30.0, 0.5, 30.0), 512)
+    tracemalloc.start()
+    try:
+        export_phase_data(pg, ode, None, tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
 
 
 def test_reports_are_byte_identical_across_runs(tmp_path):

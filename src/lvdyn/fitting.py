@@ -106,7 +106,12 @@ def build_ratio_rows(ts: TimeSeries) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return np.column_stack([xs[:-1], ys[:-1]]), *ratios
 
 
-def _solve_through_origin(X: np.ndarray, resp: np.ndarray) -> np.ndarray:
+def _ill_conditioned(cond: float) -> str:
+    """The IllConditioned message of a condition number past COND_WARN_THRESHOLD."""
+    return f"normal equations condition number {cond:.3e} exceeds {COND_WARN_THRESHOLD:.0e}"
+
+
+def _solve_through_origin(X: np.ndarray, resp: np.ndarray) -> tuple[np.ndarray, float]:
     """Two-slope least squares without intercept via the normal equations.
 
     Every step reads X with each column scaled by the power of two that brings
@@ -114,17 +119,16 @@ def _solve_through_origin(X: np.ndarray, resp: np.ndarray) -> np.ndarray:
     Sluis 1969), so a power-of-two change of units changes no bit of the
     slopes.  Raises SingularDesign on a rank-deficient or singular design or
     a slope that is not a finite normal float; warns when ill conditioned.
+    Returns the slopes and the condition number of the normal equations.
     """
     exps = np.frexp(np.abs(X).max(axis=0))[1]
     xs = np.ldexp(X, -exps)
     svals = np.linalg.svd(xs, compute_uv=False)
     if svals[-1] <= svals[0] * np.finfo(float).eps * max(X.shape):
         raise SingularDesign("regressor columns are collinear")
-    cond = (svals[0] / svals[-1]) ** 2
+    cond = float((svals[0] / svals[-1]) ** 2)
     if cond > COND_WARN_THRESHOLD:
-        warnings.warn(
-            f"normal equations condition number {cond:.3e} exceeds "
-            f"{COND_WARN_THRESHOLD:.0e}", IllConditioned, stacklevel=3)
+        warnings.warn(_ill_conditioned(cond), IllConditioned, stacklevel=3)
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             slopes = np.ldexp(np.linalg.solve(xs.T @ xs, xs.T @ resp), -exps)
@@ -132,7 +136,7 @@ def _solve_through_origin(X: np.ndarray, resp: np.ndarray) -> np.ndarray:
         raise SingularDesign(f"normal equations are singular: {exc}") from exc
     if not all(np.finfo(float).tiny <= abs(s) < np.inf for s in slopes):
         raise SingularDesign(f"a slope is not a finite normal float: {slopes.tolist()}")
-    return slopes
+    return slopes, cond
 
 
 @dataclass(frozen=True, eq=False)
@@ -146,6 +150,7 @@ class EquationFit:
     adj_r2_origin: float        # no-intercept convention, slope-only fit
     adj_r2_full: float          # centered convention, intercept included
     residuals: np.ndarray       # slope-only residuals, one per ratio row
+    cond: float                 # condition number of the normal equations
 
 
 def _fit_equation(X: np.ndarray, resp: np.ndarray, self_col: int) -> EquationFit:
@@ -153,7 +158,7 @@ def _fit_equation(X: np.ndarray, resp: np.ndarray, self_col: int) -> EquationFit
     if n < 4:   # the centered adjusted R^2 below divides by n - 3
         raise InsufficientData(
             f"fitting needs at least 5 annual observations (4 ratio rows), got {n + 1}")
-    slopes = _solve_through_origin(X, resp)
+    slopes, cond = _solve_through_origin(X, resp)
     with np.errstate(all="ignore"):
         residuals = resp - X @ slopes
         p = 2
@@ -185,6 +190,7 @@ def _fit_equation(X: np.ndarray, resp: np.ndarray, self_col: int) -> EquationFit
         adj_r2_origin=float(adj_origin),
         adj_r2_full=float(adj_full),
         residuals=residuals,
+        cond=cond,
     )
 
 

@@ -11,13 +11,11 @@ byte-identical.
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import hashlib
 import json
 import math
 import os
-import warnings
 from dataclasses import asdict, astuple, dataclass, field
 from itertools import chain, islice, repeat
 from pathlib import Path
@@ -50,9 +48,11 @@ from .errors import (
     check,
 )
 from .fitting import (
+    COND_WARN_THRESHOLD,
     FitDiagnostics,
     FitMode,
     TimeSeries,
+    _ill_conditioned,
     fit_details,
     fitted_trajectories,
     free_run,
@@ -419,24 +419,6 @@ PIPELINE_STAGES = ("classify", "equilibrium", "stability", "phase", "mape",
                    "trajectories", "sobol")
 
 
-@contextlib.contextmanager
-def _warnings_into(report: Report, stage: str):
-    """Show each warning of the block as before, and append it to report.warnings.
-
-    ``warnings.showwarning`` is process-wide, so runs in concurrent threads
-    can record each other's warnings, and can leave one run's hook in place.
-    """
-    with warnings.catch_warnings():
-        show = warnings.showwarning
-
-        def record(message, category, *where):
-            report.warnings.append(f"{stage}: {category.__name__}: {message}")
-            show(message, category, *where)
-
-        warnings.showwarning = record
-        yield
-
-
 def run_pipeline(cfg: AnalysisConfig, stages: set[str] | frozenset[str] | None = None) -> Report:
     """Execute the analysis chain and (optionally) write output files.
 
@@ -464,8 +446,7 @@ def run_pipeline(cfg: AnalysisConfig, stages: set[str] | frozenset[str] | None =
 
     def run_stage(name: str, fn):
         try:
-            with _warnings_into(report, name):
-                return fn()
+            return fn()
         except LvdynError as exc:
             report.failed_stage = name
             report.error = f"{type(exc).__name__}: {exc}"
@@ -498,6 +479,9 @@ def run_pipeline(cfg: AnalysisConfig, stages: set[str] | frozenset[str] | None =
         else:
             diag = fit_details(ts)
             report.fit_diag = diag
+            # What the fit warned, whatever the caller's warning filters showed.
+            report.warnings += [f"fit: IllConditioned: {_ill_conditioned(eq.cond)}"
+                                for eq in (diag.eq_x, diag.eq_y) if eq.cond > COND_WARN_THRESHOLD]
             report.regression = diag.coeffs
             report.discrete = regression_to_discrete(diag.coeffs)
             report.continuous = discrete_to_continuous(report.discrete)

@@ -24,17 +24,15 @@ ranges of base indices, the estimators by leaves of the pairwise-sum tree of
 every row, whose sums the caller adds in the tree's order.  So every result
 is bit-identical whatever the number of parts.
 
-A public call of a kernel allocates its arrays afresh, so nothing it
-returns is written by a later call.  Only :func:`analyze_sensitivity`, from
-which nothing leaves but the small :class:`SobolResult` arrays, hands the
-kernels the calling thread's workspace through their private ``_ws``.  The
-workspace is sized for the last ``n_base`` that thread analysed and reused
-on its next call of the same size.  It holds A|B, the outputs and their
-validity, and one scratch buffer shared by temporaries that are never alive
-at once: the Sobol' digits while sampling, the A row's denominator and
-numerators and each row's temporaries while evaluating (its products wait in
-output rows not yet written), then the pooled A|B outputs that the variance
-overwrites, in four rows, and one difference/product pair in the other two.
+Every call of a kernel allocates the arrays it returns afresh (A|B, the
+outputs and their validity), so nothing a kernel returns is written by a
+later call.  The kernels' temporaries live in one (N_PARAMS, n_base) scratch
+buffer of the calling thread, sized for the last ``n_base`` that thread used
+and reused on its next call of the same size.  They are never alive at once:
+the Sobol' digits while sampling, the A row's denominator and numerators and
+each row's temporaries while evaluating (its products wait in output rows not
+yet written), then the pooled A|B outputs that the variance overwrites, in
+four rows, and one difference/product pair in the other two.
 """
 
 from __future__ import annotations
@@ -208,20 +206,18 @@ def _pairwise(lo: int, hi: int, depth: int, leaf=lambda lo, hi: [(lo, hi)]):
     return _pairwise(lo, mid, depth - 1, leaf) + _pairwise(mid, hi, depth - 1, leaf)
 
 
-#: The arrays of the last design each thread analysed, reused by its next
-#: call of analyze_sensitivity on a design of the same size.
-_WORKSPACE = threading.local()
+#: The scratch buffer of the last size each thread used, reused by its next
+#: kernel call of the same size.
+_SCRATCH = threading.local()
 
 
-def _workspace(n_base: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The calling thread's (A|B, outputs, valid, scratch) for n_base base indices."""
-    arrays = getattr(_WORKSPACE, "arrays", None)
-    if arrays is None or arrays[0].shape[1] != n_base:
-        arrays = _WORKSPACE.arrays = None      # the last size's arrays go first
-        arrays = _WORKSPACE.arrays = (
-            np.empty((2 * N_PARAMS, n_base)), np.empty((2, BLOCK, n_base)),
-            np.empty((BLOCK, n_base), dtype=bool), np.empty((N_PARAMS, n_base)))
-    return arrays
+def _scratch(n_base: int) -> np.ndarray:
+    """The calling thread's (N_PARAMS, n_base) float scratch buffer."""
+    scratch = getattr(_SCRATCH, "array", None)
+    if scratch is None or scratch.shape[1] != n_base:
+        scratch = _SCRATCH.array = None        # the last size's array goes first
+        scratch = _SCRATCH.array = np.empty((N_PARAMS, n_base))
+    return scratch
 
 
 @dataclass(frozen=True, eq=False)
@@ -299,7 +295,7 @@ class SaltelliDesign:
                                   f"for n_base {_shown(self.n_base)}")
 
 
-def saltelli_sample(bounds: ParamBounds, n_base: int, seed: int, *, _ws=None) -> SaltelliDesign:
+def saltelli_sample(bounds: ParamBounds, n_base: int, seed: int) -> SaltelliDesign:
     """Draw the Saltelli design from a scrambled Sobol' sequence.
 
     The base matrices A and B are the first and last six columns of a
@@ -312,8 +308,8 @@ def saltelli_sample(bounds: ParamBounds, n_base: int, seed: int, *, _ws=None) ->
     # Rows 0..D-1 of ab are A, rows D..2D-1 are B, each scaled in place:
     # p * 2**-30 is exact, so this is lower + unit * width bit for bit, and so
     # is p * (width * 2**-30) wherever width * 2**-30 is exact (width >= 2**-992).
-    ab = np.empty((2 * N_PARAMS, n_base)) if _ws is None else _ws[0]
-    digits = np.empty(ab.shape, np.uint32) if _ws is None else _ws[3].view(np.uint32)
+    ab = np.empty((2 * N_PARAMS, n_base))
+    digits = _scratch(n_base).view(np.uint32)
     shift, flips = _scramble(seed)
     lower = np.tile(bounds.lower, 2)[:, None]
     width = np.tile(bounds.upper - bounds.lower, 2)[:, None]
@@ -361,8 +357,7 @@ def _box_proves_valid(lower, upper) -> bool:
                     for lo, hi in nums))
 
 
-def evaluate_equilibria(design: SaltelliDesign, *, _ws=None,
-                        _box=None) -> tuple[np.ndarray, np.ndarray]:
+def evaluate_equilibria(design: SaltelliDesign, *, _box=None) -> tuple[np.ndarray, np.ndarray]:
     """Closed-form interior equilibrium of every parameter set of a design.
 
     The design is evaluated one block row at a time, straight from the
@@ -381,11 +376,8 @@ def evaluate_equilibria(design: SaltelliDesign, *, _ws=None,
     """
     n = design.n_base
     proved = _box is not None and _box_proves_valid(*_box)
-    if _ws is None:
-        outputs, valid = np.empty((2, BLOCK, n)), np.empty((BLOCK, n), dtype=bool)
-        scratch = np.empty((N_PARAMS, n))
-    else:
-        outputs, valid, scratch = _ws[1:]
+    outputs, valid = np.empty((2, BLOCK, n)), np.empty((BLOCK, n), dtype=bool)
+    scratch = _scratch(n)
 
     def evaluate(lo: int, hi: int) -> None:
         a1, b11, b12, a2, b21, b22 = design.a[:, lo:hi]
@@ -464,9 +456,7 @@ class SobolResult:
     seed: int
 
 
-def sobol_indices(
-    design: SaltelliDesign, outputs: np.ndarray, valid: np.ndarray, *, _ws=None
-) -> SobolResult:
+def sobol_indices(design: SaltelliDesign, outputs: np.ndarray, valid: np.ndarray) -> SobolResult:
     """Estimate variance shares from an evaluated Saltelli design.
 
     ``outputs`` (2, BLOCK, n_base) and ``valid`` (BLOCK, n_base) are laid
@@ -504,7 +494,7 @@ def sobol_indices(
     parts = _part_count(n)
     depth = (parts - 1).bit_length()             # ceil(log2(parts))
     rows, pooled_rows = _pairwise(0, retained, depth), _pairwise(0, 2 * retained, depth)
-    temps = np.empty(6 * retained) if _ws is None else _ws[3].reshape(-1)[:6 * retained]
+    temps = _scratch(n).reshape(-1)[:6 * retained]
     pooled, (diff, prod) = temps[:4 * retained].reshape(2, -1), temps[4 * retained:].reshape(2, -1)
     row_sums, pooled_sums, square_sums = {}, {}, {}
 
@@ -566,13 +556,10 @@ def analyze_sensitivity(
 ) -> SobolResult:
     """End-to-end analysis: bounds, sampling, evaluation, indices.
 
-    The design, the outputs, the Sobol' digits and the estimators' buffers
-    live in the calling thread's workspace, which the next call of the same
-    size reuses.
+    The evaluation is given the sample box of the bounds, so a box that
+    :func:`_box_proves_valid` clears tests no point.
     """
     bounds = bounds_from_baseline(cp, fraction)
-    check("sobol_n", n_base)                     # before the workspace is sized
-    ws = _workspace(n_base)
-    design = saltelli_sample(bounds, n_base, seed, _ws=ws)
-    outputs, valid = evaluate_equilibria(design, _ws=ws, _box=_sample_box(bounds))
-    return sobol_indices(design, outputs, valid, _ws=ws)
+    design = saltelli_sample(bounds, n_base, seed)
+    outputs, valid = evaluate_equilibria(design, _box=_sample_box(bounds))
+    return sobol_indices(design, outputs, valid)

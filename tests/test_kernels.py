@@ -666,19 +666,33 @@ def slow_path_design(case: str) -> SaltelliDesign:
     return SaltelliDesign(a=a, b=b, n_base=n, seed=0)
 
 
+class Prefilled:
+    """numpy as a module sees it, except that every np.empty array starts full of ``fill``."""
+
+    def __init__(self, fill) -> None:
+        self.fill = fill
+
+    def __getattr__(self, name: str):
+        return getattr(np, name)
+
+    def empty(self, *args, **kwargs) -> np.ndarray:
+        array = np.empty(*args, **kwargs)
+        array[...] = self.fill
+        return array
+
+
 @pytest.mark.parametrize("parts", [1, 2])
 @pytest.mark.parametrize("case", ["denominator", "negative", "overflow"])
 def test_slow_paths_match_reference_large_n(monkeypatch, denominator_calls, case, parts):
     force_parts(monkeypatch, parts)
     design = slow_path_design(case)
     want_out, want_valid = ref.design_equilibria(design)
-    # The workspace starts all valid, then all invalid, so a validity the
-    # evaluation does not write shows.
-    ws = sensitivity._workspace(design.n_base)
+    # The outputs and their validity start all valid (1.0), then all invalid
+    # (0.0), so an output or a validity the evaluation does not write shows.
     for fill in (True, False):
-        for buffer in ws[1:]:
-            buffer[...] = fill
-        outputs, valid = evaluate_equilibria(design, _ws=ws)
+        with monkeypatch.context() as patched:
+            patched.setattr(sensitivity, "np", Prefilled(fill))
+            outputs, valid = evaluate_equilibria(design)
         assert_same(outputs, want_out)
         assert np.array_equal(valid, want_valid)
     # Six denominators per part and call, each tested at every point of its
@@ -862,7 +876,7 @@ def test_box_proof_clears_the_tenth_boxes(monkeypatch, denominator_calls, case):
 
 
 # ---------------------------------------------------------------------------
-# The per-thread workspace that analyze_sensitivity reuses
+# The per-thread scratch that every kernel reuses
 # ---------------------------------------------------------------------------
 
 def outcome(case: str, fraction: float, n_base: int, seed: int):
@@ -874,7 +888,7 @@ def outcome(case: str, fraction: float, n_base: int, seed: int):
 
 
 def in_fresh_thread(fn, *args):
-    """fn(*args) in a new thread, whose workspace no earlier call has used."""
+    """fn(*args) in a new thread, whose scratch no earlier call has used."""
     result = []
     thread = threading.Thread(target=lambda: result.append(fn(*args)))
     thread.start()
@@ -903,7 +917,7 @@ def test_public_kernel_results_are_never_written_by_a_later_call():
     kept = [design.a, design.b, outputs, valid, res.first_order, res.total_order,
             res.total_variance]
     want = [a.copy() for a in kept]
-    # Same size, so the workspace is reused; the public calls allocate anew.
+    # Same size, so the scratch is reused; every returned array is allocated anew.
     analyze_sensitivity(params_for("fitted:ai_labor"), 0.5, 1024, 4)
     other = saltelli_sample(bounds_from_baseline(params_for("fitted:ai_labor"), 0.5), 1024, 4)
     sobol_indices(other, *evaluate_equilibria(other))
@@ -912,34 +926,37 @@ def test_public_kernel_results_are_never_written_by_a_later_call():
             assert np.array_equal(got, expected)
         else:
             assert_same(got, expected)
-    assert not any(np.shares_memory(got, buffer)
-                   for got in kept for buffer in sensitivity._workspace(1024))
+    assert not any(np.shares_memory(got, sensitivity._scratch(1024)) for got in kept)
 
 
-def test_kernels_write_into_the_buffers_they_are_given(monkeypatch):
-    # The private _ws path of analyze_sensitivity against the public path,
-    # which allocates.  The workspace starts full of 7.0 (valid all True), so
-    # anything the kernels leave unwritten shows.
-    bounds = bounds_from_baseline(params_for("fitted:ai_physical"), 0.5)
+def test_a_prefilled_scratch_changes_no_result(monkeypatch):
+    # Before each kernel call the thread's scratch is filled with 7.0, then
+    # with NaN, so a temporary a kernel reads before it writes shows.
+    cp = params_for("fitted:ai_physical")
+    bounds = bounds_from_baseline(cp, 0.5)
     for n_base, parts in ((256, 1), (2**16, 2)):
         force_parts(monkeypatch, parts)
         want_design = saltelli_sample(bounds, n_base, 8)
         want_out, want_valid = evaluate_equilibria(want_design)
         want = sobol_indices(want_design, want_out, want_valid)
-        ws = sensitivity._workspace(n_base)
-        for buffer in ws:
-            buffer[...] = 7.0
-        design = saltelli_sample(bounds, n_base, 8, _ws=ws)
-        assert design.a.base is ws[0] and design.b.base is ws[0]
-        outputs, valid = evaluate_equilibria(design, _ws=ws)
-        assert outputs is ws[1] and valid is ws[2]
-        assert_same(ws[0], np.concatenate([want_design.a, want_design.b]))
-        assert_same(outputs, want_out)
-        assert np.array_equal(valid, want_valid)
-        assert_same_outcome(sobol_indices(design, outputs, valid, _ws=ws), want)
+        scratch = sensitivity._scratch(n_base)
+        for fill in (7.0, np.nan):
+            scratch[...] = fill
+            design = saltelli_sample(bounds, n_base, 8)
+            assert_same(np.concatenate([design.a, design.b]),
+                        np.concatenate([want_design.a, want_design.b]))
+            scratch[...] = fill
+            outputs, valid = evaluate_equilibria(design)
+            assert_same(outputs, want_out)
+            assert np.array_equal(valid, want_valid)
+            scratch[...] = fill
+            assert_same_outcome(sobol_indices(design, outputs, valid), want)
+            scratch[...] = fill
+            assert_same_outcome(analyze_sensitivity(cp, 0.5, n_base, 8), want)
+        assert sensitivity._scratch(n_base) is scratch
 
 
-#: N changes at every call, so the workspace is sized anew each time.
+#: N changes at every call, so the scratch is sized anew each time.
 CALL_SEQUENCE = [("published:ai_physical", 0.1, 64, 1), ("fitted:ai_labor", 0.5, 2**16, 2),
                  ("fitted:ai_physical", 0.5, 1024, 3), ("published:ai_labor", 0.1, 2**16, 4),
                  ("published:ai_labor", 0.1, 2**16, 5), ("fitted:ai_labor", 0.9, 2**16, 5)]
@@ -962,7 +979,7 @@ def test_a_rejected_call_leaves_the_next_call_intact(n_base):
 
 
 def test_threads_at_once_equal_their_serial_results():
-    # More threads than cores, switching often: a workspace shared between
+    # More threads than cores, switching often: a scratch shared between
     # threads would mix the designs or outputs of their calls.
     calls = [("published:ai_physical", 0.1, 2**16, 5), ("fitted:ai_labor", 0.5, 2**16, 6),
              ("fitted:ai_physical", 0.5, 1024, 7)]

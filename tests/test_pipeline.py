@@ -6,7 +6,9 @@ import hashlib
 import json
 import re
 import tempfile
+import threading
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +29,7 @@ from lvdyn import (
     classify_interaction,
     continuous_to_discrete,
     fixture_path,
+    interior_equilibrium,
     load_series,
     phase_geometry,
     run_pipeline,
@@ -507,19 +510,64 @@ def test_fields_of_the_wrong_type_fail_validation_before_any_work(tmp_path, name
         run_pipeline(cfg)
 
 
+#: The near-collinear series of tests/test_fitting.py: each equation of the
+#: fit warns IllConditioned.
+NEAR_COLLINEAR = ["year,ai_capital,physical_capital"] + [
+    f"{2016 + i},{x!r},{x * 2.0 * (1 + 1e-10 * i)!r}"
+    for i, x in enumerate([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])]
+
+
 def test_warnings_of_a_run_go_into_its_report(tmp_path):
-    # The near-collinear series of tests/test_fitting.py: each equation of the
-    # fit warns IllConditioned.  The warnings are shown as before, and
-    # report.json lists them.
-    xs = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
-    rows = ["year,ai_capital,physical_capital"] + [
-        f"{2016 + i},{x!r},{x * 2.0 * (1 + 1e-10 * i)!r}" for i, x in enumerate(xs)]
-    p = write_csv(tmp_path, rows)
+    # The warnings are shown as before, and report.json lists them.
+    p = write_csv(tmp_path, NEAR_COLLINEAR)
     with pytest.warns(IllConditioned) as shown:
         assert main(["fit", "--input", str(p), "--out", str(tmp_path / "out")]) == 0
     assert len(shown) == 2
     report = json.loads((tmp_path / "out" / "report.json").read_text(encoding="utf-8"))
     assert report["warnings"] == [f"fit: IllConditioned: {w.message}" for w in shown]
+
+
+def test_concurrent_runs_record_only_their_own_warnings(tmp_path, monkeypatch):
+    # Run A fits the near-collinear series while run B is inside its own fit,
+    # then B fits the physical fixture.  A process-wide warnings hook put A's
+    # warnings into B's report and stayed installed after both runs returned.
+    monkeypatch.setattr(warnings, "showwarning", warnings.showwarning)  # put back at teardown
+    a_in, b_in, a_done = threading.Event(), threading.Event(), threading.Event()
+    fit = pipeline.fit_details
+
+    def ordered(ts):
+        if ts.xs[0] == 1.0:                     # run A
+            a_in.set()
+            assert b_in.wait(30)
+            try:
+                return fit(ts)
+            finally:
+                a_done.set()
+        b_in.set()
+        assert a_done.wait(30)
+        return fit(ts)
+
+    monkeypatch.setattr(pipeline, "fit_details", ordered)
+    reports = {}
+
+    def run(name: str, path: Path) -> None:
+        reports[name] = run_pipeline(AnalysisConfig(input_path=path), stages=set())
+
+    threads = {"A": threading.Thread(target=run, args=("A", write_csv(tmp_path, NEAR_COLLINEAR))),
+               "B": threading.Thread(target=run, args=("B", PHYS_FIXTURE))}
+    with pytest.warns(IllConditioned) as shown:
+        show = warnings.showwarning
+        threads["A"].start()
+        assert a_in.wait(30)
+        threads["B"].start()
+        for thread in threads.values():
+            thread.join(timeout=60)
+        left = warnings.showwarning
+    assert not any(thread.is_alive() for thread in threads.values())
+    assert len(shown) == 2
+    assert reports["A"].warnings == [f"fit: IllConditioned: {w.message}" for w in shown]
+    assert reports["B"].warnings == []
+    assert left is show
 
 
 def test_stage_error_propagates_when_the_incomplete_report_cannot_be_written(tmp_path):
@@ -566,6 +614,14 @@ def test_report_region_signs(injected_reports):
     assert (regions["region_II"]["sign_dx"], regions["region_II"]["sign_dy"]) == (-1, -1)
     assert (regions["region_III"]["sign_dx"], regions["region_III"]["sign_dy"]) == (1, -1)
     assert (regions["region_IV"]["sign_dx"], regions["region_IV"]["sign_dy"]) == (1, 1)
+
+
+def test_region_signs_skip_a_point_off_the_first_quadrant():
+    # The interior point (6.7e-4, 0.999) lies so near the y axis that region
+    # III's point has x < 0.
+    cp = ContinuousParams(1.0, -1.0, -1.0, 0.999, 0.5, -1.0)
+    regions = pipeline._region_signs(cp, interior_equilibrium(cp))
+    assert sorted(regions) == ["region_I", "region_II", "region_IV"]
 
 
 def test_region_signs_fail_typed_when_the_field_overflows():
@@ -995,6 +1051,26 @@ def test_cli_report_subcommand(tmp_path, capsys):
     code = main(["report", "--report", str(out / "report.json")])
     assert code == 0
     assert "interior equilibrium" in capsys.readouterr().out
+
+
+def test_cli_report_of_an_incomplete_report_names_the_failed_stage(tmp_path, capsys):
+    labor = fixture_path("cn_ai_labor.csv").read_text(encoding="utf-8")
+    p = write_csv(tmp_path, labor.replace("labor", "factor_two").splitlines())
+    out = tmp_path / "out"
+    assert main(["analyze", "--input", str(p), "--y-col", "factor_two", "--params-from-paper",
+                 "--out", str(out)]) == 2
+    capsys.readouterr()
+    assert main(["report", "--report", str(out / "report.json")]) == 0
+    assert capsys.readouterr().out.endswith(
+        "NOTE: report incomplete, failed at stage 'inject-params': ValidationError: "
+        "no published baseline matches series label 'factor_two'; pass an explicit "
+        "baseline key from ['ai_labor', 'ai_physical']\n")
+
+
+def test_cli_report_of_a_missing_file_is_an_io_error(tmp_path, capsys):
+    missing = tmp_path / "missing.json"
+    assert main(["report", "--report", str(missing)]) == 4
+    assert f"report file not found: {missing}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("content", [

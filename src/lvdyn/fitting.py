@@ -25,6 +25,7 @@ from .errors import (
     IllConditioned,
     InsufficientData,
     LengthMismatch,
+    LvdynError,
     NumericalError,
     SingularDesign,
     TrajectoryOverflow,
@@ -111,7 +112,7 @@ def _ill_conditioned(cond: float) -> str:
     return f"normal equations condition number {cond:.3e} exceeds {COND_WARN_THRESHOLD:.0e}"
 
 
-def _solve_through_origin(X: np.ndarray, resp: np.ndarray) -> tuple[np.ndarray, float]:
+def _solve_through_origin(X: np.ndarray, resp: np.ndarray, conds: list[float]) -> np.ndarray:
     """Two-slope least squares without intercept via the normal equations.
 
     Every step reads X with each column scaled by the power of two that brings
@@ -119,16 +120,17 @@ def _solve_through_origin(X: np.ndarray, resp: np.ndarray) -> tuple[np.ndarray, 
     Sluis 1969), so a power-of-two change of units changes no bit of the
     slopes.  Raises SingularDesign on a rank-deficient or singular design or
     a slope that is not a finite normal float; warns when ill conditioned.
-    Returns the slopes and the condition number of the normal equations.
+    Appends the condition number of the normal equations to conds as soon as
+    the design has full rank, and returns the slopes.
     """
     exps = np.frexp(np.abs(X).max(axis=0))[1]
     xs = np.ldexp(X, -exps)
     svals = np.linalg.svd(xs, compute_uv=False)
     if svals[-1] <= svals[0] * np.finfo(float).eps * max(X.shape):
         raise SingularDesign("regressor columns are collinear")
-    cond = float((svals[0] / svals[-1]) ** 2)
-    if cond > COND_WARN_THRESHOLD:
-        warnings.warn(_ill_conditioned(cond), IllConditioned, stacklevel=3)
+    conds.append(float((svals[0] / svals[-1]) ** 2))
+    if conds[-1] > COND_WARN_THRESHOLD:
+        warnings.warn(_ill_conditioned(conds[-1]), IllConditioned, stacklevel=3)
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             slopes = np.ldexp(np.linalg.solve(xs.T @ xs, xs.T @ resp), -exps)
@@ -136,7 +138,7 @@ def _solve_through_origin(X: np.ndarray, resp: np.ndarray) -> tuple[np.ndarray, 
         raise SingularDesign(f"normal equations are singular: {exc}") from exc
     if not all(np.finfo(float).tiny <= abs(s) < np.inf for s in slopes):
         raise SingularDesign(f"a slope is not a finite normal float: {slopes.tolist()}")
-    return slopes, cond
+    return slopes
 
 
 @dataclass(frozen=True, eq=False)
@@ -153,12 +155,13 @@ class EquationFit:
     cond: float                 # condition number of the normal equations
 
 
-def _fit_equation(X: np.ndarray, resp: np.ndarray, self_col: int) -> EquationFit:
+def _fit_equation(X: np.ndarray, resp: np.ndarray, self_col: int,
+                  conds: list[float]) -> EquationFit:
     n = len(resp)
     if n < 4:   # the centered adjusted R^2 below divides by n - 3
         raise InsufficientData(
             f"fitting needs at least 5 annual observations (4 ratio rows), got {n + 1}")
-    slopes, cond = _solve_through_origin(X, resp)
+    slopes = _solve_through_origin(X, resp, conds)
     with np.errstate(all="ignore"):
         residuals = resp - X @ slopes
         p = 2
@@ -190,7 +193,7 @@ def _fit_equation(X: np.ndarray, resp: np.ndarray, self_col: int) -> EquationFit
         adj_r2_origin=float(adj_origin),
         adj_r2_full=float(adj_full),
         residuals=residuals,
-        cond=cond,
+        cond=conds[-1],
     )
 
 
@@ -204,18 +207,28 @@ class FitDiagnostics:
 
 
 def fit_details(ts: TimeSeries) -> FitDiagnostics:
-    """Fit both ratio equations and keep per-equation diagnostics."""
-    regressors, response_x, response_y = build_ratio_rows(ts)
-    eq_x = _fit_equation(regressors, response_x, self_col=0)
-    eq_y = _fit_equation(regressors, response_y, self_col=1)
-    coeffs = RegressionCoeffs(
-        intercept1=eq_x.intercept,
-        self_slope1=eq_x.self_slope,
-        cross_slope1=eq_x.cross_slope,
-        intercept2=eq_y.intercept,
-        self_slope2=eq_y.self_slope,
-        cross_slope2=eq_y.cross_slope,
-    )
+    """Fit both ratio equations and keep per-equation diagnostics.
+
+    An LvdynError of the fit carries ``conds``, the condition numbers of the
+    equations it reached, eq_x's first, so that a caller can still name the
+    ones it warned about before it failed.
+    """
+    conds: list[float] = []
+    try:
+        regressors, response_x, response_y = build_ratio_rows(ts)
+        eq_x = _fit_equation(regressors, response_x, self_col=0, conds=conds)
+        eq_y = _fit_equation(regressors, response_y, self_col=1, conds=conds)
+        coeffs = RegressionCoeffs(
+            intercept1=eq_x.intercept,
+            self_slope1=eq_x.self_slope,
+            cross_slope1=eq_x.cross_slope,
+            intercept2=eq_y.intercept,
+            self_slope2=eq_y.self_slope,
+            cross_slope2=eq_y.cross_slope,
+        )
+    except LvdynError as exc:
+        exc.conds = conds
+        raise
     return FitDiagnostics(eq_x=eq_x, eq_y=eq_y, coeffs=coeffs)
 
 

@@ -477,11 +477,17 @@ def run_pipeline(cfg: AnalysisConfig, stages: set[str] | frozenset[str] | None =
             report.discrete = continuous_to_discrete(report.continuous)
             report.regression = discrete_to_regression(report.discrete)
         else:
-            diag = fit_details(ts)
+            def warned(conds) -> None:    # whatever the caller's warning filters showed
+                report.warnings.extend(f"fit: IllConditioned: {_ill_conditioned(cond)}"
+                                       for cond in conds if cond > COND_WARN_THRESHOLD)
+
+            try:
+                diag = fit_details(ts)
+            except LvdynError as exc:       # also what the fit warned before it failed
+                warned(exc.conds)
+                raise
+            warned((diag.eq_x.cond, diag.eq_y.cond))
             report.fit_diag = diag
-            # What the fit warned, whatever the caller's warning filters showed.
-            report.warnings += [f"fit: IllConditioned: {_ill_conditioned(eq.cond)}"
-                                for eq in (diag.eq_x, diag.eq_y) if eq.cond > COND_WARN_THRESHOLD]
             report.regression = diag.coeffs
             report.discrete = regression_to_discrete(diag.coeffs)
             report.continuous = discrete_to_continuous(report.discrete)

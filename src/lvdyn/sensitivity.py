@@ -26,13 +26,13 @@ is bit-identical whatever the number of parts.
 
 Every call of a kernel allocates the arrays it returns afresh (A|B, the
 outputs and their validity), so nothing a kernel returns is written by a
-later call.  The kernels' temporaries live in one (N_PARAMS, n_base) scratch
-buffer of the calling thread, sized for the last ``n_base`` that thread used
-and reused on its next call of the same size.  They are never alive at once:
-the Sobol' digits while sampling, the A row's denominator and numerators and
-each row's temporaries while evaluating (its products wait in output rows not
-yet written), then the pooled A|B outputs that the variance overwrites, in
-four rows, and one difference/product pair in the other two.
+later call.  A|B is built in place; the other kernels' temporaries live in
+one (N_PARAMS, n_base) scratch buffer of the calling thread, sized for the
+last ``n_base`` that thread used and reused on its next call of the same
+size.  They are never alive at once: the A row's denominator and numerators
+and each row's temporaries while evaluating (its products wait in output rows
+not yet written), then the pooled A|B outputs that the variance overwrites,
+in four rows, and one difference/product pair in the other two.
 """
 
 from __future__ import annotations
@@ -212,7 +212,7 @@ _SCRATCH = threading.local()
 
 
 def _scratch(n_base: int) -> np.ndarray:
-    """The calling thread's (N_PARAMS, n_base) float scratch buffer."""
+    """The calling thread's (N_PARAMS, n_base) scratch of evaluation and estimator temporaries."""
     scratch = getattr(_SCRATCH, "array", None)
     if scratch is None or scratch.shape[1] != n_base:
         scratch = _SCRATCH.array = None        # the last size's array goes first
@@ -305,22 +305,21 @@ def saltelli_sample(bounds: ParamBounds, n_base: int, seed: int) -> SaltelliDesi
     """
     check("sobol_n", n_base)
     check("seed", seed)
-    # Rows 0..D-1 of ab are A, rows D..2D-1 are B, each scaled in place:
-    # p * 2**-30 is exact, so this is lower + unit * width bit for bit, and so
-    # is p * (width * 2**-30) wherever width * 2**-30 is exact (width >= 2**-992).
+    # Rows 0..D-1 of ab are A, rows D..2D-1 are B.  A point's 30 digits p fill
+    # mantissa bits 22..51 of 1.0, making it 1 + p * 2**-30 exactly: less 1 it
+    # is the unit point p * 2**-30, exact, then scaled by width and moved by lower.
     ab = np.empty((2 * N_PARAMS, n_base))
-    digits = _scratch(n_base).view(np.uint32)
     shift, flips = _scramble(seed)
+    lsb = np.finfo(float).nmant - _SOBOL_BITS
+    shift = np.array(1.0).view(np.uint64) | shift.astype(np.uint64) << lsb
+    flips = flips.astype(np.uint64) << lsb
     lower = np.tile(bounds.lower, 2)[:, None]
     width = np.tile(bounds.upper - bounds.lower, 2)[:, None]
-    step = width * 2.0 ** -_SOBOL_BITS
-    folded = np.array_equal(step * 2.0 ** _SOBOL_BITS, width)
 
     def sample(lo: int, hi: int) -> None:
-        points = _gray_code_fill(digits.reshape(ab.shape)[lo:hi], shift[lo:hi], flips[lo:hi])
-        rows = np.multiply(points, step[lo:hi] if folded else 2.0 ** -_SOBOL_BITS, out=ab[lo:hi])
-        if not folded:
-            rows *= width[lo:hi]
+        rows = _gray_code_fill(ab[lo:hi].view(np.uint64), shift[lo:hi], flips[lo:hi]).view(float)
+        rows -= 1.0
+        rows *= width[lo:hi]
         rows += lower[lo:hi]
 
     _run_parts(sample, 2 * N_PARAMS, _part_count(n_base))

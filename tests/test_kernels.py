@@ -778,9 +778,9 @@ def test_denominator_test_is_exact_at_the_threshold():
 
 @pytest.mark.parametrize("widths", ["subnormal", "tiny", "huge"])
 def test_every_sample_lies_in_the_sample_box(monkeypatch, widths):
-    # Subnormal widths are where width * 2**-30 is not exact, so the sampler
-    # scales in two steps there; each design still equals the reference.  The
-    # box's ends are the values of digits 0 and 2**30 - 1.
+    # Subnormal widths are where width * 2**-30 is not exact; the sampler's
+    # one product of the unit point and the width still equals the reference's
+    # rounding there.  The box's ends are the values of digits 0 and 2**30 - 1.
     lower = np.array([1e-310, -3e-310, 0.0, 1.0, -1e-300, 1e300])
     upper = {"subnormal": lower + np.array([4e-320, 1e-312, 5e-324, 0, 3e-316, 0]),
              "tiny": np.nextafter(lower, np.inf),
@@ -943,6 +943,7 @@ def test_a_prefilled_scratch_changes_no_result(monkeypatch):
         for fill in (7.0, np.nan):
             scratch[...] = fill
             design = saltelli_sample(bounds, n_base, 8)
+            assert_same(scratch, np.full_like(scratch, fill))    # sampling writes no scratch
             assert_same(np.concatenate([design.a, design.b]),
                         np.concatenate([want_design.a, want_design.b]))
             scratch[...] = fill

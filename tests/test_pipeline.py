@@ -510,21 +510,30 @@ def test_fields_of_the_wrong_type_fail_validation_before_any_work(tmp_path, name
         run_pipeline(cfg)
 
 
+def near_collinear(xs: list[float]) -> list[str]:
+    """Rows of x and y = 2x(1 + 1e-10 i) from 2016 on."""
+    return ["year,ai_capital,physical_capital"] + [
+        f"{2016 + i},{x!r},{x * 2.0 * (1 + 1e-10 * i)!r}" for i, x in enumerate(xs)]
+
+
 #: The near-collinear series of tests/test_fitting.py: each equation of the
 #: fit warns IllConditioned.
-NEAR_COLLINEAR = ["year,ai_capital,physical_capital"] + [
-    f"{2016 + i},{x!r},{x * 2.0 * (1 + 1e-10 * i)!r}"
-    for i, x in enumerate([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])]
+NEAR_COLLINEAR = near_collinear([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
+#: On a doubling x, eq_x warns IllConditioned and then its normal equations
+#: are singular, so the report is incomplete.
+SINGULAR_AFTER_WARNING = near_collinear([1.0, 2.0, 4.0, 8.0, 16.0, 32.0])
 
 
 def test_warnings_of_a_run_go_into_its_report(tmp_path):
-    # The warnings are shown as before, and report.json lists them.
-    p = write_csv(tmp_path, NEAR_COLLINEAR)
-    with pytest.warns(IllConditioned) as shown:
-        assert main(["fit", "--input", str(p), "--out", str(tmp_path / "out")]) == 0
-    assert len(shown) == 2
-    report = json.loads((tmp_path / "out" / "report.json").read_text(encoding="utf-8"))
-    assert report["warnings"] == [f"fit: IllConditioned: {w.message}" for w in shown]
+    # The warnings are shown as before, and report.json lists them, also the
+    # incomplete report of a fit that fails after it warned.
+    for rows, code, count in ((NEAR_COLLINEAR, 0, 2), (SINGULAR_AFTER_WARNING, 3, 1)):
+        p, out = write_csv(tmp_path, rows), tmp_path / f"out{code}"
+        with pytest.warns(IllConditioned) as shown:
+            assert main(["fit", "--input", str(p), "--out", str(out)]) == code
+        assert len(shown) == count
+        report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+        assert report["warnings"] == [f"fit: IllConditioned: {w.message}" for w in shown]
 
 
 def test_concurrent_runs_record_only_their_own_warnings(tmp_path, monkeypatch):
